@@ -7,46 +7,10 @@ via Riemann-Roch on a rational curve), and verifies the resulting identities
 as exact integer series equalities.
 """
 
-from .errors import (
-    CoxlatError,
-    GorensteinViolation,
-    NegativeDimension,
-    NeitherKind,
-    NonIntegralCoefficient,
-    NotARoot,
-    NotAStarLattice,
-    NotUnitriangular,
-    OrderMismatch,
-    RouteMismatch,
-    UnknownName,
-    ZeroConstantTerm,
-)
-from .exact import (
-    PowerSeries,
-    poly_add,
-    poly_deg,
-    poly_eval,
-    poly_mul,
-    poly_to_string,
-    poly_trim,
-    series_equal,
-    series_from_poly,
-    series_from_rational,
-)
-from .lattice import (
-    Lattice,
-    RadicalQuotient,
-    asym_form_matrix,
-    char_poly,
-    coxeter_inverse_matrix,
-    coxeter_matrix,
-    coxeter_via_form,
-    matrix_order,
-    quotient_by_radical,
-    radical_basis,
-    reflection_matrix,
-)
-from .series import RootedLattice, divisor_degree, hilbert_P, hilbert_Q, poincare_direct
+from .errors import CoxlatError
+from .exact import PowerSeries, series_from_rational
+from .lattice import Lattice, char_poly, coxeter_matrix
+from .series import RootedLattice, hilbert_P, hilbert_Q, poincare_direct
 from .star import (
     OrbitInvariants,
     SingularityKind,
@@ -54,22 +18,19 @@ from .star import (
     build,
     catalog,
     catalog_names,
-    decode_star,
     fuchsian_invariants,
-    invariants_from_json,
-    invariants_from_star,
     kleinian_invariants,
     validate,
 )
 from .verify import (
+    Subject,
     VerificationReport,
+    check_identities,
+    check_orbit_formulas,
+    check_orbit_series,
+    check_theorem,
     run_suite,
-    verify_all,
-    verify_identities,
     verify_lattices,
-    verify_orbit_formulas,
-    verify_orbit_series,
-    verify_theorem,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,6 @@ from .exact import poly_to_string, series_from_rational
 from .lattice import Lattice, char_poly, coxeter_matrix
 from .series import RootedLattice, hilbert_P, hilbert_Q, poincare_direct
 from .star import (
-    SingularityKind,
     build,
     catalog,
     catalog_names,
@@ -32,6 +31,7 @@ from .verify import (
     DEFAULT_ORDER,
     DEFAULT_RANDOM_COUNT,
     DEFAULT_SEED,
+    Subject,
     VerificationReport,
     run_suite,
     verify_lattices,
@@ -46,6 +46,13 @@ def _parse_alphas(text: str):
     if not alphas:
         raise CoxlatError("expected a comma-separated list of ramification indices")
     return alphas
+
+
+def nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_input_options(sub, with_gram=True):
@@ -129,9 +136,8 @@ def cmd_charpoly(args) -> int:
         else:
             print(f"charpoly: {poly_to_string(delta)}")
         return 0
-    lats = build(_load_invariants(args))
-    deltas = {which: char_poly(coxeter_matrix(getattr(lats, which)))
-              for which in ("minus", "zero", "plus")}
+    subject = Subject(build(_load_invariants(args)))
+    deltas = {which: subject.delta(which) for which in ("minus", "zero", "plus")}
     if args.format == "json":
         _emit_json(deltas)
     else:
@@ -141,16 +147,14 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_poincare(args) -> int:
-    lats = _star_lattices(args)
+    subject = Subject(_star_lattices(args))
+    kind = subject.lats.kind
     rows = {}
     if args.route in ("direct", "both"):
-        rows["direct"] = poincare_direct(lats.invariants, lats.kind, args.order)
+        rows["direct"] = poincare_direct(subject.lats.invariants, kind, args.order)
     if args.route in ("quotient", "both"):
-        top = lats.minus if lats.kind is SingularityKind.KLEINIAN else lats.plus
         rows["quotient"] = series_from_rational(
-            char_poly(coxeter_matrix(top)),
-            char_poly(coxeter_matrix(lats.zero)),
-            args.order,
+            subject.delta(kind.top), subject.delta("zero"), args.order
         )
     if args.format == "json":
         _emit_json({key: s.to_json() for key, s in rows.items()})
@@ -277,14 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("poincare", help="Poincare series by either route")
     _add_input_options(sub)
-    sub.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    sub.add_argument("--order", type=nonnegative, default=DEFAULT_ORDER)
     sub.add_argument("--route", choices=("direct", "quotient", "both"), default="both")
     common(sub)
     sub.set_defaults(handler=cmd_poincare)
 
     sub = subparsers.add_parser("hilbert", help="orbit series P and Q of (V_zero, E)")
     _add_input_options(sub)
-    sub.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    sub.add_argument("--order", type=nonnegative, default=DEFAULT_ORDER)
     sub.add_argument("--series", choices=("P", "Q", "both"), default="both")
     sub.add_argument("--root", type=int, default=None,
                      help="basis index of the distinguished root (gram input only)")
@@ -295,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = _add_input_options(sub)
     group.add_argument("--all", action="store_true",
                        help="whole catalog plus seeded random Fuchsian tuples")
-    sub.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    sub.add_argument("--order", type=nonnegative, default=DEFAULT_ORDER)
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--random", type=int, default=DEFAULT_RANDOM_COUNT,
+    sub.add_argument("--random", type=nonnegative, default=DEFAULT_RANDOM_COUNT,
                      metavar="N", help="number of random Fuchsian inputs for --all")
     common(sub)
     sub.set_defaults(handler=cmd_verify)

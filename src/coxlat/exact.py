@@ -27,28 +27,6 @@ def poly_trim(coeffs: Iterable[int]) -> Poly:
     return out
 
 
-def poly_deg(p: Sequence[int]) -> int:
-    """Degree of a canonical polynomial; the zero polynomial reports -1."""
-    return len(p) - 1
-
-
-def poly_add(p: Sequence[int], q: Sequence[int]) -> Poly:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly_trim(out)
-
-
-def poly_neg(p: Sequence[int]) -> Poly:
-    return [-c for c in p]
-
-
-def poly_sub(p: Sequence[int], q: Sequence[int]) -> Poly:
-    return poly_add(p, poly_neg(q))
-
-
 def poly_mul(p: Sequence[int], q: Sequence[int]) -> Poly:
     """Exact product; deg(p*q) = deg p + deg q unless a factor is zero."""
     if not p or not q:
@@ -60,14 +38,6 @@ def poly_mul(p: Sequence[int], q: Sequence[int]) -> Poly:
                 out[i + j] += a * b
     # leading coefficients are nonzero over the integers, but trim anyway
     return poly_trim(out)
-
-
-def poly_eval(p: Sequence[int], x: int) -> int:
-    """Evaluate at an integer point by Horner's rule."""
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def poly_to_string(p: Sequence[int], var: str = "t") -> str:
@@ -126,11 +96,6 @@ class PowerSeries:
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
 
 
-def series_from_poly(p: Sequence[int], order: int) -> PowerSeries:
-    """Truncate a polynomial to a series of the given order."""
-    return PowerSeries(tuple(p[k] if k < len(p) else 0 for k in range(order + 1)))
-
-
 def series_from_rational(num: Sequence[int], den: Sequence[int], order: int) -> PowerSeries:
     """Expand num/den as a power series up to the given order.
 
@@ -167,15 +132,3 @@ def series_equal(a: PowerSeries, b: PowerSeries):
         if x != y:
             return False, k
     return True, None
-
-
-def series_mul_poly(s: PowerSeries, p: Sequence[int]) -> PowerSeries:
-    """Multiply a series by a polynomial, truncating at the series order."""
-    n = s.order
-    out = [0] * (n + 1)
-    for j, c in enumerate(p):
-        if c == 0 or j > n:
-            continue
-        for k in range(j, n + 1):
-            out[k] += c * s.coeffs[k - j]
-    return PowerSeries(tuple(out))

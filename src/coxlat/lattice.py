@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NotARoot, NotUnitriangular
+from .errors import CoxlatError, NotARoot, NotUnitriangular
 
 Matrix = list  # list[list[int]], rows
 Vector = list  # list[int]
@@ -97,9 +97,6 @@ class Lattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    def pair(self, i: int, j: int) -> int:
-        return self.gram[i][j]
-
     def pairing(self, x: Sequence[int], y: Sequence[int]) -> int:
         """<x, y> for coordinate vectors x, y."""
         return sum(xi * sum(g * yj for g, yj in zip(row, y)) for xi, row in zip(x, self.gram))
@@ -121,9 +118,20 @@ class Lattice:
     def from_json(cls, obj: dict) -> "Lattice":
         if not isinstance(obj, dict) or "gram" not in obj:
             raise ValueError("expected an object with a 'gram' field")
-        gram = obj["gram"]
+        if not isinstance(obj["gram"], list):
+            raise CoxlatError("'gram' must be a list of rows")
+        gram = [json_ints(row, "each Gram row") for row in obj["gram"]]
         labels = obj.get("labels") or [f"e{i + 1}" for i in range(len(gram))]
-        return cls(tuple(labels), tuple(tuple(int(x) for x in row) for row in gram))
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise CoxlatError("'labels' must be a list of strings")
+        return cls(tuple(labels), tuple(tuple(row) for row in gram))
+
+
+def json_ints(value, what: str) -> list:
+    """A decoded JSON list of integers, refusing bools, floats and strings."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise CoxlatError(f"{what} must be a list of integers, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -165,20 +173,14 @@ def reflection_product(lat: Lattice, indices: Sequence[int]) -> Matrix:
     return out
 
 
-def coxeter_matrix(lat: Lattice, basis: Sequence[int] | None = None) -> Matrix:
-    """Coxeter element of the (full) root basis, rightmost factor first."""
-    order = list(basis) if basis is not None else list(range(lat.rank))
-    if sorted(order) != list(range(lat.rank)):
-        raise ValueError("basis must cover all basis elements exactly once")
-    return reflection_product(lat, order)
+def coxeter_matrix(lat: Lattice) -> Matrix:
+    """Coxeter element of the root basis, rightmost factor first."""
+    return reflection_product(lat, range(lat.rank))
 
 
-def coxeter_inverse_matrix(lat: Lattice, basis: Sequence[int] | None = None) -> Matrix:
+def coxeter_inverse_matrix(lat: Lattice) -> Matrix:
     """Inverse Coxeter element: the same reflections in reversed order."""
-    order = list(basis) if basis is not None else list(range(lat.rank))
-    if sorted(order) != list(range(lat.rank)):
-        raise ValueError("basis must cover all basis elements exactly once")
-    return reflection_product(lat, order[::-1])
+    return reflection_product(lat, range(lat.rank - 1, -1, -1))
 
 
 def asym_form_matrix(lat: Lattice) -> Matrix:

@@ -77,53 +77,43 @@ def poincare_direct(inv: OrbitInvariants, kind: SingularityKind, order: int) -> 
     return PowerSeries(tuple(coeffs))
 
 
-def _pairing_row(lat: Lattice, a: Sequence[int]):
-    """The functional <a, -> as a row vector."""
-    return [sum(ai * g for ai, g in zip(a, col)) for col in zip(*lat.gram)]
+def _row(m, a: Sequence[int]):
+    """The row vector a^T m; for m the Gram this is the functional <a, ->."""
+    return [sum(ai * x for ai, x in zip(a, col)) for col in zip(*m)]
 
 
-def _form_row(form, a: Sequence[int]):
-    """The functional (a, -) as a row vector, for the triangular form."""
-    return [sum(ai * f for ai, f in zip(a, col)) for col in zip(*form)]
-
-
-def hilbert_P(rl: RootedLattice, order: int) -> PowerSeries:
-    """P series of (V, a): coefficient k is 1 + sum_{l<k} <a, tau^l a>."""
-    lat = rl.lattice
-    tau = coxeter_matrix(lat)
-    pair_a = _pairing_row(lat, rl.root)
-    form_a = _form_row(asym_form_matrix(lat), rl.root)
+def _orbit_walk(rl: RootedLattice, order: int, name: str, step, pair) -> PowerSeries:
+    """Coefficient k is 1 + sum_{l<k} pair . step^l a, checked on every k
+    against the triangular form value (a, step^k a)."""
+    form_a = _row(asym_form_matrix(rl.lattice), rl.root)
     coeffs = []
     v = list(rl.root)
     acc = 1
     for k in range(order + 1):
         form_value = sum(x * y for x, y in zip(form_a, v))
         if form_value != acc:
-            raise RouteMismatch(f"P coefficient {k}: orbit sum {acc} vs form value {form_value}")
+            raise RouteMismatch(f"{name} coefficient {k}: orbit sum {acc} vs form value {form_value}")
         coeffs.append(acc)
-        acc += sum(x * y for x, y in zip(pair_a, v))
-        v = mat_vec(tau, v)
+        acc += sum(x * y for x, y in zip(pair, v))
+        v = mat_vec(step, v)
     return PowerSeries(tuple(coeffs))
+
+
+def hilbert_P(rl: RootedLattice, order: int) -> PowerSeries:
+    """P series of (V, a): coefficient k is 1 + sum_{l<k} <a, tau^l a>."""
+    lat = rl.lattice
+    return _orbit_walk(rl, order, "P", coxeter_matrix(lat), _row(lat.gram, rl.root))
 
 
 def hilbert_Q(rl: RootedLattice, order: int) -> PowerSeries:
     """Q series of (V, a): coefficient k is 1 - sum_{1<=l<=k} <a, tau^-l a>.
 
     The sum genuinely starts at l = 1; starting it at 0 would make the
-    constant coefficient 3 instead of (a, a) = 1.
+    constant coefficient 3 instead of (a, a) = 1.  The walk steps v
+    through tau^-l a and adds -<a, tau^-1 v>, so its pairing row is
+    -<a, -> tau^-1.
     """
     lat = rl.lattice
     tau_inv = coxeter_inverse_matrix(lat)
-    pair_a = _pairing_row(lat, rl.root)
-    form_a = _form_row(asym_form_matrix(lat), rl.root)
-    coeffs = []
-    v = list(rl.root)
-    acc = 1
-    for k in range(order + 1):
-        form_value = sum(x * y for x, y in zip(form_a, v))
-        if form_value != acc:
-            raise RouteMismatch(f"Q coefficient {k}: orbit sum {acc} vs form value {form_value}")
-        coeffs.append(acc)
-        v = mat_vec(tau_inv, v)
-        acc -= sum(x * y for x, y in zip(pair_a, v))
-    return PowerSeries(tuple(coeffs))
+    pair = [-x for x in _row(tau_inv, _row(lat.gram, rl.root))]
+    return _orbit_walk(rl, order, "Q", tau_inv, pair)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import GorensteinViolation, NeitherKind, NotAStarLattice, UnknownName
-from .lattice import Lattice
+from .errors import CoxlatError, GorensteinViolation, NeitherKind, NotAStarLattice, UnknownName
+from .lattice import Lattice, json_ints
 
 
 class SingularityKind(enum.Enum):
@@ -34,6 +34,11 @@ class SingularityKind(enum.Enum):
     def gorenstein_r(self) -> int:
         """The integer R with R*beta_i = 1 mod alpha_i: -1 Kleinian, +1 Fuchsian."""
         return -1 if self is SingularityKind.KLEINIAN else 1
+
+    @property
+    def top(self) -> str:
+        """The lattice whose Delta is the series numerator: minus Kleinian, plus Fuchsian."""
+        return "minus" if self is SingularityKind.KLEINIAN else "plus"
 
 
 @dataclass(frozen=True)
@@ -230,8 +235,7 @@ def build(inv: OrbitInvariants) -> StarLattices:
     """Validate the invariants and construct V_minus, V_zero, V_plus."""
     kind = validate(inv)
     minus, arms, center = star_minus_lattice(inv.alphas)
-    zero, plus = extend_star(minus)
-    return StarLattices(inv, kind, minus, zero, plus, center, arms)
+    return lattices_from_minus(minus, inv, kind, arms, center)
 
 
 def lattices_from_minus(minus: Lattice, inv: OrbitInvariants, kind: SingularityKind,
@@ -364,14 +368,18 @@ def invariants_from_json(obj: dict) -> OrbitInvariants:
         raise ValueError("expected a JSON object")
     if "kind" in obj:
         kind = str(obj["kind"]).lower()
-        alphas = [int(a) for a in obj.get("alpha", ())]
+        alphas = json_ints(obj.get("alpha", []), "'alpha'")
         if kind == "kleinian":
             return kleinian_invariants(alphas)
         if kind == "fuchsian":
             return fuchsian_invariants(alphas)
         raise ValueError(f"unknown kind {obj['kind']!r}")
     if "pairs" in obj:
-        return OrbitInvariants(
-            int(obj.get("g", 0)), int(obj["b"]), tuple((int(a), int(b)) for a, b in obj["pairs"])
-        )
+        pairs = obj["pairs"]
+        if not isinstance(pairs, list) or any(len(json_ints(p, "each pair")) != 2 for p in pairs):
+            raise CoxlatError("'pairs' must be a list of [alpha, beta] pairs")
+        g, b = obj.get("g", 0), obj.get("b")
+        if type(g) is not int or type(b) is not int:
+            raise CoxlatError("'g' and 'b' must be integers")
+        return OrbitInvariants(g, b, tuple(map(tuple, pairs)))
     raise ValueError("invariants JSON needs either 'kind'+'alpha' or 'g','b','pairs'")

@@ -25,6 +25,7 @@ from .lattice import (
     mat_det,
     mat_mul,
     mat_transpose,
+    mat_vec,
     quotient_by_radical,
     radical_basis,
     reflection_matrix,
@@ -86,12 +87,13 @@ def subject_of(inv: OrbitInvariants, kind: SingularityKind) -> str:
     return f"{kind.value}({','.join(str(a) for a in inv.alphas)})"
 
 
-class _StarData:
-    """Lazily shared Coxeter matrices and characteristic polynomials."""
+class Subject:
+    """One input's star lattices and label; tau and Delta are computed at
+    most once per lattice and shared by every check and command."""
 
-    def __init__(self, lats: StarLattices, subject: str | None = None):
+    def __init__(self, lats: StarLattices, label: str | None = None):
         self.lats = lats
-        self.subject = subject or subject_of(lats.invariants, lats.kind)
+        self.label = label or subject_of(lats.invariants, lats.kind)
         self._cox = {}
         self._delta = {}
 
@@ -134,28 +136,27 @@ def _value_witness(identity: str, index, got, expected):
 # the four checks
 
 
-def _theorem_report(data: _StarData, order: int) -> VerificationReport:
+def check_theorem(subject: Subject, order: int) -> VerificationReport:
+    """Poincare series == quotient of characteristic polynomials."""
     t0 = time.perf_counter()
-    kind = data.lats.kind
-    top = "minus" if kind is SingularityKind.KLEINIAN else "plus"
-    quotient = series_from_rational(data.delta(top), data.delta("zero"), order)
-    direct = poincare_direct(data.lats.invariants, kind, order)
-    witness = _series_witness(f"{top}/zero == direct", quotient, direct)
+    kind = subject.lats.kind
+    quotient = series_from_rational(subject.delta(kind.top), subject.delta("zero"), order)
+    direct = poincare_direct(subject.lats.invariants, kind, order)
+    witness = _series_witness(f"{kind.top}/zero == direct", quotient, direct)
     return VerificationReport(
-        "theorem", data.subject, witness is None, order, witness, time.perf_counter() - t0
+        "theorem", subject.label, witness is None, order, witness, time.perf_counter() - t0
     )
 
 
-def _orbit_series_report(data: _StarData, order: int) -> VerificationReport:
+def check_orbit_series(subject: Subject, order: int) -> VerificationReport:
+    """Q = Delta_minus/Delta_zero and P + t = Delta_plus/Delta_zero, at a = E."""
     t0 = time.perf_counter()
-    lats = data.lats
-    root = [0] * lats.zero.rank
-    root[lats.center] = 1
-    rl = RootedLattice(lats.zero, tuple(root))
+    lats = subject.lats
+    rl = RootedLattice.at_basis_index(lats.zero, lats.center)
     witness = _series_witness(
         "Q == minus/zero",
         hilbert_Q(rl, order),
-        series_from_rational(data.delta("minus"), data.delta("zero"), order),
+        series_from_rational(subject.delta("minus"), subject.delta("zero"), order),
     )
     if witness is None:
         shifted = list(hilbert_P(rl, order).coeffs)
@@ -164,14 +165,14 @@ def _orbit_series_report(data: _StarData, order: int) -> VerificationReport:
         witness = _series_witness(
             "P + t == plus/zero",
             PowerSeries(tuple(shifted)),
-            series_from_rational(data.delta("plus"), data.delta("zero"), order),
+            series_from_rational(subject.delta("plus"), subject.delta("zero"), order),
         )
     return VerificationReport(
-        "orbit-series", data.subject, witness is None, order, witness, time.perf_counter() - t0
+        "orbit-series", subject.label, witness is None, order, witness, time.perf_counter() - t0
     )
 
 
-def _orbit_report(data: _StarData, k_max: int) -> VerificationReport:
+def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
     """Checks on the radical quotient of V_zero.
 
     (a) the induced reflections in E and E-u compose to the identity,
@@ -180,14 +181,14 @@ def _orbit_report(data: _StarData, k_max: int) -> VerificationReport:
     (d) the orbit sums reproduce 1 + deg D^(k) for both divisor patterns.
     """
     t0 = time.perf_counter()
-    lats = data.lats
+    lats = subject.lats
     inv = lats.invariants
     quo = quotient_by_radical(lats.zero)
     rank = quo.lattice.rank
 
     def report(witness):
         return VerificationReport(
-            "orbit-formulas", data.subject, witness is None, k_max, witness,
+            "orbit-formulas", subject.label, witness is None, k_max, witness,
             time.perf_counter() - t0,
         )
 
@@ -199,22 +200,22 @@ def _orbit_report(data: _StarData, k_max: int) -> VerificationReport:
     if witness:
         return report(witness)
 
-    tau0 = quo.induced(data.coxeter("zero"))
+    tau0 = quo.induced(subject.coxeter("zero"))
+    factors = [quo.induced(reflection_product(lats.zero, range(start, stop)))
+               for start, stop in lats.arms]
     product = identity_matrix(rank)
-    for start, stop in lats.arms:
-        factor = quo.induced(reflection_product(lats.zero, range(start, stop)))
+    for factor in factors:
         product = mat_mul(product, factor)
     witness = _matrix_witness("tau_0 == tau_1 ... tau_r", tau0, product)
     if witness:
         return report(witness)
 
     e_bar = quo.project([1 if i == lats.center else 0 for i in range(lats.zero.rank)])
-    for arm_index, ((start, stop), alpha) in enumerate(zip(lats.arms, inv.alphas), start=1):
-        factor = quo.induced(reflection_product(lats.zero, range(start, stop)))
-        v = e_bar[:]
+    for arm_index, (factor, alpha) in enumerate(zip(factors, inv.alphas), start=1):
+        v = e_bar
         period = None
         for k in range(1, alpha + 1):
-            v = [sum(x * y for x, y in zip(row, v)) for row in factor]
+            v = mat_vec(factor, v)
             if v == e_bar:
                 period = k
                 break
@@ -222,8 +223,7 @@ def _orbit_report(data: _StarData, k_max: int) -> VerificationReport:
         if witness:
             return report(witness)
 
-    gram = quo.lattice.gram_rows()
-    pair_e = [sum(e * g for e, g in zip(e_bar, col)) for col in zip(*gram)]
+    pair_e = mat_vec(quo.lattice.gram, e_bar)
     tau0_inv = quo.induced(coxeter_inverse_matrix(lats.zero))
     forward = e_bar[:]          # tau_0^l e, starting at l = 0
     partial = [0] * rank        # sum_{l<k} tau_0^l e
@@ -231,7 +231,7 @@ def _orbit_report(data: _StarData, k_max: int) -> VerificationReport:
     back_sum = 0                # sum_{1<=l<=k} <e, tau_0^{-l} e>
     for k in range(1, k_max + 1):
         partial = [s + f for s, f in zip(partial, forward)]
-        forward = [sum(x * y for x, y in zip(row, forward)) for row in tau0]
+        forward = mat_vec(tau0, forward)
         fuchs = 1 + sum(p * s for p, s in zip(pair_e, partial))
         witness = _value_witness(
             "orbit sum == 1 + deg D_Fuchs",
@@ -241,7 +241,7 @@ def _orbit_report(data: _StarData, k_max: int) -> VerificationReport:
         )
         if witness:
             return report(witness)
-        backward = [sum(x * y for x, y in zip(row, backward)) for row in tau0_inv]
+        backward = mat_vec(tau0_inv, backward)
         back_sum += sum(p * b for p, b in zip(pair_e, backward))
         witness = _value_witness(
             "orbit sum == 1 + deg D_Klein",
@@ -254,19 +254,20 @@ def _orbit_report(data: _StarData, k_max: int) -> VerificationReport:
     return report(None)
 
 
-def _identities_report(data: _StarData) -> VerificationReport:
+def check_identities(subject: Subject) -> VerificationReport:
+    """Structural identities of the three lattices and their Coxeter elements."""
     t0 = time.perf_counter()
-    lats = data.lats
+    lats = subject.lats
 
     def report(witness):
         return VerificationReport(
-            "identities", data.subject, witness is None, 0, witness,
+            "identities", subject.label, witness is None, 0, witness,
             time.perf_counter() - t0,
         )
 
     for which in ("minus", "zero", "plus"):
-        lat = data.lattice(which)
-        tau = data.coxeter(which)
+        lat = subject.lattice(which)
+        tau = subject.coxeter(which)
         form = asym_form_matrix(lat)
         witness = _matrix_witness(f"coxeter({which}) == -A^-1 A^t", tau, coxeter_via_form(form))
         if witness:
@@ -275,7 +276,7 @@ def _identities_report(data: _StarData) -> VerificationReport:
         witness = _matrix_witness(f"(y,x) == -(x,tau y) on {which}", mat_transpose(form), minus_a_tau)
         if witness:
             return report(witness)
-        delta = data.delta(which)
+        delta = subject.delta(which)
         witness = _value_witness(f"char poly of {which} has constant term 1", 0, delta[0], 1)
         if witness:
             return report(witness)
@@ -305,45 +306,16 @@ def _identities_report(data: _StarData) -> VerificationReport:
     return report(None)
 
 
-# ---------------------------------------------------------------------------
-# public wrappers
-
-
-def verify_theorem(inv: OrbitInvariants, order: int = DEFAULT_ORDER) -> VerificationReport:
-    """Poincare series == quotient of characteristic polynomials."""
-    return _theorem_report(_StarData(build(inv)), order)
-
-
-def verify_orbit_series(inv: OrbitInvariants, order: int = DEFAULT_ORDER) -> VerificationReport:
-    """Q = Delta_minus/Delta_zero and P + t = Delta_plus/Delta_zero, at a = E."""
-    return _orbit_series_report(_StarData(build(inv)), order)
-
-
-def verify_orbit_formulas(inv: OrbitInvariants, k_max: int = DEFAULT_ORDER) -> VerificationReport:
-    """Factorisation, periodicity and divisor-degree displays on the quotient."""
-    return _orbit_report(_StarData(build(inv)), k_max)
-
-
-def verify_identities(inv: OrbitInvariants) -> VerificationReport:
-    """Structural identities of the three lattices and their Coxeter elements."""
-    return _identities_report(_StarData(build(inv)))
-
-
 def verify_lattices(lats: StarLattices, order: int = DEFAULT_ORDER,
                     subject: str | None = None) -> list:
-    """All four checks against caller-supplied lattices (shared work)."""
-    data = _StarData(lats, subject)
+    """All four checks on one input, sharing its tau and Delta."""
+    data = Subject(lats, subject)
     return [
-        _theorem_report(data, order),
-        _orbit_series_report(data, order),
-        _orbit_report(data, order),
-        _identities_report(data),
+        check_theorem(data, order),
+        check_orbit_series(data, order),
+        check_orbit_formulas(data, order),
+        check_identities(data),
     ]
-
-
-def verify_all(inv: OrbitInvariants, order: int = DEFAULT_ORDER) -> list:
-    """All four checks for one input."""
-    return verify_lattices(build(inv), order)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +349,5 @@ def run_suite(order: int = DEFAULT_ORDER, n_random: int = DEFAULT_RANDOM_COUNT,
     """Run all four checks over the whole roster, in input order."""
     reports = []
     for subject, inv in suite_inputs(n_random, seed):
-        data = _StarData(build(inv), subject)
-        reports.append(_theorem_report(data, order))
-        reports.append(_orbit_series_report(data, order))
-        reports.append(_orbit_report(data, order))
-        reports.append(_identities_report(data))
+        reports.extend(verify_lattices(build(inv), order, subject))
     return reports

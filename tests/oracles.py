@@ -92,3 +92,31 @@ def hypersurface_dims(weights, degree, order):
         weighted_monomial_count(list(weights), k) - weighted_monomial_count(list(weights), k - degree)
         for k in range(order + 1)
     ]
+
+
+def poly_eval(p, x):
+    """Evaluate an ascending coefficient list at an integer point (Horner)."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def poly_deg(p):
+    """Degree of a trimmed polynomial; the zero polynomial reports -1."""
+    return len(p) - 1
+
+
+def series_from_poly(p, order):
+    """Coefficients 0..order of a polynomial, zero-padded."""
+    return tuple(p[k] if k < len(p) else 0 for k in range(order + 1))
+
+
+def series_mul_poly(coeffs, p):
+    """Product of a truncated series with a polynomial, same truncation."""
+    n = len(coeffs) - 1
+    out = [0] * (n + 1)
+    for j, c in enumerate(p):
+        for k in range(j, n + 1):
+            out[k] += c * coeffs[k - j]
+    return tuple(out)

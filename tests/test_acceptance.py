@@ -25,13 +25,13 @@ from coxlat.star import (
 )
 from coxlat.verify import (
     DEFAULT_SEED,
+    Subject,
+    check_identities,
+    check_orbit_formulas,
+    check_orbit_series,
     random_fuchsian_invariants,
     suite_inputs,
-    verify_identities,
     verify_lattices,
-    verify_orbit_formulas,
-    verify_orbit_series,
-    verify_theorem,
 )
 
 from oracles import hypersurface_dims
@@ -47,12 +47,11 @@ def announce(capsys):
 
 
 def theorem_sides(lats, order):
-    kind = lats.kind
-    top = lats.minus if kind is SingularityKind.KLEINIAN else lats.plus
+    top = getattr(lats, lats.kind.top)
     quotient = series_from_rational(
         char_poly(coxeter_matrix(top)), char_poly(coxeter_matrix(lats.zero)), order
     )
-    direct = poincare_direct(lats.invariants, kind, order)
+    direct = poincare_direct(lats.invariants, lats.kind, order)
     return quotient, direct
 
 
@@ -164,7 +163,7 @@ def test_criterion_4_orbit_series_quotients(announce):
     failures = []
     inputs = suite_inputs(n_random=50, seed=DEFAULT_SEED)
     for subject, inv in inputs:
-        report = verify_orbit_series(inv, order=order)
+        report = check_orbit_series(Subject(build(inv)), order)
         if not report.passed:
             failures.append((subject, report.witness))
     elapsed = time.perf_counter() - started
@@ -180,7 +179,8 @@ def test_criterion_5_identity_suite(announce):
     failures = []
     inputs = suite_inputs(n_random=50, seed=DEFAULT_SEED)
     for subject, inv in inputs:
-        for report in (verify_orbit_formulas(inv, k_max=k_max), verify_identities(inv)):
+        for report in (check_orbit_formulas(Subject(build(inv)), k_max),
+                       check_identities(Subject(build(inv)))):
             if not report.passed:
                 failures.append((subject, report.check, report.witness))
     elapsed = time.perf_counter() - started

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from coxlat.cli import main
 
 
@@ -169,6 +171,36 @@ class TestVerify:
         assert lines[0]["check"] == "suite-config"
         assert lines[0]["seed"] == 5
         assert all(obj["status"] == "pass" for obj in lines[1:])
+
+
+BAD_INPUTS = [
+    ("verify", "--gram", {"gram": 5}),
+    ("verify", "--gram", {"gram": [[-2.7]]}),
+    ("charpoly", "--gram", {"gram": [[-2, True], [True, -2]]}),
+    ("verify", "--invariants", {"kind": "fuchsian", "alpha": [2, 3, 7.9]}),
+    ("verify", "--fuchsian", "2,3,7", "--order", "-1"),
+    ("verify", "--all", "--random", "-2"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=[
+    "gram-not-a-list", "gram-float", "gram-bool", "alpha-float", "negative-order",
+    "negative-random",
+])
+def test_malformed_input_exits_2(capsys, tmp_path, argv):
+    argv = list(argv)
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv[-1] = str(path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value before any handler runs
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error" in captured.err and "Traceback" not in captured.err
+    assert "passed" not in captured.out
 
 
 class TestCatalog:

@@ -5,16 +5,14 @@ import pytest
 from coxlat.errors import NonIntegralCoefficient, OrderMismatch, ZeroConstantTerm
 from coxlat.exact import (
     PowerSeries,
-    poly_deg,
-    poly_eval,
     poly_mul,
     poly_to_string,
     poly_trim,
     series_equal,
-    series_from_poly,
     series_from_rational,
-    series_mul_poly,
 )
+
+from oracles import poly_deg, poly_eval, series_from_poly, series_mul_poly
 
 
 def rand_poly(rng, max_deg=8, bound=9):
@@ -96,8 +94,7 @@ class TestSeriesFromRational:
                 continue
             den[0] = 1  # guarantee integral expansion
             s = series_from_rational(num, den, 15)
-            back = series_mul_poly(s, den)
-            assert back.coeffs == series_from_poly(num, 15).coeffs
+            assert series_mul_poly(s.coeffs, den) == series_from_poly(num, 15)
 
 
 class TestSeriesEqual:

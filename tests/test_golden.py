@@ -38,18 +38,22 @@ def _run(argv) -> str:
     return _strip_timings(text + f"[exit {code}]\n")
 
 
+E8 = build(catalog("E8"))
+
+
+def _e8_gram_with(i: int, j: int, value: int) -> list:
+    gram = E8.minus.gram_rows()
+    gram[i][j] = gram[j][i] = value
+    return gram
+
+
 def _gram_files(tmp: Path) -> list:
     """A valid E8 star, the same star with one arm edge deleted, and a non-star."""
-    minus = build(catalog("E8")).minus
-    broken = minus.gram_rows()
-    broken[4][5] = broken[5][4] = 0
-    non_star = minus.gram_rows()
-    non_star[0][2] = non_star[2][0] = 1
     files = []
-    for name, gram in (("e8.json", minus.gram_rows()), ("e8-edge.json", broken),
-                       ("e8-nonstar.json", non_star)):
+    for name, gram in (("e8.json", E8.minus.gram_rows()), ("e8-edge.json", _e8_gram_with(4, 5, 0)),
+                       ("e8-nonstar.json", _e8_gram_with(0, 2, 1))):
         path = tmp / name
-        path.write_text(json.dumps({"labels": list(minus.labels), "gram": gram}))
+        path.write_text(json.dumps({"labels": list(E8.minus.labels), "gram": gram}))
         files.append(str(path))
     return files
 
@@ -57,11 +61,8 @@ def _gram_files(tmp: Path) -> list:
 def _broken_theorem_rows() -> str:
     """The theorem witness, which no --gram input can reach: decoding rejects
     a deleted edge before any check runs."""
-    lats = build(catalog("E8"))
-    gram = lats.minus.gram_rows()
-    gram[4][5] = gram[5][4] = 0
-    broken = lattices_from_minus(Lattice(lats.minus.labels, tuple(map(tuple, gram))),
-                                 lats.invariants, lats.kind, lats.arms, lats.center)
+    minus = Lattice(E8.minus.labels, tuple(map(tuple, _e8_gram_with(4, 5, 0))))
+    broken = lattices_from_minus(minus, E8.invariants, E8.kind, E8.arms, E8.center)
     reports = verify_lattices(broken, 40)
     lines = [r.row() for r in reports] + [json.dumps(r.to_json()) for r in reports]
     return _strip_timings("$ library: verify_lattices(E8 with edge 4-5 deleted, 40)\n"

@@ -10,15 +10,15 @@ from coxlat.star import (
     validate,
 )
 from coxlat.verify import (
+    Subject,
+    check_identities,
+    check_orbit_formulas,
+    check_orbit_series,
+    check_theorem,
     random_fuchsian_invariants,
     run_suite,
     suite_inputs,
-    verify_all,
-    verify_identities,
     verify_lattices,
-    verify_orbit_formulas,
-    verify_orbit_series,
-    verify_theorem,
 )
 
 E8 = kleinian_invariants((2, 3, 5))
@@ -36,11 +36,11 @@ def broken_e8_lattices():
 
 class TestTheorem:
     def test_kleinian_235(self):
-        report = verify_theorem(E8, order=100)
+        report = check_theorem(Subject(build(E8)), 100)
         assert report.passed and report.witness is None
 
     def test_fuchsian_237(self):
-        report = verify_theorem(E12, order=100)
+        report = check_theorem(Subject(build(E12)), 100)
         assert report.passed
 
     def test_perturbed_gram_fails_with_witness(self):
@@ -55,21 +55,21 @@ class TestTheorem:
 
 class TestOrbitSeries:
     def test_armless(self):
-        report = verify_orbit_series(kleinian_invariants(()), order=60)
+        report = check_orbit_series(Subject(build(kleinian_invariants(()))), 60)
         assert report.passed
 
     def test_235_and_237(self):
-        assert verify_orbit_series(E8, order=100).passed
-        assert verify_orbit_series(E12, order=100).passed
+        assert check_orbit_series(Subject(build(E8)), 100).passed
+        assert check_orbit_series(Subject(build(E12)), 100).passed
 
 
 class TestOrbitFormulas:
     def test_237(self):
-        report = verify_orbit_formulas(E12, k_max=100)
+        report = check_orbit_formulas(Subject(build(E12)), 100)
         assert report.passed
 
     def test_235(self):
-        report = verify_orbit_formulas(E8, k_max=100)
+        report = check_orbit_formulas(Subject(build(E8)), 100)
         assert report.passed
 
     def test_divisor_value_at_42(self):
@@ -80,7 +80,7 @@ class TestOrbitFormulas:
 
 class TestIdentities:
     def test_22(self):
-        assert verify_identities(kleinian_invariants((2, 2))).passed
+        assert check_identities(Subject(build(kleinian_invariants((2, 2))))).passed
 
     def test_235_coxeter_order(self):
         lats = build(E8)
@@ -112,7 +112,7 @@ class TestSuite:
             assert inv.r in (3, 4, 5)
 
     def test_verify_all_shares_results(self):
-        reports = verify_all(E12, order=60)
+        reports = verify_lattices(build(E12), 60)
         assert [r.check for r in reports] == ["theorem", "orbit-series", "orbit-formulas", "identities"]
         assert all(r.passed for r in reports)
 
@@ -121,7 +121,7 @@ class TestSuite:
         assert reports and all(r.passed for r in reports)
 
     def test_report_json_shape(self):
-        report = verify_theorem(E8, order=30)
+        report = check_theorem(Subject(build(E8)), 30)
         obj = report.to_json()
         assert obj["check"] == "theorem"
         assert obj["status"] == "pass"
