@@ -1,7 +1,9 @@
 """Command-line surface: build lattices, print characteristic polynomials
 and series, run the verification suite, browse the catalog.
 
-Exit codes: 0 success, 1 verification failure, 2 input or validation error.
+Exit codes: 0 success, 1 verification failure, 2 input or validation error
+(including inputs over the size limits, and, as a last resort, any other
+internal error: only a failed check exits 1).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import CoxlatError, NotAStarLattice
+from .errors import CoxlatError, NotAStarLattice, TooLarge
 from .exact import poly_to_string, series_from_rational
 from .lattice import Lattice, char_poly, coxeter_matrix
 from .series import RootedLattice, hilbert_P, hilbert_Q, poincare_direct
@@ -36,6 +38,13 @@ from .verify import (
     run_suite,
     verify_lattices,
 )
+
+# Largest accepted rank of V_plus and series order.  On a 2-vCPU host,
+# `verify` at order 200 takes 2.5 s on D250 (rank 252) and 5.3 s on a star
+# of sixty short arms (rank 222), whose tau_minus fills in so that Berkowitz
+# grows as rank^4; the orbit walks grow linearly in the order.
+MAX_RANK = 300
+MAX_ORDER = 10000
 
 
 def _parse_alphas(text: str):
@@ -83,17 +92,33 @@ def _load_invariants(args):
     return None
 
 
-def _load_lattice(path: str) -> Lattice:
-    with open(path, encoding="utf-8") as handle:
-        return Lattice.from_json(json.load(handle))
+def _refuse_rank(rank_plus: int):
+    if rank_plus > MAX_RANK:
+        raise TooLarge(f"V_plus would have rank {rank_plus}, above the limit {MAX_RANK}")
+
+
+def _load_input(args):
+    """The input of any route: (invariants, None), or (None, lattice) for --gram.
+
+    The rank of V_plus is read off the ramification indices or the Gram row
+    count and refused over MAX_RANK before any matrix is built.
+    """
+    inv = _load_invariants(args)
+    if inv is not None:
+        _refuse_rank(sum(a - 1 for a in inv.alphas) + 3)
+        return inv, None
+    with open(args.gram, encoding="utf-8") as handle:
+        obj = json.load(handle)
+    if isinstance(obj, dict) and isinstance(obj.get("gram"), list):
+        _refuse_rank(len(obj["gram"]) + 2)
+    return None, Lattice.from_json(obj)
 
 
 def _star_lattices(args):
     """Resolve any input choice to StarLattices (decoding a Gram if needed)."""
-    inv = _load_invariants(args)
+    inv, lat = _load_input(args)
     if inv is not None:
         return build(inv)
-    lat = _load_lattice(args.gram)
     inv, kind, arms = invariants_from_star(lat)
     return lattices_from_minus(lat, inv, kind, arms, lat.rank - 1)
 
@@ -115,7 +140,7 @@ def _print_lattice(title: str, lat: Lattice):
 
 
 def cmd_build(args) -> int:
-    lats = build(_load_invariants(args))
+    lats = build(_load_input(args)[0])
     if args.format == "json":
         _emit_json({"minus": lats.minus.to_json(),
                     "zero": lats.zero.to_json(),
@@ -128,15 +153,15 @@ def cmd_build(args) -> int:
 
 
 def cmd_charpoly(args) -> int:
-    if getattr(args, "gram", None):
-        lat = _load_lattice(args.gram)
+    inv, lat = _load_input(args)
+    if lat is not None:
         delta = char_poly(coxeter_matrix(lat))
         if args.format == "json":
             _emit_json({"charpoly": delta})
         else:
             print(f"charpoly: {poly_to_string(delta)}")
         return 0
-    subject = Subject(build(_load_invariants(args)))
+    subject = Subject(build(inv))
     deltas = {which: subject.delta(which) for which in ("minus", "zero", "plus")}
     if args.format == "json":
         _emit_json(deltas)
@@ -165,14 +190,14 @@ def cmd_poincare(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    if getattr(args, "gram", None):
-        lat = _load_lattice(args.gram)
+    inv, lat = _load_input(args)
+    if lat is not None:
         root_index = lat.rank - 1 if args.root is None else args.root
         if not 0 <= root_index < lat.rank:
             raise CoxlatError(f"--root {root_index} out of range for rank {lat.rank}")
         rl = RootedLattice.at_basis_index(lat, root_index)
     else:
-        lats = build(_load_invariants(args))
+        lats = build(inv)
         rl = RootedLattice.at_basis_index(lats.zero, lats.center)
     rows = {}
     if args.series in ("P", "both"):
@@ -213,8 +238,8 @@ def cmd_verify(args) -> int:
                   f"order {args.order}, seed {args.seed}")
         reports = run_suite(order=args.order, n_random=args.random, seed=args.seed)
         return _emit_reports(reports, args.format)
-    if getattr(args, "gram", None):
-        lat = _load_lattice(args.gram)
+    inv, lat = _load_input(args)
+    if lat is not None:
         started = time.perf_counter()
         try:
             inv, kind, arms = invariants_from_star(lat)
@@ -233,7 +258,6 @@ def cmd_verify(args) -> int:
         lats = lattices_from_minus(lat, inv, kind, arms, lat.rank - 1)
         reports = verify_lattices(lats, args.order, subject=f"gram:{Path(args.gram).name}")
         return _emit_reports(reports, args.format)
-    inv = _load_invariants(args)
     reports = verify_lattices(build(inv), args.order)
     return _emit_reports(reports, args.format)
 
@@ -317,12 +341,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        order = getattr(args, "order", 0)
+        if order > MAX_ORDER:
+            raise TooLarge(f"--order {order} is above the limit {MAX_ORDER}")
         return args.handler(args)
     except CoxlatError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:    # last resort: exit 1 is reserved for a failed check
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

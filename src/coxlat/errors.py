@@ -60,3 +60,8 @@ class NotAStarLattice(CoxlatError):
     def __init__(self, message, index=None):
         super().__init__(message)
         self.index = index
+
+
+class TooLarge(CoxlatError):
+    """An input whose rank or series order is over the stated size limits;
+    refused before any matrix is built."""

@@ -6,6 +6,14 @@ reflection in a root e is s_e(x) = x + <x,e> e.  The Coxeter element of
 the basis is the product of the reflections in basis order, rightmost
 factor acting first.  All matrices act on column coordinate vectors and
 everything is exact integer arithmetic on plain lists.
+
+The Grams, Coxeter elements and radical projections of star lattices
+have two to four nonzero entries per row, so the kernels work on nonzero
+rows: ``nonzeros(m)`` lists each row of m as its (column, entry) pairs
+with entry != 0, and a product visits only those pairs.  ``rows_vec``
+applies such rows to a vector, ``mat_mul`` combines the nonzero rows of
+its right factor, and Berkowitz reads its blocks from them.  A matrix that
+is applied many times is converted once by its caller.
 """
 
 from __future__ import annotations
@@ -27,13 +35,36 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def nonzeros(m: Matrix) -> list:
+    """Each row of m as its (column, entry) pairs with entry != 0."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
+def rows_vec(rows: list, v: Sequence[int]) -> Vector:
+    """m v for m given as nonzeros(m)."""
+    out = []
+    for row in rows:
+        total = 0
+        for j, x in row:
+            total += x * v[j]
+        out.append(total)
+    return out
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(m: Matrix, v: Sequence[int]) -> Vector:
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
+    """a b: row i is the combination of the rows of b at the nonzero
+    entries of row i of a, visiting only the nonzero entries of b."""
+    width = len(b[0]) if b else 0
+    b_rows = nonzeros(b)
+    out = []
+    for row in a:
+        acc = [0] * width
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_rows[k]:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_transpose(m: Matrix) -> Matrix:
@@ -206,10 +237,16 @@ def unitriangular_inverse(a: Matrix) -> Matrix:
         if a[i][i] != 1 or any(a[i][j] for j in range(i)):
             raise NotUnitriangular("matrix is not upper-triangular with unit diagonal")
     inv = identity_matrix(n)
-    # back substitution, one column of the inverse at a time
-    for c in range(n):
-        for r in range(c - 1, -1, -1):
-            inv[r][c] = -sum(a[r][k] * inv[k][c] for k in range(r + 1, c + 1))
+    # back substitution, bottom row first: row r of the inverse is e_r minus
+    # the rows below it, weighted by the off-diagonal nonzeros of row r of a
+    rows = nonzeros(a)
+    for r in range(n - 2, -1, -1):
+        out = inv[r]
+        for k, x in rows[r]:
+            if k > r:
+                row_k = inv[k]
+                for c in range(k, n):
+                    out[c] -= x * row_k[c]
     return inv
 
 
@@ -230,22 +267,23 @@ def char_poly(m: Matrix) -> list:
     Division-free Berkowitz method: p_{k+1} = T_{k+1} p_k where the Toeplitz
     column is (1, -a, -R C, -R M C, -R M^2 C, ...) built from the k-th
     principal block M, row R, column C and corner a.  Exact over the
-    integers, no pivoting.
+    integers, no pivoting.  M and R are read from the nonzero rows of m,
+    so step k costs O(k nnz) rather than O(k^3).
     """
     n = len(m)
+    rows = nonzeros(m)
     p = [1]  # char poly of the 0x0 block, highest degree first
     for k in range(n):
-        row = m[k]
-        a = row[k]
-        r = row[:k]
-        c = [m[i][k] for i in range(k)]
-        block = [mi[:k] for mi in m[:k]]
+        a = m[k][k]
+        # rows of M, then R as a last row: rows_vec gives (M v, R v)
+        block_r = [[(j, x) for j, x in row if j < k] for row in rows[: k + 1]]
         toep = [1, -a]
-        v = c
-        for j in range(k):
-            toep.append(-sum(x * y for x, y in zip(r, v)))
-            if j + 1 < k:
-                v = [sum(x * y for x, y in zip(bi, v)) for bi in block]
+        v = [m[i][k] for i in range(k)]
+        for _ in range(k):
+            if not any(v):  # M^j C = 0, so the rest of the column is 0
+                break
+            v = rows_vec(block_r, v)
+            toep.append(-v.pop())
         out = [0] * (k + 2)
         for i, ti in enumerate(toep):
             if ti:
@@ -363,12 +401,10 @@ class RadicalQuotient:
     lift: tuple
 
     def induced(self, m: Matrix) -> Matrix:
-        proj = [list(row) for row in self.projection]
-        lift = [list(row) for row in self.lift]
-        return mat_mul(mat_mul(proj, m), lift)
+        return mat_mul(mat_mul(self.projection, m), self.lift)
 
     def project(self, v: Sequence[int]) -> Vector:
-        return mat_vec([list(row) for row in self.projection], v)
+        return rows_vec(nonzeros(self.projection), v)
 
 
 def quotient_by_radical(lat: Lattice) -> RadicalQuotient:
@@ -384,10 +420,7 @@ def quotient_by_radical(lat: Lattice) -> RadicalQuotient:
         return RadicalQuotient(lat, ident, ident)
     lift = [[u[r][c] for c in range(rank)] for r in range(n)]
     projection = [uinv[r][:] for r in range(rank)]
-    gram = [
-        [lat.pairing([row[i] for row in lift], [row[j] for row in lift]) for j in range(rank)]
-        for i in range(rank)
-    ]
+    gram = mat_mul(mat_transpose(lift), mat_mul(lat.gram, lift))
     labels = tuple(f"q{i + 1}" for i in range(rank))
     quot = Lattice(labels, tuple(tuple(row) for row in gram))
     return RadicalQuotient(quot, tuple(tuple(r) for r in projection), tuple(tuple(r) for r in lift))

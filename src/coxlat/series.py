@@ -21,7 +21,14 @@ from typing import Sequence
 
 from .errors import NegativeDimension, NotARoot, RouteMismatch
 from .exact import PowerSeries
-from .lattice import Lattice, asym_form_matrix, coxeter_inverse_matrix, coxeter_matrix, mat_vec
+from .lattice import (
+    Lattice,
+    asym_form_matrix,
+    coxeter_inverse_matrix,
+    coxeter_matrix,
+    nonzeros,
+    rows_vec,
+)
 from .star import OrbitInvariants, SingularityKind
 
 
@@ -84,25 +91,26 @@ def _row(m, a: Sequence[int]):
 
 def _orbit_walk(rl: RootedLattice, order: int, name: str, step, pair) -> PowerSeries:
     """Coefficient k is 1 + sum_{l<k} pair . step^l a, checked on every k
-    against the triangular form value (a, step^k a)."""
-    form_a = _row(asym_form_matrix(rl.lattice), rl.root)
+    against the triangular form value (a, step^k a).  ``step`` is given
+    as nonzero rows."""
+    functionals = nonzeros([_row(asym_form_matrix(rl.lattice), rl.root), pair])
     coeffs = []
     v = list(rl.root)
     acc = 1
     for k in range(order + 1):
-        form_value = sum(x * y for x, y in zip(form_a, v))
+        form_value, paired = rows_vec(functionals, v)
         if form_value != acc:
             raise RouteMismatch(f"{name} coefficient {k}: orbit sum {acc} vs form value {form_value}")
         coeffs.append(acc)
-        acc += sum(x * y for x, y in zip(pair, v))
-        v = mat_vec(step, v)
+        acc += paired
+        v = rows_vec(step, v)
     return PowerSeries(tuple(coeffs))
 
 
 def hilbert_P(rl: RootedLattice, order: int) -> PowerSeries:
     """P series of (V, a): coefficient k is 1 + sum_{l<k} <a, tau^l a>."""
     lat = rl.lattice
-    return _orbit_walk(rl, order, "P", coxeter_matrix(lat), _row(lat.gram, rl.root))
+    return _orbit_walk(rl, order, "P", nonzeros(coxeter_matrix(lat)), _row(lat.gram, rl.root))
 
 
 def hilbert_Q(rl: RootedLattice, order: int) -> PowerSeries:
@@ -116,4 +124,4 @@ def hilbert_Q(rl: RootedLattice, order: int) -> PowerSeries:
     lat = rl.lattice
     tau_inv = coxeter_inverse_matrix(lat)
     pair = [-x for x in _row(tau_inv, _row(lat.gram, rl.root))]
-    return _orbit_walk(rl, order, "Q", tau_inv, pair)
+    return _orbit_walk(rl, order, "Q", nonzeros(tau_inv), pair)

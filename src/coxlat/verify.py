@@ -25,11 +25,12 @@ from .lattice import (
     mat_det,
     mat_mul,
     mat_transpose,
-    mat_vec,
+    nonzeros,
     quotient_by_radical,
     radical_basis,
     reflection_matrix,
     reflection_product,
+    rows_vec,
 )
 from .series import RootedLattice, divisor_degree, hilbert_P, hilbert_Q, poincare_direct
 from .star import (
@@ -212,10 +213,11 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
 
     e_bar = quo.project([1 if i == lats.center else 0 for i in range(lats.zero.rank)])
     for arm_index, (factor, alpha) in enumerate(zip(factors, inv.alphas), start=1):
+        factor_rows = nonzeros(factor)
         v = e_bar
         period = None
         for k in range(1, alpha + 1):
-            v = mat_vec(factor, v)
+            v = rows_vec(factor_rows, v)
             if v == e_bar:
                 period = k
                 break
@@ -223,25 +225,25 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
         if witness:
             return report(witness)
 
-    pair_e = mat_vec(quo.lattice.gram, e_bar)
-    tau0_inv = quo.induced(coxeter_inverse_matrix(lats.zero))
+    pair_e = rows_vec(nonzeros(quo.lattice.gram), e_bar)
+    tau0_rows = nonzeros(tau0)
+    tau0_inv_rows = nonzeros(quo.induced(coxeter_inverse_matrix(lats.zero)))
     forward = e_bar[:]          # tau_0^l e, starting at l = 0
-    partial = [0] * rank        # sum_{l<k} tau_0^l e
+    fwd_sum = 0                 # sum_{l<k} <e, tau_0^l e>
     backward = e_bar[:]         # tau_0^{-l} e
     back_sum = 0                # sum_{1<=l<=k} <e, tau_0^{-l} e>
     for k in range(1, k_max + 1):
-        partial = [s + f for s, f in zip(partial, forward)]
-        forward = mat_vec(tau0, forward)
-        fuchs = 1 + sum(p * s for p, s in zip(pair_e, partial))
+        fwd_sum += sum(p * f for p, f in zip(pair_e, forward))
+        forward = rows_vec(tau0_rows, forward)
         witness = _value_witness(
             "orbit sum == 1 + deg D_Fuchs",
             k,
-            fuchs,
+            1 + fwd_sum,
             1 + divisor_degree(inv, SingularityKind.FUCHSIAN, k),
         )
         if witness:
             return report(witness)
-        backward = mat_vec(tau0_inv, backward)
+        backward = rows_vec(tau0_inv_rows, backward)
         back_sum += sum(p * b for p, b in zip(pair_e, backward))
         witness = _value_witness(
             "orbit sum == 1 + deg D_Klein",

@@ -53,6 +53,20 @@ def charpoly_minor_expansion(m):
     return poly
 
 
+def mat_mul_naive(a, b, width):
+    """a b by the triple loop; ``width`` is the column count of b."""
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(width)]
+            for i in range(len(a))]
+
+
+def gram_by_pairings(gram, lift):
+    """Gram of the columns of ``lift``, one pairing sum_ab x_a g_ab y_b at a time."""
+    n, q = len(lift), len(lift[0]) if lift else 0
+    cols = [[lift[r][c] for r in range(n)] for c in range(q)]
+    return [[sum(x[a] * gram[a][b] * y[b] for a in range(n) for b in range(n)) for y in cols]
+            for x in cols]
+
+
 def det_minor_expansion(m):
     """Integer determinant by first-row Laplace expansion."""
     n = len(m)

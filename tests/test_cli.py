@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from coxlat.cli import main
+from coxlat import cli
+from coxlat.cli import MAX_ORDER, MAX_RANK, main
 
 
 def run_cli(capsys, *argv):
@@ -220,3 +221,37 @@ class TestCatalog:
         code, _, err = run_cli(capsys, "poincare", "--name", "Z3")
         assert code == 2
         assert "UnknownName" in err
+
+
+# Every input here is refused before a matrix is built: the rank of V_plus
+# is read off the indices or the Gram row count, the order off argv.
+@pytest.mark.parametrize("argv", [
+    ("build", "--kleinian", "2,2,100000"),
+    ("charpoly", "--fuchsian", f"2,3,{MAX_RANK}"),
+    ("verify", "--name", "D100000"),
+    ("poincare", "--invariants", {"kind": "kleinian", "alpha": [2, 2, MAX_RANK]}),
+    ("hilbert", "--gram", {"gram": [[0]] * (MAX_RANK - 1)}),
+    ("verify", "--all", "--order", str(MAX_ORDER + 1)),
+    ("hilbert", "--name", "E8", "--order", str(MAX_ORDER + 1)),
+])
+def test_over_size_limit_exits_2(capsys, tmp_path, argv):
+    argv = list(argv)
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv[-1] = str(path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: TooLarge:") and "limit" in err
+    assert out == ""
+
+
+def test_internal_error_exits_2(capsys, monkeypatch):
+    def broken():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "catalog_names", broken)
+    code, out, err = run_cli(capsys, "catalog")
+    assert code == 2
+    assert err == "error: internal: RuntimeError: boom\n"
+    assert out == ""

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxlat.errors import NotARoot, NotUnitriangular
 from coxlat.lattice import (
@@ -14,15 +16,16 @@ from coxlat.lattice import (
     mat_det,
     mat_mul,
     mat_transpose,
-    mat_vec,
     matrix_order,
+    nonzeros,
     quotient_by_radical,
     radical_basis,
     reflection_matrix,
+    rows_vec,
 )
-from coxlat.star import build, kleinian_invariants
+from coxlat.star import build, catalog, catalog_names, kleinian_invariants
 
-from oracles import charpoly_minor_expansion, det_minor_expansion
+from oracles import charpoly_minor_expansion, det_minor_expansion, gram_by_pairings, mat_mul_naive
 
 A2 = Lattice(("e1", "e2"), ((-2, 1), (1, -2)))
 RANK1 = Lattice(("e",), ((-2,),))
@@ -52,7 +55,7 @@ class TestReflections:
         # x = e1 + 2 e2 has <x, e1> = 0
         x = [1, 2]
         assert A2.pairing(x, [1, 0]) == 0
-        assert mat_vec(s, x) == x
+        assert rows_vec(nonzeros(s), x) == x
 
     def test_not_a_root(self):
         bad = Lattice(("a",), ((-4,),))
@@ -270,3 +273,82 @@ class TestCharPolyStructure:
             eps = p[n]  # c_n = eps * c_0
             assert eps in (1, -1)
             assert all(p[i] == eps * p[n - i] for i in range(n + 1))
+
+
+# ---------------------------------------------------------------------------
+# the nonzero-row kernels against naive references
+
+DENSE = st.integers(-9, 9)
+SPARSE = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -3))
+
+
+@st.composite
+def int_matrices(draw, rows, cols):
+    """rows x cols integers, dense or mostly zero, with some rows all zero."""
+    entry = draw(st.sampled_from((DENSE, SPARSE)))
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    return [[0] * cols if i in zero_rows else draw(st.lists(entry, min_size=cols, max_size=cols))
+            for i in range(rows)]
+
+
+@st.composite
+def products(draw):
+    q, n, w = draw(st.integers(0, 6)), draw(st.integers(1, 7)), draw(st.integers(0, 6))
+    return draw(int_matrices(q, n)), draw(int_matrices(n, w)), w
+
+
+@st.composite
+def square_matrices(draw, max_rank):
+    n = draw(st.integers(0, max_rank))
+    return draw(int_matrices(n, n))
+
+
+@given(products())
+def test_mat_mul_matches_triple_loop(case):
+    a, b, width = case
+    assert mat_mul(a, b) == mat_mul_naive(a, b, width)
+
+
+@st.composite
+def matrix_vector_pairs(draw):
+    q, n = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    return draw(int_matrices(q, n)), draw(st.lists(DENSE, min_size=n, max_size=n))
+
+
+@given(matrix_vector_pairs())
+def test_rows_vec_matches_matrix_vector(case):
+    m, v = case
+    assert rows_vec(nonzeros(m), v) == [row[0] for row in mat_mul_naive(m, [[x] for x in v], 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices(8))
+def test_char_poly_matches_minor_expansion(m):
+    assert char_poly(m) == charpoly_minor_expansion(m)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_quotient_gram_matches_pairings_on_catalog(name):
+    zero = build(catalog(name)).zero
+    quo = quotient_by_radical(zero)
+    assert [list(r) for r in quo.lattice.gram] == gram_by_pairings(zero.gram, quo.lift)
+
+
+@st.composite
+def degenerate_grams(draw):
+    """C S C^t with C n x k and S symmetric k x k, k < n: rank below n."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n - 1))
+    c = draw(int_matrices(n, k))
+    s = draw(int_matrices(k, k))
+    sym = [[s[i][j] + s[j][i] for j in range(k)] for i in range(k)]
+    ct = [[c[r][i] for r in range(n)] for i in range(k)]
+    return mat_mul_naive(mat_mul_naive(c, sym, k), ct, n)
+
+
+@given(degenerate_grams())
+def test_quotient_gram_matches_pairings_on_degenerate_grams(gram):
+    lat = Lattice(tuple(f"e{i}" for i in range(len(gram))), tuple(map(tuple, gram)))
+    quo = quotient_by_radical(lat)
+    assert quo.lattice.rank < lat.rank
+    assert [list(r) for r in quo.lattice.gram] == gram_by_pairings(lat.gram, quo.lift)
