@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from .errors import CoxlatError, NotAStarLattice, TooLarge
@@ -34,7 +33,7 @@ from .verify import (
     DEFAULT_RANDOM_COUNT,
     DEFAULT_SEED,
     Subject,
-    VerificationReport,
+    run_check,
     run_suite,
     verify_lattices,
 )
@@ -190,6 +189,8 @@ def cmd_poincare(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    if args.root is not None and args.gram is None:
+        raise CoxlatError("--root needs a --gram input; the other inputs root the series at E")
     inv, lat = _load_input(args)
     if lat is not None:
         root_index = lat.rank - 1 if args.root is None else args.root
@@ -238,27 +239,18 @@ def cmd_verify(args) -> int:
                   f"order {args.order}, seed {args.seed}")
         reports = run_suite(order=args.order, n_random=args.random, seed=args.seed)
         return _emit_reports(reports, args.format)
-    inv, lat = _load_input(args)
-    if lat is not None:
-        started = time.perf_counter()
+    label = args.gram and f"gram:{Path(args.gram).name}"
+    decoded = []
+
+    def witnesses():     # a Gram that is not a star fails a check; it is not an input error
         try:
-            inv, kind, arms = invariants_from_star(lat)
+            decoded.append(_star_lattices(args))
         except NotAStarLattice as exc:
-            report = VerificationReport(
-                check="star-structure",
-                subject=f"gram:{Path(args.gram).name}",
-                passed=False,
-                order=0,
-                witness={"identity": "Gram decodes as a star configuration",
-                         "index": exc.index, "expected": "chain attached to center",
-                         "got": str(exc)},
-                elapsed=time.perf_counter() - started,
-            )
-            return _emit_reports([report], args.format)
-        lats = lattices_from_minus(lat, inv, kind, arms, lat.rank - 1)
-        reports = verify_lattices(lats, args.order, subject=f"gram:{Path(args.gram).name}")
-        return _emit_reports(reports, args.format)
-    reports = verify_lattices(build(inv), args.order)
+            yield {"identity": "Gram decodes as a star configuration", "index": exc.index,
+                   "expected": "chain attached to center", "got": str(exc)}
+
+    report = run_check("star-structure", label, 0, witnesses())
+    reports = verify_lattices(decoded[0], args.order, label) if decoded else [report]
     return _emit_reports(reports, args.format)
 
 

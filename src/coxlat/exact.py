@@ -27,20 +27,7 @@ def poly_trim(coeffs: Iterable[int]) -> Poly:
     return out
 
 
-def poly_mul(p: Sequence[int], q: Sequence[int]) -> Poly:
-    """Exact product; deg(p*q) = deg p + deg q unless a factor is zero."""
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    # leading coefficients are nonzero over the integers, but trim anyway
-    return poly_trim(out)
-
-
-def poly_to_string(p: Sequence[int], var: str = "t") -> str:
+def poly_to_string(p: Sequence[int]) -> str:
     """Signed monomials, highest degree first, e.g. ``t^2 - 2*t + 1``."""
     if not p:
         return "0"
@@ -54,7 +41,7 @@ def poly_to_string(p: Sequence[int], var: str = "t") -> str:
         if d == 0:
             body = str(mag)
         else:
-            t = var if d == 1 else f"{var}^{d}"
+            t = "t" if d == 1 else f"t^{d}"
             body = t if mag == 1 else f"{mag}*{t}"
         parts.append((sign, body))
     first_sign, first_body = parts[0]

@@ -149,8 +149,8 @@ class Lattice:
     def from_json(cls, obj: dict) -> "Lattice":
         if not isinstance(obj, dict) or "gram" not in obj:
             raise ValueError("expected an object with a 'gram' field")
-        if not isinstance(obj["gram"], list):
-            raise CoxlatError("'gram' must be a list of rows")
+        if not isinstance(obj["gram"], list) or not obj["gram"]:
+            raise CoxlatError("'gram' must be a non-empty list of rows")
         gram = [json_ints(row, "each Gram row") for row in obj["gram"]]
         labels = obj.get("labels") or [f"e{i + 1}" for i in range(len(gram))]
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
@@ -293,22 +293,6 @@ def char_poly(m: Matrix) -> list:
         p = out
     p.reverse()
     return p
-
-
-def matrix_order(m: Matrix, cap: int = 1000):
-    """Least k <= cap with m^k = I, or None if the cap is exceeded.
-
-    The cap keeps infinite-order (hyperbolic) Coxeter elements from
-    looping forever.
-    """
-    n = len(m)
-    ident = identity_matrix(n)
-    power = [row[:] for row in m]
-    for k in range(1, cap + 1):
-        if power == ident:
-            return k
-        power = mat_mul(m, power)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -168,11 +168,6 @@ class StarLattices:
         return self.minus.rank
 
     @property
-    def h_index(self) -> int:
-        """Index of u-w in the plus basis."""
-        return self.minus.rank + 1
-
-    @property
     def u_zero(self) -> tuple:
         """Coordinates of the isotropic u = E - (E-u) in the zero basis."""
         v = [0] * self.zero.rank

@@ -1,10 +1,14 @@
 """Machine verification of the series and Coxeter-element identities.
 
-Each check produces a VerificationReport; a failing report always carries
-a witness (the first discrepant index with the two values).  The checks
-are pure, so a caller may fan them out over inputs freely; run_suite
-evaluates the whole built-in roster plus seeded random Fuchsian tuples in
-a deterministic order.
+Each check is a generator of candidate witnesses, yielded in a fixed
+order: None where an identity holds, or a dict with the identity, the
+first discrepant index and the expected and computed values where it
+fails.  run_check is the one place that times a check and builds its
+VerificationReport: it pulls candidates until the first witness and never
+runs the rest of the check, so a failing report always carries a witness.
+The checks are pure, so a caller may fan them out over inputs freely;
+run_suite evaluates the whole built-in roster plus seeded random Fuchsian
+tuples in a deterministic order.
 """
 
 from __future__ import annotations
@@ -72,16 +76,12 @@ class VerificationReport:
 
     def row(self) -> str:
         status = "pass" if self.passed else "FAIL"
-        witness = "-" if self.witness is None else _witness_text(self.witness)
+        witness = "-" if self.witness is None else " ".join(
+            f"{k}={v}" for k, v in self.witness.items())
         return (
             f"{self.check:<18} {self.subject:<24} {status:<5} "
             f"order={self.order:<4} {self.elapsed * 1000:7.1f} ms  {witness}"
         )
-
-
-def _witness_text(witness: dict) -> str:
-    parts = [f"{k}={v}" for k, v in witness.items()]
-    return " ".join(parts)
 
 
 def subject_of(inv: OrbitInvariants, kind: SingularityKind) -> str:
@@ -98,12 +98,9 @@ class Subject:
         self._cox = {}
         self._delta = {}
 
-    def lattice(self, which: str):
-        return getattr(self.lats, which)
-
     def coxeter(self, which: str):
         if which not in self._cox:
-            self._cox[which] = coxeter_matrix(self.lattice(which))
+            self._cox[which] = coxeter_matrix(getattr(self.lats, which))
         return self._cox[which]
 
     def delta(self, which: str):
@@ -137,40 +134,46 @@ def _value_witness(identity: str, index, got, expected):
 # the four checks
 
 
+def run_check(check: str, label: str, order: int, witnesses) -> VerificationReport:
+    """Time one check: pull candidate witnesses from the lazy iterable until
+    the first that is not None.  The rest of the check is never run."""
+    t0 = time.perf_counter()
+    witness = next((w for w in witnesses if w is not None), None)
+    return VerificationReport(check, label, witness is None, order, witness,
+                              time.perf_counter() - t0)
+
+
 def check_theorem(subject: Subject, order: int) -> VerificationReport:
     """Poincare series == quotient of characteristic polynomials."""
-    t0 = time.perf_counter()
-    kind = subject.lats.kind
-    quotient = series_from_rational(subject.delta(kind.top), subject.delta("zero"), order)
-    direct = poincare_direct(subject.lats.invariants, kind, order)
-    witness = _series_witness(f"{kind.top}/zero == direct", quotient, direct)
-    return VerificationReport(
-        "theorem", subject.label, witness is None, order, witness, time.perf_counter() - t0
-    )
+    def witnesses():
+        kind = subject.lats.kind
+        quotient = series_from_rational(subject.delta(kind.top), subject.delta("zero"), order)
+        direct = poincare_direct(subject.lats.invariants, kind, order)
+        yield _series_witness(f"{kind.top}/zero == direct", quotient, direct)
+
+    return run_check("theorem", subject.label, order, witnesses())
 
 
 def check_orbit_series(subject: Subject, order: int) -> VerificationReport:
     """Q = Delta_minus/Delta_zero and P + t = Delta_plus/Delta_zero, at a = E."""
-    t0 = time.perf_counter()
-    lats = subject.lats
-    rl = RootedLattice.at_basis_index(lats.zero, lats.center)
-    witness = _series_witness(
-        "Q == minus/zero",
-        hilbert_Q(rl, order),
-        series_from_rational(subject.delta("minus"), subject.delta("zero"), order),
-    )
-    if witness is None:
+    def witnesses():
+        lats = subject.lats
+        rl = RootedLattice.at_basis_index(lats.zero, lats.center)
+        yield _series_witness(
+            "Q == minus/zero",
+            hilbert_Q(rl, order),
+            series_from_rational(subject.delta("minus"), subject.delta("zero"), order),
+        )
         shifted = list(hilbert_P(rl, order).coeffs)
         if order >= 1:
             shifted[1] += 1
-        witness = _series_witness(
+        yield _series_witness(
             "P + t == plus/zero",
             PowerSeries(tuple(shifted)),
             series_from_rational(subject.delta("plus"), subject.delta("zero"), order),
         )
-    return VerificationReport(
-        "orbit-series", subject.label, witness is None, order, witness, time.perf_counter() - t0
-    )
+
+    return run_check("orbit-series", subject.label, order, witnesses())
 
 
 def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
@@ -181,131 +184,95 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
     (c) each arm factor moves the class of E with period exactly alpha_i,
     (d) the orbit sums reproduce 1 + deg D^(k) for both divisor patterns.
     """
-    t0 = time.perf_counter()
-    lats = subject.lats
-    inv = lats.invariants
-    quo = quotient_by_radical(lats.zero)
-    rank = quo.lattice.rank
-
-    def report(witness):
-        return VerificationReport(
-            "orbit-formulas", subject.label, witness is None, k_max, witness,
-            time.perf_counter() - t0,
+    def witnesses():
+        lats = subject.lats
+        inv = lats.invariants
+        quo = quotient_by_radical(lats.zero)
+        rank = quo.lattice.rank
+        s_center = quo.induced(reflection_matrix(lats.zero, lats.center))
+        s_f = quo.induced(reflection_matrix(lats.zero, lats.f_index))
+        yield _matrix_witness(
+            "s_E s_{E-u} == id", mat_mul(s_center, s_f), identity_matrix(rank)
         )
 
-    s_center = quo.induced(reflection_matrix(lats.zero, lats.center))
-    s_f = quo.induced(reflection_matrix(lats.zero, lats.f_index))
-    witness = _matrix_witness(
-        "s_E s_{E-u} == id", mat_mul(s_center, s_f), identity_matrix(rank)
-    )
-    if witness:
-        return report(witness)
+        tau0 = quo.induced(subject.coxeter("zero"))
+        factors = [quo.induced(reflection_product(lats.zero, range(start, stop)))
+                   for start, stop in lats.arms]
+        product = identity_matrix(rank)
+        for factor in factors:
+            product = mat_mul(product, factor)
+        yield _matrix_witness("tau_0 == tau_1 ... tau_r", tau0, product)
 
-    tau0 = quo.induced(subject.coxeter("zero"))
-    factors = [quo.induced(reflection_product(lats.zero, range(start, stop)))
-               for start, stop in lats.arms]
-    product = identity_matrix(rank)
-    for factor in factors:
-        product = mat_mul(product, factor)
-    witness = _matrix_witness("tau_0 == tau_1 ... tau_r", tau0, product)
-    if witness:
-        return report(witness)
+        e_bar = quo.project([1 if i == lats.center else 0 for i in range(lats.zero.rank)])
+        for arm_index, (factor, alpha) in enumerate(zip(factors, inv.alphas), start=1):
+            factor_rows = nonzeros(factor)
+            v = e_bar
+            period = None
+            for k in range(1, alpha + 1):
+                v = rows_vec(factor_rows, v)
+                if v == e_bar:
+                    period = k
+                    break
+            yield _value_witness(f"arm {arm_index} period on class of E", alpha, period, alpha)
 
-    e_bar = quo.project([1 if i == lats.center else 0 for i in range(lats.zero.rank)])
-    for arm_index, (factor, alpha) in enumerate(zip(factors, inv.alphas), start=1):
-        factor_rows = nonzeros(factor)
-        v = e_bar
-        period = None
-        for k in range(1, alpha + 1):
-            v = rows_vec(factor_rows, v)
-            if v == e_bar:
-                period = k
-                break
-        witness = _value_witness(f"arm {arm_index} period on class of E", alpha, period, alpha)
-        if witness:
-            return report(witness)
+        pair_e = rows_vec(nonzeros(quo.lattice.gram), e_bar)
+        tau0_rows = nonzeros(tau0)
+        tau0_inv_rows = nonzeros(quo.induced(coxeter_inverse_matrix(lats.zero)))
+        forward = e_bar[:]          # tau_0^l e, starting at l = 0
+        fwd_sum = 0                 # sum_{l<k} <e, tau_0^l e>
+        backward = e_bar[:]         # tau_0^{-l} e
+        back_sum = 0                # sum_{1<=l<=k} <e, tau_0^{-l} e>
+        for k in range(1, k_max + 1):
+            fwd_sum += sum(p * f for p, f in zip(pair_e, forward))
+            forward = rows_vec(tau0_rows, forward)
+            yield _value_witness(
+                "orbit sum == 1 + deg D_Fuchs",
+                k,
+                1 + fwd_sum,
+                1 + divisor_degree(inv, SingularityKind.FUCHSIAN, k),
+            )
+            backward = rows_vec(tau0_inv_rows, backward)
+            back_sum += sum(p * b for p, b in zip(pair_e, backward))
+            yield _value_witness(
+                "orbit sum == 1 + deg D_Klein",
+                k,
+                1 - back_sum,
+                1 + divisor_degree(inv, SingularityKind.KLEINIAN, k),
+            )
 
-    pair_e = rows_vec(nonzeros(quo.lattice.gram), e_bar)
-    tau0_rows = nonzeros(tau0)
-    tau0_inv_rows = nonzeros(quo.induced(coxeter_inverse_matrix(lats.zero)))
-    forward = e_bar[:]          # tau_0^l e, starting at l = 0
-    fwd_sum = 0                 # sum_{l<k} <e, tau_0^l e>
-    backward = e_bar[:]         # tau_0^{-l} e
-    back_sum = 0                # sum_{1<=l<=k} <e, tau_0^{-l} e>
-    for k in range(1, k_max + 1):
-        fwd_sum += sum(p * f for p, f in zip(pair_e, forward))
-        forward = rows_vec(tau0_rows, forward)
-        witness = _value_witness(
-            "orbit sum == 1 + deg D_Fuchs",
-            k,
-            1 + fwd_sum,
-            1 + divisor_degree(inv, SingularityKind.FUCHSIAN, k),
-        )
-        if witness:
-            return report(witness)
-        backward = rows_vec(tau0_inv_rows, backward)
-        back_sum += sum(p * b for p, b in zip(pair_e, backward))
-        witness = _value_witness(
-            "orbit sum == 1 + deg D_Klein",
-            k,
-            1 - back_sum,
-            1 + divisor_degree(inv, SingularityKind.KLEINIAN, k),
-        )
-        if witness:
-            return report(witness)
-    return report(None)
+    return run_check("orbit-formulas", subject.label, k_max, witnesses())
 
 
 def check_identities(subject: Subject) -> VerificationReport:
     """Structural identities of the three lattices and their Coxeter elements."""
-    t0 = time.perf_counter()
-    lats = subject.lats
-
-    def report(witness):
-        return VerificationReport(
-            "identities", subject.label, witness is None, 0, witness,
-            time.perf_counter() - t0,
-        )
-
-    for which in ("minus", "zero", "plus"):
-        lat = subject.lattice(which)
-        tau = subject.coxeter(which)
-        form = asym_form_matrix(lat)
-        witness = _matrix_witness(f"coxeter({which}) == -A^-1 A^t", tau, coxeter_via_form(form))
-        if witness:
-            return report(witness)
-        minus_a_tau = [[-x for x in row] for row in mat_mul(form, tau)]
-        witness = _matrix_witness(f"(y,x) == -(x,tau y) on {which}", mat_transpose(form), minus_a_tau)
-        if witness:
-            return report(witness)
-        delta = subject.delta(which)
-        witness = _value_witness(f"char poly of {which} has constant term 1", 0, delta[0], 1)
-        if witness:
-            return report(witness)
-        n = len(delta) - 1
-        eps = delta[n]
-        palindromic = eps in (1, -1) and all(delta[i] == eps * delta[n - i] for i in range(n + 1))
-        if not palindromic:
-            bad = next(i for i in range(n + 1) if delta[i] != eps * delta[n - i])
-            return report(
-                {"identity": f"char poly of {which} palindromic up to sign",
-                 "index": bad, "expected": eps * delta[n - bad], "got": delta[bad]}
+    def witnesses():
+        lats = subject.lats
+        for which in ("minus", "zero", "plus"):
+            lat = getattr(lats, which)
+            tau = subject.coxeter(which)
+            form = asym_form_matrix(lat)
+            yield _matrix_witness(f"coxeter({which}) == -A^-1 A^t", tau, coxeter_via_form(form))
+            minus_a_tau = [[-x for x in row] for row in mat_mul(form, tau)]
+            yield _matrix_witness(f"(y,x) == -(x,tau y) on {which}", mat_transpose(form), minus_a_tau)
+            delta = subject.delta(which)
+            yield _value_witness(f"char poly of {which} has constant term 1", 0, delta[0], 1)
+            # char_poly is monic, so palindromic up to sign means delta[i] == delta[n - i]
+            n = len(delta) - 1
+            for i in range(n + 1):
+                yield _value_witness(
+                    f"char poly of {which} palindromic up to sign", i, delta[i], delta[n - i]
+                )
+            yield _value_witness(
+                f"det tau == (-1)^rank on {which}", lat.rank, mat_det(tau), (-1) ** lat.rank
             )
-        witness = _value_witness(
-            f"det tau == (-1)^rank on {which}", lat.rank, mat_det(tau), (-1) ** lat.rank
-        )
-        if witness:
-            return report(witness)
 
-    rad = radical_basis(lats.zero)
-    u = list(lats.u_zero)
-    ok = len(rad) == 1 and (rad[0] == u or rad[0] == [-x for x in u])
-    if not ok:
-        return report(
-            {"identity": "radical of V_zero is rank 1 spanned by u",
-             "index": len(rad), "expected": u, "got": rad}
-        )
-    return report(None)
+        rad = radical_basis(lats.zero)
+        u = list(lats.u_zero)
+        if not (len(rad) == 1 and (rad[0] == u or rad[0] == [-x for x in u])):
+            yield {"identity": "radical of V_zero is rank 1 spanned by u",
+                   "index": len(rad), "expected": u, "got": rad}
+
+    return run_check("identities", subject.label, 0, witnesses())
 
 
 def verify_lattices(lats: StarLattices, order: int = DEFAULT_ORDER,
@@ -324,10 +291,10 @@ def verify_lattices(lats: StarLattices, order: int = DEFAULT_ORDER,
 # input roster
 
 
-def random_fuchsian_invariants(rng: random.Random, r: int | None = None) -> OrbitInvariants:
+def random_fuchsian_invariants(rng: random.Random) -> OrbitInvariants:
     """A random valid genus-0 Fuchsian tuple with r in {3,4,5}, alpha <= 12."""
     while True:
-        arms = r if r is not None else rng.choice((3, 4, 5))
+        arms = rng.choice((3, 4, 5))
         alphas = sorted(rng.randint(2, 12) for _ in range(arms))
         if sum(Fraction(1, a) for a in alphas) < arms - 2:
             return fuchsian_invariants(alphas)

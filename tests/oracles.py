@@ -6,7 +6,8 @@ produces do not depend on the code paths under test.
 
 
 def conv(p, q):
-    # local convolution, kept separate from the package's poly_mul on purpose
+    """Product of two ascending coefficient lists; the reference for every
+    polynomial product in the tests."""
     if not p or not q:
         return []
     out = [0] * (len(p) + len(q) - 1)
@@ -57,6 +58,22 @@ def mat_mul_naive(a, b, width):
     """a b by the triple loop; ``width`` is the column count of b."""
     return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(width)]
             for i in range(len(a))]
+
+
+def matrix_order(m, cap=1000):
+    """Least k <= cap with m^k = I, or None if the cap is exceeded.
+
+    The cap keeps infinite-order (hyperbolic) Coxeter elements from
+    looping forever.
+    """
+    n = len(m)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    power = [list(row) for row in m]
+    for k in range(1, cap + 1):
+        if power == ident:
+            return k
+        power = mat_mul_naive(m, power, n)
+    return None
 
 
 def gram_by_pairings(gram, lift):

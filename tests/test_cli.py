@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxlat import cli
 from coxlat.cli import MAX_ORDER, MAX_RANK, main
@@ -176,17 +182,19 @@ class TestVerify:
 
 BAD_INPUTS = [
     ("verify", "--gram", {"gram": 5}),
+    ("charpoly", "--gram", {"gram": []}),
     ("verify", "--gram", {"gram": [[-2.7]]}),
     ("charpoly", "--gram", {"gram": [[-2, True], [True, -2]]}),
     ("verify", "--invariants", {"kind": "fuchsian", "alpha": [2, 3, 7.9]}),
     ("verify", "--fuchsian", "2,3,7", "--order", "-1"),
     ("verify", "--all", "--random", "-2"),
+    ("hilbert", "--name", "A1", "--order", "3", "--root", "7"),
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=[
-    "gram-not-a-list", "gram-float", "gram-bool", "alpha-float", "negative-order",
-    "negative-random",
+    "gram-not-a-list", "gram-empty", "gram-float", "gram-bool", "alpha-float", "negative-order",
+    "negative-random", "root-without-gram",
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     argv = list(argv)
@@ -255,3 +263,29 @@ def test_internal_error_exits_2(capsys, monkeypatch):
     assert code == 2
     assert err == "error: internal: RuntimeError: boom\n"
     assert out == ""
+
+
+# No integer drawn here is -2 or lies in 2..10**6, so no Gram row holds a
+# root's self-pairing, no b or beta fits a star, and every ramification
+# index is over the size limit: each document is malformed or too large.
+_FUZZ_INTS = st.integers(max_value=1).filter(lambda x: x != -2) | st.integers(min_value=10**6)
+_FUZZ_KEYS = st.sampled_from(["gram", "labels", "kind", "alpha", "g", "b", "pairs"]) | st.text(max_size=4)
+FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | _FUZZ_INTS | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_FUZZ_KEYS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=FUZZ_JSON, command=st.sampled_from(["charpoly", "poincare", "hilbert", "verify"]),
+       route=st.sampled_from(["--gram", "--invariants"]))
+def test_fuzzed_json_exits_2(doc, command, route):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, route, str(path)])
+    assert code == 2, (doc, out.getvalue())
+    assert err.getvalue().startswith("error: ") and "error: internal" not in err.getvalue()

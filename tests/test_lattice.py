@@ -16,7 +16,6 @@ from coxlat.lattice import (
     mat_det,
     mat_mul,
     mat_transpose,
-    matrix_order,
     nonzeros,
     quotient_by_radical,
     radical_basis,
@@ -25,7 +24,13 @@ from coxlat.lattice import (
 )
 from coxlat.star import build, catalog, catalog_names, kleinian_invariants
 
-from oracles import charpoly_minor_expansion, det_minor_expansion, gram_by_pairings, mat_mul_naive
+from oracles import (
+    charpoly_minor_expansion,
+    det_minor_expansion,
+    gram_by_pairings,
+    mat_mul_naive,
+    matrix_order,
+)
 
 A2 = Lattice(("e1", "e2"), ((-2, 1), (1, -2)))
 RANK1 = Lattice(("e",), ((-2,),))

@@ -120,7 +120,7 @@ class TestBuild:
         w = [0] * (n + 2)  # w = u - h
         w[lats.center] = 1
         w[lats.f_index] = -1
-        w[lats.h_index] = -1
+        w[n + 1] = -1  # h = u-w is basis vector n + 1 of V_plus
         cols += [u, w]
         c = [list(col) for col in zip(*cols)]  # columns -> matrix
         g = lats.plus.gram_rows()

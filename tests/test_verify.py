@@ -1,6 +1,10 @@
 import random
 
-from coxlat.lattice import Lattice, coxeter_matrix, matrix_order
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coxlat.lattice import Lattice, coxeter_matrix
+from coxlat.series import poincare_direct
 from coxlat.star import (
     SingularityKind,
     build,
@@ -16,10 +20,13 @@ from coxlat.verify import (
     check_orbit_series,
     check_theorem,
     random_fuchsian_invariants,
+    run_check,
     run_suite,
     suite_inputs,
     verify_lattices,
 )
+
+from oracles import matrix_order
 
 E8 = kleinian_invariants((2, 3, 5))
 E12 = fuchsian_invariants((2, 3, 7))
@@ -32,6 +39,48 @@ def broken_e8_lattices():
     g[4][5] = g[5][4] = 0
     bad_minus = Lattice(lats.minus.labels, tuple(tuple(r) for r in g))
     return lattices_from_minus(bad_minus, lats.invariants, lats.kind, lats.arms, lats.center)
+
+
+def test_run_check_stops_at_first_witness():
+    pulled = []
+
+    def witnesses():
+        for k in range(5):
+            pulled.append(k)
+            yield None if k < 2 else {"identity": "x", "index": k, "expected": 0, "got": 1}
+
+    report = run_check("c", "s", 3, witnesses())
+    assert pulled == [0, 1, 2]
+    assert not report.passed and report.witness["index"] == 2 and report.order == 3
+    assert run_check("c", "s", 3, iter([None, None])).passed
+
+
+# roster inputs with at least one arm, so V_minus has an off-diagonal entry
+FLIP_INPUTS = [inv for _, inv in suite_inputs() if inv.alphas]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_flipped_minus_entry_fails_with_witness(data):
+    """One off-diagonal V_minus Gram entry flipped between 0 and 1 breaks the
+    theorem, and every failing check names where."""
+    inv = data.draw(st.sampled_from(FLIP_INPUTS))
+    lats = build(inv)
+    j = data.draw(st.integers(1, lats.minus.rank - 1))
+    i = data.draw(st.integers(0, j - 1))
+    g = lats.minus.gram_rows()
+    g[i][j] = g[j][i] = 1 - g[i][j]
+    bad_minus = Lattice(lats.minus.labels, tuple(map(tuple, g)))
+    bad = lattices_from_minus(bad_minus, inv, lats.kind, lats.arms, lats.center)
+    reports = verify_lattices(bad, 60)
+    theorem = reports[0]
+    assert theorem.check == "theorem" and not theorem.passed
+    w = theorem.witness
+    assert w["expected"] == poincare_direct(inv, lats.kind, 60)[w["index"]] != w["got"]
+    for report in reports:
+        assert report.passed == (report.witness is None)
+        if not report.passed:
+            assert set(report.witness) == {"identity", "index", "expected", "got"}
 
 
 class TestTheorem:
