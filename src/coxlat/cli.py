@@ -39,9 +39,9 @@ from .verify import (
 )
 
 # Largest accepted rank of V_plus and series order.  On a 2-vCPU host,
-# `verify` at order 200 takes 2.5 s on D250 (rank 252) and 5.3 s on a star
-# of sixty short arms (rank 222), whose tau_minus fills in so that Berkowitz
-# grows as rank^4; the orbit walks grow linearly in the order.
+# `verify` at order 200 takes 2.2 to 2.6 s on D250 (rank 252) and 5 to 6.6 s
+# on a star of sixty short arms (rank 222), whose tau_minus fills in so that
+# Berkowitz grows as rank^4; the orbit walks grow linearly in the order.
 MAX_RANK = 300
 MAX_ORDER = 10000
 

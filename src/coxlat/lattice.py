@@ -12,8 +12,13 @@ have two to four nonzero entries per row, so the kernels work on nonzero
 rows: ``nonzeros(m)`` lists each row of m as its (column, entry) pairs
 with entry != 0, and a product visits only those pairs.  ``rows_vec``
 applies such rows to a vector, ``mat_mul`` combines the nonzero rows of
-its right factor, and Berkowitz reads its blocks from them.  A matrix that
-is applied many times is converted once by its caller.
+its right factor, and Berkowitz reads its blocks from them.
+
+A matrix that a walk applies once per coefficient is compiled once by its
+caller with ``linear_map(m)`` into a straight-line function v -> m v,
+which runs about 3.5 times faster than ``rows_vec`` but costs about half a
+millisecond to build.  A matrix applied only a few times (Berkowitz
+blocks, an arm-period loop, a projection) stays on ``rows_vec``.
 """
 
 from __future__ import annotations
@@ -49,6 +54,39 @@ def rows_vec(rows: list, v: Sequence[int]) -> Vector:
             total += x * v[j]
         out.append(total)
     return out
+
+
+_CHUNK = 64  # terms per parenthesised sum; long chains overflow the compiler
+
+
+def _sum_source(terms: list) -> str:
+    """One expression for the sum of terms that each begin with + or -,
+    nested so that no chain has more than _CHUNK terms."""
+    while len(terms) > _CHUNK:
+        terms = ["+(" + "".join(terms[i:i + _CHUNK]).removeprefix("+") + ")"
+                 for i in range(0, len(terms), _CHUNK)]
+    return "".join(terms).removeprefix("+") or "0"
+
+
+def linear_map(m: Matrix):
+    """The function v -> m v, compiled once into one list display of row
+    sums that reads only v[j].  Entries other than +-1 are written as hex
+    literals, which have no digit limit; any entry whose type is not int
+    raises TypeError, so only integers reach the source text."""
+    rows = []
+    for row in m:
+        terms = []
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                raise TypeError(f"linear_map needs int entries, got {type(x).__name__} {x!r}")
+            if x == 1:
+                terms.append(f"+v[{j}]")
+            elif x == -1:
+                terms.append(f"-v[{j}]")
+            elif x:
+                terms.append(f"{x:+#x}*v[{j}]")
+        rows.append(_sum_source(terms))
+    return eval(compile(f"lambda v: [{', '.join(rows)}]", "<linear_map>", "eval"), {})
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

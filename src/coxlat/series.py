@@ -26,8 +26,7 @@ from .lattice import (
     asym_form_matrix,
     coxeter_inverse_matrix,
     coxeter_matrix,
-    nonzeros,
-    rows_vec,
+    linear_map,
 )
 from .star import OrbitInvariants, SingularityKind
 
@@ -91,26 +90,27 @@ def _row(m, a: Sequence[int]):
 
 def _orbit_walk(rl: RootedLattice, order: int, name: str, step, pair) -> PowerSeries:
     """Coefficient k is 1 + sum_{l<k} pair . step^l a, checked on every k
-    against the triangular form value (a, step^k a).  ``step`` is given
-    as nonzero rows."""
-    functionals = nonzeros([_row(asym_form_matrix(rl.lattice), rl.root), pair])
+    against the triangular form value (a, step^k a).  The step matrix and
+    both functionals are compiled once for the walk."""
+    functionals = linear_map([_row(asym_form_matrix(rl.lattice), rl.root), pair])
+    step = linear_map(step)
     coeffs = []
     v = list(rl.root)
     acc = 1
     for k in range(order + 1):
-        form_value, paired = rows_vec(functionals, v)
+        form_value, paired = functionals(v)
         if form_value != acc:
             raise RouteMismatch(f"{name} coefficient {k}: orbit sum {acc} vs form value {form_value}")
         coeffs.append(acc)
         acc += paired
-        v = rows_vec(step, v)
+        v = step(v)
     return PowerSeries(tuple(coeffs))
 
 
 def hilbert_P(rl: RootedLattice, order: int) -> PowerSeries:
     """P series of (V, a): coefficient k is 1 + sum_{l<k} <a, tau^l a>."""
     lat = rl.lattice
-    return _orbit_walk(rl, order, "P", nonzeros(coxeter_matrix(lat)), _row(lat.gram, rl.root))
+    return _orbit_walk(rl, order, "P", coxeter_matrix(lat), _row(lat.gram, rl.root))
 
 
 def hilbert_Q(rl: RootedLattice, order: int) -> PowerSeries:
@@ -124,4 +124,4 @@ def hilbert_Q(rl: RootedLattice, order: int) -> PowerSeries:
     lat = rl.lattice
     tau_inv = coxeter_inverse_matrix(lat)
     pair = [-x for x in _row(tau_inv, _row(lat.gram, rl.root))]
-    return _orbit_walk(rl, order, "Q", nonzeros(tau_inv), pair)
+    return _orbit_walk(rl, order, "Q", tau_inv, pair)

@@ -16,6 +16,7 @@ and decodes Gram matrices back into invariants for the JSON interfaces.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -70,7 +71,7 @@ class OrbitInvariants:
     def r(self) -> int:
         return len(self.pairs)
 
-    @property
+    @functools.cached_property
     def alphas(self) -> tuple:
         return tuple(a for a, _ in self.pairs)
 

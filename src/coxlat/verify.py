@@ -26,6 +26,7 @@ from .lattice import (
     coxeter_matrix,
     coxeter_via_form,
     identity_matrix,
+    linear_map,
     mat_det,
     mat_mul,
     mat_transpose,
@@ -215,24 +216,24 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
                     break
             yield _value_witness(f"arm {arm_index} period on class of E", alpha, period, alpha)
 
-        pair_e = rows_vec(nonzeros(quo.lattice.gram), e_bar)
-        tau0_rows = nonzeros(tau0)
-        tau0_inv_rows = nonzeros(quo.induced(coxeter_inverse_matrix(lats.zero)))
+        pair_e = linear_map([rows_vec(nonzeros(quo.lattice.gram), e_bar)])
+        tau0_step = linear_map(tau0)
+        tau0_inv_step = linear_map(quo.induced(coxeter_inverse_matrix(lats.zero)))
         forward = e_bar[:]          # tau_0^l e, starting at l = 0
         fwd_sum = 0                 # sum_{l<k} <e, tau_0^l e>
         backward = e_bar[:]         # tau_0^{-l} e
         back_sum = 0                # sum_{1<=l<=k} <e, tau_0^{-l} e>
         for k in range(1, k_max + 1):
-            fwd_sum += sum(p * f for p, f in zip(pair_e, forward))
-            forward = rows_vec(tau0_rows, forward)
+            fwd_sum += pair_e(forward)[0]
+            forward = tau0_step(forward)
             yield _value_witness(
                 "orbit sum == 1 + deg D_Fuchs",
                 k,
                 1 + fwd_sum,
                 1 + divisor_degree(inv, SingularityKind.FUCHSIAN, k),
             )
-            backward = rows_vec(tau0_inv_rows, backward)
-            back_sum += sum(p * b for p, b in zip(pair_e, backward))
+            backward = tau0_inv_step(backward)
+            back_sum += pair_e(backward)[0]
             yield _value_witness(
                 "orbit sum == 1 + deg D_Klein",
                 k,

@@ -13,6 +13,7 @@ from coxlat.lattice import (
     coxeter_matrix,
     coxeter_via_form,
     identity_matrix,
+    linear_map,
     mat_det,
     mat_mul,
     mat_transpose,
@@ -320,10 +321,34 @@ def matrix_vector_pairs(draw):
     return draw(int_matrices(q, n)), draw(st.lists(DENSE, min_size=n, max_size=n))
 
 
+def naive_mat_vec(m, v):
+    return [row[0] for row in mat_mul_naive(m, [[x] for x in v], 1)]
+
+
 @given(matrix_vector_pairs())
 def test_rows_vec_matches_matrix_vector(case):
     m, v = case
-    assert rows_vec(nonzeros(m), v) == [row[0] for row in mat_mul_naive(m, [[x] for x in v], 1)]
+    expected = naive_mat_vec(m, v)
+    assert rows_vec(nonzeros(m), v) == expected
+    assert linear_map(m)(v) == expected
+
+
+def test_linear_map_edge_cases():
+    """A row longer than any interpreter's chain limit (3.13 compiles 5,000
+    chained terms but not 10,000), an entry longer than the decimal digit
+    limit, empty shapes, and entries that are not ints."""
+    rng = random.Random(5)
+    n = 10000
+    v = [rng.randint(-9, 9) for _ in range(n)]
+    long_row = [rng.choice((1, -1, 2, -3, 7)) for _ in range(n)]
+    huge = 10 ** 4999 + 3  # 5,000 decimal digits
+    m = [long_row, [-huge] + [0] * (n - 2) + [huge], [0] * n]
+    assert linear_map(m)(v) == naive_mat_vec(m, v)
+    assert linear_map([])(v) == []
+    assert linear_map([[], []])([]) == [0, 0]
+    for bad in (True, False, 1.0, 0.5):
+        with pytest.raises(TypeError):
+            linear_map([[1, bad]])
 
 
 @settings(max_examples=60, deadline=None)
