@@ -14,9 +14,9 @@ import sys
 from pathlib import Path
 
 from .errors import CoxlatError, NotAStarLattice, TooLarge
-from .exact import poly_to_string, series_from_rational
+from .exact import poly_to_string
 from .lattice import Lattice, char_poly, coxeter_matrix
-from .series import RootedLattice, hilbert_P, hilbert_Q, poincare_direct
+from .series import RootedLattice, hilbert_P, p_and_q, poincare_direct
 from .star import (
     build,
     catalog,
@@ -37,11 +37,14 @@ from .verify import (
     run_suite,
     verify_lattices,
 )
+# Not called here; perfbench/spans.py wraps these bindings by attribute.
+from .exact import series_from_rational  # noqa: F401
+from .series import hilbert_Q  # noqa: F401
 
 # Largest accepted rank of V_plus and series order.  On a 2-vCPU host,
-# `verify` at order 200 takes 2.2 to 2.6 s on D250 (rank 252) and 5 to 6.6 s
+# `verify` at order 200 takes 2.1 to 2.3 s on D250 (rank 252) and 6.0 to 6.2 s
 # on a star of sixty short arms (rank 222), whose tau_minus fills in so that
-# Berkowitz grows as rank^4; the orbit walks grow linearly in the order.
+# Berkowitz grows as rank^4; the one orbit walk grows linearly in the order.
 MAX_RANK = 300
 MAX_ORDER = 10000
 
@@ -177,9 +180,7 @@ def cmd_poincare(args) -> int:
     if args.route in ("direct", "both"):
         rows["direct"] = poincare_direct(subject.lats.invariants, kind, args.order)
     if args.route in ("quotient", "both"):
-        rows["quotient"] = series_from_rational(
-            subject.delta(kind.top), subject.delta("zero"), args.order
-        )
+        rows["quotient"] = subject.quotient(kind.top, args.order)
     if args.format == "json":
         _emit_json({key: s.to_json() for key, s in rows.items()})
     else:
@@ -200,11 +201,8 @@ def cmd_hilbert(args) -> int:
     else:
         lats = build(inv)
         rl = RootedLattice.at_basis_index(lats.zero, lats.center)
-    rows = {}
-    if args.series in ("P", "both"):
-        rows["P"] = hilbert_P(rl, args.order)
-    if args.series in ("Q", "both"):
-        rows["Q"] = hilbert_Q(rl, args.order)
+    series = dict(zip(("P", "Q"), p_and_q(hilbert_P(rl, args.order + 1))))
+    rows = {key: s for key, s in series.items() if args.series in (key, "both")}
     if args.format == "json":
         _emit_json({key: s.to_json() for key, s in rows.items()})
     else:

@@ -7,11 +7,12 @@ root a with its orbit under the Coxeter element tau, building the two
 Hilbert-Poincare series
 
     P coefficient k : 1 + sum_{l=0}^{k-1} <a, tau^l a>   =  (a, tau^k a)
-    Q coefficient k : 1 - sum_{l=1}^{k}  <a, tau^-l a>   =  (a, tau^-k a)
+    Q coefficient k : 1 - sum_{l=1}^{k}  <a, tau^-l a>   =  (a, tau^-k a)  =  -P_{k+1}
 
-where (-,-) is the upper-triangular form with tau = -A^{-1}A^t.  Both
-evaluations are carried out and compared on every call; a disagreement
-raises RouteMismatch.
+where (-,-) is the upper-triangular form with tau = -A^{-1}A^t.  One walk
+of a under tau gives both: Q to order n is read off P to order n + 1 (the
+proof is in hilbert_Q).  The walk compares the orbit sum with the form
+value on every coefficient; a disagreement raises RouteMismatch.
 """
 
 from __future__ import annotations
@@ -21,13 +22,9 @@ from typing import Sequence
 
 from .errors import NegativeDimension, NotARoot, RouteMismatch
 from .exact import PowerSeries
-from .lattice import (
-    Lattice,
-    asym_form_matrix,
-    coxeter_inverse_matrix,
-    coxeter_matrix,
-    linear_map,
-)
+from .lattice import Lattice, asym_form_matrix, coxeter_matrix, linear_map
+# Not called here; perfbench/spans.py wraps this binding by attribute.
+from .lattice import coxeter_inverse_matrix  # noqa: F401
 from .star import OrbitInvariants, SingularityKind
 
 
@@ -88,40 +85,41 @@ def _row(m, a: Sequence[int]):
     return [sum(ai * x for ai, x in zip(a, col)) for col in zip(*m)]
 
 
-def _orbit_walk(rl: RootedLattice, order: int, name: str, step, pair) -> PowerSeries:
-    """Coefficient k is 1 + sum_{l<k} pair . step^l a, checked on every k
-    against the triangular form value (a, step^k a).  The step matrix and
-    both functionals are compiled once for the walk."""
-    functionals = linear_map([_row(asym_form_matrix(rl.lattice), rl.root), pair])
-    step = linear_map(step)
+def hilbert_P(rl: RootedLattice, order: int) -> PowerSeries:
+    """P series of (V, a): coefficient k is 1 + sum_{l<k} <a, tau^l a>.
+
+    Every coefficient is checked against the triangular form value
+    (a, tau^k a).  tau and both functionals are compiled once for the
+    walk; tau is built first, so of several basis vectors that are not
+    roots the one with the highest index is named.
+    """
+    lat = rl.lattice
+    step = linear_map(coxeter_matrix(lat))
+    functionals = linear_map([_row(asym_form_matrix(lat), rl.root), _row(lat.gram, rl.root)])
     coeffs = []
     v = list(rl.root)
     acc = 1
     for k in range(order + 1):
         form_value, paired = functionals(v)
         if form_value != acc:
-            raise RouteMismatch(f"{name} coefficient {k}: orbit sum {acc} vs form value {form_value}")
+            raise RouteMismatch(f"P coefficient {k}: orbit sum {acc} vs form value {form_value}")
         coeffs.append(acc)
         acc += paired
         v = step(v)
     return PowerSeries(tuple(coeffs))
 
 
-def hilbert_P(rl: RootedLattice, order: int) -> PowerSeries:
-    """P series of (V, a): coefficient k is 1 + sum_{l<k} <a, tau^l a>."""
-    lat = rl.lattice
-    return _orbit_walk(rl, order, "P", coxeter_matrix(lat), _row(lat.gram, rl.root))
-
-
 def hilbert_Q(rl: RootedLattice, order: int) -> PowerSeries:
-    """Q series of (V, a): coefficient k is 1 - sum_{1<=l<=k} <a, tau^-l a>.
+    """Q series of (V, a): coefficient k is 1 - sum_{1<=l<=k} <a, tau^-l a>,
+    which is (a, tau^-k a) = -P_{k+1}; so Q is read off P to order + 1.
 
-    The sum genuinely starts at l = 1; starting it at 0 would make the
-    constant coefficient 3 instead of (a, a) = 1.  The walk steps v
-    through tau^-l a and adds -<a, tau^-1 v>, so its pairing row is
-    -<a, -> tau^-1.
+    A tau = -A^t gives (x, tau y) = -(y, x), and then tau^t A tau = A, so
+    (a, tau^-k a) = (tau^k a, a) = -(a, tau^{k+1} a).  The sum starts at
+    l = 1, as Q(0) = (a, a) = 1 forces.
     """
-    lat = rl.lattice
-    tau_inv = coxeter_inverse_matrix(lat)
-    pair = [-x for x in _row(tau_inv, _row(lat.gram, rl.root))]
-    return _orbit_walk(rl, order, "Q", tau_inv, pair)
+    return p_and_q(hilbert_P(rl, order + 1))[1]
+
+
+def p_and_q(walk: PowerSeries) -> tuple:
+    """P and Q to order n, read off P to order n + 1 (see hilbert_Q)."""
+    return PowerSeries(walk.coeffs[:-1]), PowerSeries(tuple(-c for c in walk.coeffs[1:]))

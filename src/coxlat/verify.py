@@ -22,11 +22,9 @@ from .exact import PowerSeries, series_equal, series_from_rational
 from .lattice import (
     asym_form_matrix,
     char_poly,
-    coxeter_inverse_matrix,
     coxeter_matrix,
     coxeter_via_form,
     identity_matrix,
-    linear_map,
     mat_det,
     mat_mul,
     mat_transpose,
@@ -37,7 +35,10 @@ from .lattice import (
     reflection_product,
     rows_vec,
 )
-from .series import RootedLattice, divisor_degree, hilbert_P, hilbert_Q, poincare_direct
+from .series import RootedLattice, divisor_degree, hilbert_P, p_and_q, poincare_direct
+# Not called here; perfbench/spans.py wraps these bindings by attribute.
+from .lattice import coxeter_inverse_matrix  # noqa: F401
+from .series import hilbert_Q  # noqa: F401
 from .star import (
     OrbitInvariants,
     SingularityKind,
@@ -90,24 +91,36 @@ def subject_of(inv: OrbitInvariants, kind: SingularityKind) -> str:
 
 
 class Subject:
-    """One input's star lattices and label; tau and Delta are computed at
-    most once per lattice and shared by every check and command."""
+    """One input's star lattices and label, and what the checks and commands
+    share: tau and Delta of each lattice, the orbit walk of (V_zero, E) and
+    each Delta quotient, each computed at most once per lattice or order."""
 
     def __init__(self, lats: StarLattices, label: str | None = None):
         self.lats = lats
         self.label = label or subject_of(lats.invariants, lats.kind)
-        self._cox = {}
-        self._delta = {}
+        self._memo = {}
+
+    def _once(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def coxeter(self, which: str):
-        if which not in self._cox:
-            self._cox[which] = coxeter_matrix(getattr(self.lats, which))
-        return self._cox[which]
+        return self._once(("coxeter", which), lambda: coxeter_matrix(getattr(self.lats, which)))
 
     def delta(self, which: str):
-        if which not in self._delta:
-            self._delta[which] = char_poly(self.coxeter(which))
-        return self._delta[which]
+        return self._once(("delta", which), lambda: char_poly(self.coxeter(which)))
+
+    def walk(self, order: int) -> PowerSeries:
+        """P of (V_zero, E) to order + 1, which holds P and Q to order."""
+        lats = self.lats
+        return self._once(("walk", order), lambda: hilbert_P(
+            RootedLattice.at_basis_index(lats.zero, lats.center), order + 1))
+
+    def quotient(self, which: str, order: int) -> PowerSeries:
+        """Delta_which / Delta_zero expanded to order."""
+        return self._once(("quotient", which, order), lambda: series_from_rational(
+            self.delta(which), self.delta("zero"), order))
 
 
 def _series_witness(identity: str, lhs: PowerSeries, rhs: PowerSeries):
@@ -148,7 +161,7 @@ def check_theorem(subject: Subject, order: int) -> VerificationReport:
     """Poincare series == quotient of characteristic polynomials."""
     def witnesses():
         kind = subject.lats.kind
-        quotient = series_from_rational(subject.delta(kind.top), subject.delta("zero"), order)
+        quotient = subject.quotient(kind.top, order)
         direct = poincare_direct(subject.lats.invariants, kind, order)
         yield _series_witness(f"{kind.top}/zero == direct", quotient, direct)
 
@@ -158,21 +171,13 @@ def check_theorem(subject: Subject, order: int) -> VerificationReport:
 def check_orbit_series(subject: Subject, order: int) -> VerificationReport:
     """Q = Delta_minus/Delta_zero and P + t = Delta_plus/Delta_zero, at a = E."""
     def witnesses():
-        lats = subject.lats
-        rl = RootedLattice.at_basis_index(lats.zero, lats.center)
-        yield _series_witness(
-            "Q == minus/zero",
-            hilbert_Q(rl, order),
-            series_from_rational(subject.delta("minus"), subject.delta("zero"), order),
-        )
-        shifted = list(hilbert_P(rl, order).coeffs)
+        p, q = p_and_q(subject.walk(order))
+        yield _series_witness("Q == minus/zero", q, subject.quotient("minus", order))
+        shifted = list(p.coeffs)
         if order >= 1:
             shifted[1] += 1
-        yield _series_witness(
-            "P + t == plus/zero",
-            PowerSeries(tuple(shifted)),
-            series_from_rational(subject.delta("plus"), subject.delta("zero"), order),
-        )
+        yield _series_witness("P + t == plus/zero", PowerSeries(tuple(shifted)),
+                              subject.quotient("plus", order))
 
     return run_check("orbit-series", subject.label, order, witnesses())
 
@@ -184,6 +189,12 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
     (b) the induced Coxeter element factors through the arm chains,
     (c) each arm factor moves the class of E with period exactly alpha_i,
     (d) the orbit sums reproduce 1 + deg D^(k) for both divisor patterns.
+
+    (d) reads the orbit sums P_k and Q_k = -P_{k+1} off the subject's walk
+    of (V_zero, E), with no walk of its own.  They equal the sums of the
+    class e of E on the quotient: u spans the radical, so projecting keeps
+    every pairing, and every reflection fixes u, so tau descends to tau_0;
+    hence <e, tau_0^l e> = <E, tau^l E> for every l.
     """
     def witnesses():
         lats = subject.lats
@@ -216,30 +227,12 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
                     break
             yield _value_witness(f"arm {arm_index} period on class of E", alpha, period, alpha)
 
-        pair_e = linear_map([rows_vec(nonzeros(quo.lattice.gram), e_bar)])
-        tau0_step = linear_map(tau0)
-        tau0_inv_step = linear_map(quo.induced(coxeter_inverse_matrix(lats.zero)))
-        forward = e_bar[:]          # tau_0^l e, starting at l = 0
-        fwd_sum = 0                 # sum_{l<k} <e, tau_0^l e>
-        backward = e_bar[:]         # tau_0^{-l} e
-        back_sum = 0                # sum_{1<=l<=k} <e, tau_0^{-l} e>
+        walk = subject.walk(k_max)
         for k in range(1, k_max + 1):
-            fwd_sum += pair_e(forward)[0]
-            forward = tau0_step(forward)
-            yield _value_witness(
-                "orbit sum == 1 + deg D_Fuchs",
-                k,
-                1 + fwd_sum,
-                1 + divisor_degree(inv, SingularityKind.FUCHSIAN, k),
-            )
-            backward = tau0_inv_step(backward)
-            back_sum += pair_e(backward)[0]
-            yield _value_witness(
-                "orbit sum == 1 + deg D_Klein",
-                k,
-                1 - back_sum,
-                1 + divisor_degree(inv, SingularityKind.KLEINIAN, k),
-            )
+            yield _value_witness("orbit sum == 1 + deg D_Fuchs", k, walk[k],
+                                 1 + divisor_degree(inv, SingularityKind.FUCHSIAN, k))
+            yield _value_witness("orbit sum == 1 + deg D_Klein", k, -walk[k + 1],
+                                 1 + divisor_degree(inv, SingularityKind.KLEINIAN, k))
 
     return run_check("orbit-formulas", subject.label, k_max, witnesses())
 

@@ -11,11 +11,21 @@ from hypothesis import strategies as st
 from coxlat import cli
 from coxlat.cli import MAX_ORDER, MAX_RANK, main
 
+from strategies import valid_stars
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_quiet(*argv):
+    """Exit code and standard output, for tests that hypothesis repeats."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
 
 
 class TestBuild:
@@ -65,20 +75,25 @@ class TestCharpoly:
         assert code == 2
         assert "NotARoot" in err
 
-    def test_json_round_trip(self, capsys, tmp_path):
+    @settings(max_examples=25, deadline=None)
+    @given(valid_stars(max_zero_rank=24))
+    def test_json_round_trip(self, inv):
         # build --format json re-ingested via --gram reproduces the char polys
-        code, out, _ = run_cli(capsys, "build", "--kleinian", "2,3,4", "--format", "json")
-        assert code == 0
-        built = json.loads(out)
-        code, out, _ = run_cli(capsys, "charpoly", "--kleinian", "2,3,4", "--format", "json")
-        assert code == 0
-        expected = json.loads(out)
-        for which in ("minus", "zero", "plus"):
-            path = tmp_path / f"{which}.json"
-            path.write_text(json.dumps(built[which]))
-            code, out, _ = run_cli(capsys, "charpoly", "--gram", str(path), "--format", "json")
+        with tempfile.TemporaryDirectory() as tmp:
+            source = Path(tmp) / "invariants.json"
+            source.write_text(json.dumps(inv.to_json()))
+            code, out = run_quiet("build", "--invariants", str(source), "--format", "json")
             assert code == 0
-            assert json.loads(out)["charpoly"] == expected[which]
+            built = json.loads(out)
+            code, out = run_quiet("charpoly", "--invariants", str(source), "--format", "json")
+            assert code == 0
+            expected = json.loads(out)
+            for which in ("minus", "zero", "plus"):
+                path = Path(tmp) / f"{which}.json"
+                path.write_text(json.dumps(built[which]))
+                code, out = run_quiet("charpoly", "--gram", str(path), "--format", "json")
+                assert code == 0
+                assert json.loads(out)["charpoly"] == expected[which]
 
 
 class TestPoincare:
@@ -127,6 +142,17 @@ class TestHilbert:
         assert code == 0
         assert "P:" not in out
         assert "Q: [1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1]" in out
+
+    @pytest.mark.parametrize("series", ["P", "Q", "both"])
+    def test_non_root_gram_names_highest_non_root(self, capsys, tmp_path, series):
+        # the root (the last vector) is fine; e1 and e3 are not roots, and the
+        # one walk behind every --series checks from the top index down
+        path = tmp_path / "two-non-roots.json"
+        path.write_text(json.dumps({"gram": [[-4, 1, 0, 0], [1, -2, 1, 0],
+                                             [0, 1, -3, 1], [0, 0, 1, -2]]}))
+        code, out, err = run_cli(capsys, "hilbert", "--gram", str(path), "--series", series)
+        assert (code, out) == (2, "")
+        assert err == "error: NotARoot: basis vector 'e3' has self-pairing -3, not -2\n"
 
 
 class TestVerify:

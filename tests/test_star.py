@@ -1,6 +1,8 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from coxlat.errors import NeitherKind, NotAStarLattice, UnknownName
 from coxlat.lattice import Lattice, mat_mul, mat_transpose, radical_basis
@@ -18,6 +20,8 @@ from coxlat.star import (
     kleinian_invariants,
     validate,
 )
+
+from strategies import valid_stars
 
 
 class TestValidate:
@@ -186,9 +190,13 @@ class TestJson:
         with pytest.raises(ValueError):
             invariants_from_json({"alpha": [2, 3, 7]})
 
-    def test_round_trip(self):
-        inv = catalog("E12")
-        assert invariants_from_json(inv.to_json()) == inv
+    @settings(max_examples=60, deadline=None)
+    @given(valid_stars())
+    def test_round_trip(self, inv):
+        assert invariants_from_json(json.loads(json.dumps(inv.to_json()))) == inv
+        lats = build(inv)
+        for lat in (lats.minus, lats.zero, lats.plus):
+            assert Lattice.from_json(json.loads(json.dumps(lat.to_json()))) == lat
 
 
 class TestDecode:

@@ -1,16 +1,14 @@
 import random
 from itertools import accumulate
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxlat.errors import NeitherKind
 from coxlat.lattice import Lattice, coxeter_inverse_matrix, coxeter_matrix
 from coxlat.series import RootedLattice, hilbert_P, hilbert_Q, poincare_direct
 from coxlat.star import (
     SingularityKind,
     build,
-    classify_alphas,
     fuchsian_invariants,
     kleinian_invariants,
     lattices_from_minus,
@@ -30,6 +28,7 @@ from coxlat.verify import (
 )
 
 from oracles import mat_mul_naive, matrix_order
+from strategies import root_lattices, valid_stars
 
 E8 = kleinian_invariants((2, 3, 5))
 E12 = fuchsian_invariants((2, 3, 7))
@@ -86,26 +85,6 @@ def test_flipped_minus_entry_fails_with_witness(data):
             assert set(report.witness) == {"identity", "index", "expected", "got"}
 
 
-@st.composite
-def valid_stars(draw, max_zero_rank=40):
-    """Kleinian or genus-0 Fuchsian invariants whose V_zero has rank at most
-    max_zero_rank, that is sum (alpha_i - 1) <= max_zero_rank - 2."""
-    budget = max_zero_rank - 2
-    alphas = []
-    for _ in range(draw(st.integers(0, 6))):
-        if budget < 1:
-            break
-        alphas.append(draw(st.integers(2, budget + 1)))
-        budget -= alphas[-1] - 1
-    try:
-        kind = classify_alphas(alphas)
-    except NeitherKind:
-        assume(False)
-    if kind is SingularityKind.KLEINIAN:
-        return kleinian_invariants(alphas)
-    return fuchsian_invariants(alphas)
-
-
 def naive_orbit_pairings(lat, tau, a, count):
     """<a, tau^l a> for l = 0..count-1, stepping with the triple-loop product."""
     out, v = [], [[x] for x in a]
@@ -125,6 +104,15 @@ def test_random_valid_stars_all_routes_agree(inv):
     backward = naive_orbit_pairings(lats.zero, coxeter_inverse_matrix(lats.zero), rl.root, 61)
     assert hilbert_P(rl, 60).coeffs == tuple(accumulate(forward, initial=1))
     assert hilbert_Q(rl, 60).coeffs == tuple(accumulate((-x for x in backward[1:]), initial=1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(root_lattices(), st.data())
+def test_q_read_off_p_matches_inverse_walk(lat, data):
+    """Q_k = -P_{k+1} off the stars, against the naive tau^-1 pairings."""
+    rl = RootedLattice.at_basis_index(lat, data.draw(st.integers(0, lat.rank - 1)))
+    backward = naive_orbit_pairings(lat, coxeter_inverse_matrix(lat), rl.root, 31)
+    assert hilbert_Q(rl, 30).coeffs == tuple(accumulate((-x for x in backward[1:]), initial=1))
 
 
 class TestTheorem:
