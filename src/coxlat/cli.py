@@ -9,6 +9,7 @@ internal error: only a failed check exits 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -41,12 +42,15 @@ from .verify import (
 from .exact import series_from_rational  # noqa: F401
 from .series import hilbert_Q  # noqa: F401
 
-# Largest accepted rank of V_plus and series order.  On a 2-vCPU host,
-# `verify` at order 200 takes 2.1 to 2.3 s on D250 (rank 252) and 6.0 to 6.2 s
-# on a star of sixty short arms (rank 222), whose tau_minus fills in so that
-# Berkowitz grows as rank^4; the one orbit walk grows linearly in the order.
+# Largest accepted rank of V_plus, series order and count of random inputs.
+# On a 2-vCPU host, `verify` at order 200 takes 1.8 to 2.2 s on D250 (rank 252)
+# and 2.2 to 3.0 s on a star of sixty short arms (rank 222), mostly in the
+# dense products over arm factors and the determinant of tau, which grow as
+# rank^3; the one orbit walk grows linearly in the order.  `verify --all
+# --random 500` at order 200 takes 8.5 to 10 s.
 MAX_RANK = 300
 MAX_ORDER = 10000
+MAX_RANDOM = 500
 
 
 def _parse_alphas(text: str):
@@ -273,7 +277,9 @@ def cmd_catalog(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="coxlat",
         description="Exact star-lattice Coxeter elements and Poincare series",
@@ -334,6 +340,9 @@ def main(argv=None) -> int:
         order = getattr(args, "order", 0)
         if order > MAX_ORDER:
             raise TooLarge(f"--order {order} is above the limit {MAX_ORDER}")
+        count = getattr(args, "random", 0)
+        if count > MAX_RANDOM:
+            raise TooLarge(f"--random {count} is above the limit {MAX_RANDOM}")
         return args.handler(args)
     except CoxlatError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -27,6 +27,26 @@ def poly_trim(coeffs: Iterable[int]) -> Poly:
     return out
 
 
+def poly_mul(p: Sequence[int], q: Sequence[int]) -> Poly:
+    """p * q, visiting only the nonzero coefficients of p."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q, i):
+                out[j] += a * b
+    return poly_trim(out)
+
+
+def poly_add(p: Sequence[int], q: Sequence[int], scale: int = 1, shift: int = 0) -> Poly:
+    """p + scale * t^shift * q."""
+    out = list(p) + [0] * max(0, len(q) + shift - len(p))
+    for i, c in enumerate(q, shift):
+        out[i] += scale * c
+    return poly_trim(out)
+
+
 def poly_to_string(p: Sequence[int]) -> str:
     """Signed monomials, highest degree first, e.g. ``t^2 - 2*t + 1``."""
     if not p:

@@ -19,6 +19,12 @@ caller with ``linear_map(m)`` into a straight-line function v -> m v,
 which runs about 3.5 times faster than ``rows_vec`` but costs about half a
 millisecond to build.  A matrix applied only a few times (Berkowitz
 blocks, an arm-period loop, a projection) stays on ``rows_vec``.
+
+Characteristic polynomials come two ways.  ``star_char_poly`` reads
+det(t*I - tau) = det(t*A + A^t) off a star Gram by eliminating its arm
+chains onto the core, in O(rank * sum of chain lengths) small-integer
+steps and without building tau.  ``char_poly`` is Berkowitz on any
+matrix; it serves Grams outside the star shape.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CoxlatError, NotARoot, NotUnitriangular
+from .exact import Poly, poly_add, poly_mul, poly_trim
 
 Matrix = list  # list[list[int]], rows
 Vector = list  # list[int]
@@ -105,6 +112,14 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
+def _frozen_rows(m) -> tuple:
+    """m as a tuple of row tuples.  Each tuple is built from a list, at its
+    final size: a tuple built from a generator is allocated at a guessed
+    size and resized, so CPython frees it to the free list of another size,
+    and those lists then fill up between full garbage collections."""
+    return tuple([tuple(row) for row in m])
+
+
 def mat_transpose(m: Matrix) -> Matrix:
     return [list(col) for col in zip(*m)]
 
@@ -151,7 +166,7 @@ class Lattice:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "gram", tuple(tuple(row) for row in self.gram))
+        object.__setattr__(self, "gram", _frozen_rows(self.gram))
         n = len(self.gram)
         if len(self.labels) != n:
             raise ValueError("label count does not match Gram size")
@@ -193,7 +208,7 @@ class Lattice:
         labels = obj.get("labels") or [f"e{i + 1}" for i in range(len(gram))]
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise CoxlatError("'labels' must be a list of strings")
-        return cls(tuple(labels), tuple(tuple(row) for row in gram))
+        return cls(labels, gram)
 
 
 def json_ints(value, what: str) -> list:
@@ -333,6 +348,85 @@ def char_poly(m: Matrix) -> list:
     return p
 
 
+_MAX_CORE = 3  # E, E-u, u-w
+
+
+def _poly_det(m: list) -> Poly:
+    """Determinant of a small matrix of polynomials, by Laplace expansion."""
+    if not m:
+        return [1]
+    out = []
+    for j, x in enumerate(m[0]):
+        if x:
+            minor = [row[:j] + row[j + 1:] for row in m[1:]]
+            out = poly_add(out, poly_mul(x, _poly_det(minor)), (-1) ** j)
+    return out
+
+
+def star_char_poly(lat: Lattice, center: int):
+    """det(t*I - tau) of a star by eliminating its chains onto the core, or
+    None for a Gram outside that shape.
+
+    A is unitriangular, so det(t*I - tau) = det(t*A + A^t), a matrix with
+    1 + t on the diagonal, -t*g_ij above it and -g_ij below.  The core is
+    the at most three vertices from ``center`` on.  The vertices before it
+    must form chains in basis order (every pairing among them joins i and
+    i + 1), each touching the core only at its last vertex.  A chain R has the
+    continuant f_R of its block, f_k = (1+t) f_{k-1} - t g_{k-1,k}^2 f_{k-2},
+    and h_R, the same without its last vertex.  With K the core block and
+    v_R the pairings of R's last vertex with the core, the Schur complement
+    and the matrix determinant lemma give
+
+        Delta = det K prod f_R - t sum_R (v_R^t adj(K) v_R) h_R prod_{R' != R} f_R'
+
+    exactly when the v_R are pairwise parallel, which extend_star ensures.
+    One running pass builds the sum in O(rank * sum of chain lengths) steps.
+    """
+    n = lat.rank
+    gram = lat.gram
+    if not 0 <= center <= n or n - center > _MAX_CORE:
+        return None
+    if any(gram[i][i] != -2 for i in range(n)):
+        return None  # not a root lattice; the reflection product says where
+    chains = []
+    start = 0
+    for i in range(center):
+        if any(gram[i][i + 2:center]):
+            return None
+        if i + 1 == center or not gram[i][i + 1]:
+            if any(any(gram[k][center:]) for k in range(start, i)):
+                return None
+            chains.append((start, i + 1))
+            start = i + 1
+    ends = [tuple(gram[stop - 1][center:]) for _, stop in chains]
+    ref = next((v for v in ends if any(v)), None)
+    if ref is not None and any(v[p] * ref[q] != v[q] * ref[p]
+                               for v in ends for p in range(len(v)) for q in range(p)):
+        return None
+
+    core = range(center, n)
+    block = [[[1, 1] if p == q else poly_trim([0, -gram[p][q]]) if p < q else poly_trim([-gram[p][q]])
+              for q in core] for p in core]
+    det_k = _poly_det(block)
+    weights = {}  # v -> v^t adj(K) v = det(K + v v^t) - det K
+
+    prod, acc = [1], []
+    for (start, stop), v in zip(chains, ends):
+        h, f = [], [1]
+        for i in range(start, stop):
+            g2 = gram[i - 1][i] ** 2 if i > start else 0
+            h, f = f, poly_add(poly_mul([1, 1], f), h, -g2, 1)
+        acc = poly_mul(acc, f)
+        if any(v):
+            if v not in weights:
+                bumped = [[poly_add(x, [v[p] * v[q]]) for q, x in enumerate(row)]
+                          for p, row in enumerate(block)]
+                weights[v] = poly_add(_poly_det(bumped), det_k, -1)
+            acc = poly_add(acc, poly_mul(weights[v], poly_mul(h, prod)))
+        prod = poly_mul(prod, f)
+    return poly_add(poly_mul(det_k, prod), acc, -1, 1)
+
+
 # ---------------------------------------------------------------------------
 # radical and quotient
 
@@ -438,11 +532,10 @@ def quotient_by_radical(lat: Lattice) -> RadicalQuotient:
     n = lat.rank
     u, uinv, rank = _kernel_transform(lat.gram_rows())
     if rank == n:
-        ident = tuple(tuple(row) for row in identity_matrix(n))
+        ident = _frozen_rows(identity_matrix(n))
         return RadicalQuotient(lat, ident, ident)
     lift = [[u[r][c] for c in range(rank)] for r in range(n)]
     projection = [uinv[r][:] for r in range(rank)]
     gram = mat_mul(mat_transpose(lift), mat_mul(lat.gram, lift))
-    labels = tuple(f"q{i + 1}" for i in range(rank))
-    quot = Lattice(labels, tuple(tuple(row) for row in gram))
-    return RadicalQuotient(quot, tuple(tuple(r) for r in projection), tuple(tuple(r) for r in lift))
+    quot = Lattice([f"q{i + 1}" for i in range(rank)], gram)
+    return RadicalQuotient(quot, _frozen_rows(projection), _frozen_rows(lift))

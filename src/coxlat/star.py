@@ -198,7 +198,7 @@ def star_minus_lattice(alphas: Sequence[int]):
         for i in range(start, stop - 1):
             gram[i][i + 1] = gram[i + 1][i] = 1
         gram[stop - 1][center] = gram[center][stop - 1] = 1
-    return Lattice(tuple(labels), tuple(tuple(row) for row in gram)), tuple(arms), center
+    return Lattice(labels, gram), tuple(arms), center
 
 
 def extend_star(minus: Lattice):
@@ -215,7 +215,7 @@ def extend_star(minus: Lattice):
     f_row = e_row + [-2]
     f_row[center] = -2
     zero_gram.append(f_row)
-    zero = Lattice(minus.labels + ("E-u",), tuple(tuple(r) for r in zero_gram))
+    zero = Lattice(minus.labels + ("E-u",), zero_gram)
 
     plus_gram = [list(row) + [0] for row in zero_gram]
     h_row = [0] * (n + 2)
@@ -223,7 +223,7 @@ def extend_star(minus: Lattice):
     h_row[n + 1] = -2
     plus_gram[n][n + 1] = 1
     plus_gram.append(h_row)
-    plus = Lattice(zero.labels + ("u-w",), tuple(tuple(r) for r in plus_gram))
+    plus = Lattice(zero.labels + ("u-w",), plus_gram)
     return zero, plus
 
 

@@ -17,8 +17,10 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
-from .exact import PowerSeries, series_equal, series_from_rational
+from .errors import NotAStarLattice
+from .exact import PowerSeries, poly_add, poly_mul, series_equal, series_from_rational
 from .lattice import (
     asym_form_matrix,
     char_poly,
@@ -34,6 +36,7 @@ from .lattice import (
     reflection_matrix,
     reflection_product,
     rows_vec,
+    star_char_poly,
 )
 from .series import RootedLattice, divisor_degree, hilbert_P, p_and_q, poincare_direct
 # Not called here; perfbench/spans.py wraps these bindings by attribute.
@@ -46,6 +49,7 @@ from .star import (
     build,
     catalog,
     catalog_names,
+    decode_star,
     fuchsian_invariants,
     validate,
 )
@@ -93,7 +97,11 @@ def subject_of(inv: OrbitInvariants, kind: SingularityKind) -> str:
 class Subject:
     """One input's star lattices and label, and what the checks and commands
     share: tau and Delta of each lattice, the orbit walk of (V_zero, E) and
-    each Delta quotient, each computed at most once per lattice or order."""
+    each Delta quotient, each computed at most once per lattice or order.
+
+    Delta comes from the Gram by chain elimination (star_char_poly), so it
+    needs no tau; only a Gram outside the star shape falls back to
+    Berkowitz on tau."""
 
     def __init__(self, lats: StarLattices, label: str | None = None):
         self.lats = lats
@@ -109,7 +117,11 @@ class Subject:
         return self._once(("coxeter", which), lambda: coxeter_matrix(getattr(self.lats, which)))
 
     def delta(self, which: str):
-        return self._once(("delta", which), lambda: char_poly(self.coxeter(which)))
+        def compute():
+            delta = star_char_poly(getattr(self.lats, which), self.lats.center)
+            return char_poly(self.coxeter(which)) if delta is None else delta
+
+        return self._once(("delta", which), compute)
 
     def walk(self, order: int) -> PowerSeries:
         """P of (V_zero, E) to order + 1, which holds P and Q to order."""
@@ -142,6 +154,33 @@ def _value_witness(identity: str, index, got, expected):
     if got == expected:
         return None
     return {"identity": identity, "index": index, "expected": expected, "got": got}
+
+
+def _poly_witness(identity: str, got, expected):
+    for k, (x, y) in enumerate(zip_longest(got, expected, fillvalue=0)):
+        if x != y:
+            return {"identity": identity, "index": k, "expected": y, "got": x}
+    return None
+
+
+def _closed_form_deltas(alphas) -> dict:
+    """Delta_minus, Delta_zero and Delta_plus of the star with these arms,
+    from the arms alone.  With [m] = 1 + t + ... + t^(m-1):
+
+        Delta_minus = (1+t) prod [a_i] - t sum_j [a_j - 1] prod_{i != j} [a_i]
+        Delta_zero  = (1-t)^2 prod [a_i]
+        Delta_plus  = (1+t) Delta_zero - t Delta_minus
+
+    The sum is built in one pass over the arms, as in star_char_poly.
+    """
+    prod, acc = [1], []
+    for a in alphas:
+        acc = poly_add(poly_mul(acc, [1] * a), poly_mul([1] * (a - 1), prod))
+        prod = poly_mul(prod, [1] * a)
+    minus = poly_add(poly_mul([1, 1], prod), acc, -1, 1)
+    zero = poly_mul([1, -2, 1], prod)
+    return {"minus": minus, "zero": zero,
+            "plus": poly_add(poly_mul([1, 1], zero), minus, -1, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +304,17 @@ def check_identities(subject: Subject) -> VerificationReport:
         if not (len(rad) == 1 and (rad[0] == u or rad[0] == [-x for x in u])):
             yield {"identity": "radical of V_zero is rank 1 spanned by u",
                    "index": len(rad), "expected": u, "got": rad}
+
+        # The closed forms are those of the star of the invariants.  A V_minus
+        # that is not that star (an edited Gram) fails the theorem check instead.
+        try:
+            star_arms = sorted(decode_star(lats.minus)[0])
+        except NotAStarLattice:
+            star_arms = None
+        if star_arms == list(lats.invariants.alphas):
+            for which, closed in _closed_form_deltas(star_arms).items():
+                yield _poly_witness(f"char poly of {which} == closed form",
+                                    subject.delta(which), closed)
 
     return run_check("identities", subject.label, 0, witnesses())
 

@@ -151,3 +151,38 @@ def series_mul_poly(coeffs, p):
         for k in range(j, n + 1):
             out[k] += c * coeffs[k - j]
     return tuple(out)
+
+
+def star_deltas(alphas):
+    """Delta_minus, Delta_zero and Delta_plus of the star with these arms, from
+    the closed forms with [m] = 1 + t + ... + t^(m-1):
+
+        Delta_minus = (1+t) prod [a_i] - t sum_j [a_j - 1] prod_{i != j} [a_i]
+        Delta_zero  = (1-t)^2 prod [a_i]
+        Delta_plus  = (1+t) Delta_zero - t Delta_minus
+
+    Arms of one length share their term of the sum, so a star of many equal
+    arms costs one product per distinct length.
+    """
+    def product(lengths):
+        out = [1]
+        for a in lengths:
+            out = conv(out, [1] * a)
+        return out
+
+    def add(p, q, scale=1, shift=0):
+        out = list(p) + [0] * max(0, len(q) + shift - len(p))
+        for k, c in enumerate(q):
+            out[k + shift] += scale * c
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    arm_sum = []
+    for a in set(alphas):
+        others = list(alphas)
+        others.remove(a)
+        arm_sum = add(arm_sum, conv([alphas.count(a)] * (a - 1), product(others)))
+    minus = add(conv([1, 1], product(alphas)), arm_sum, -1, 1)
+    zero = conv([1, -2, 1], product(alphas))
+    return {"minus": minus, "zero": zero, "plus": add(conv([1, 1], zero), minus, -1, 1)}

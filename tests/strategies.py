@@ -38,3 +38,36 @@ def root_lattices(draw, max_rank=9):
         for j in range(i):
             gram[i][j] = gram[j][i] = draw(st.integers(-3, 2))
     return Lattice(tuple(f"e{i + 1}" for i in range(n)), tuple(map(tuple, gram)))
+
+
+@st.composite
+def chain_grams(draw, max_rank=12):
+    """(lattice, center): roots whose vertices before center form chains with
+    pairings in -3..3, each chain touching a core of at most three vertices
+    only at its last vertex.  In half of the draws every chain end pairs
+    with the core along one direction; in the other half each end draws
+    its own pairings, so the ends are often not parallel."""
+    core = draw(st.integers(0, 3))
+    n = draw(st.integers(core, max_rank))
+    center = n - core
+    entry = st.integers(-3, 3)
+    gram = [[-2] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            gram[i][j] = gram[j][i] = 0
+    for i in range(center, n):
+        for j in range(center, i):
+            gram[i][j] = gram[j][i] = draw(entry)
+    direction = draw(st.lists(entry, min_size=core, max_size=core))
+    skew = draw(st.booleans())
+    for i in range(center):
+        link = draw(entry) if i + 1 < center else 0
+        if i + 1 < center:
+            gram[i][i + 1] = gram[i + 1][i] = link
+        if not link:  # i ends a chain
+            scale = draw(entry)
+            v = draw(st.lists(entry, min_size=core, max_size=core)) if skew else [
+                scale * x for x in direction]
+            for p, x in enumerate(v, center):
+                gram[i][p] = gram[p][i] = x
+    return Lattice(tuple(f"e{i + 1}" for i in range(n)), tuple(map(tuple, gram))), center

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxlat import cli
-from coxlat.cli import MAX_ORDER, MAX_RANK, main
+from coxlat.cli import MAX_ORDER, MAX_RANDOM, MAX_RANK, main
 
 from strategies import valid_stars
 
@@ -266,6 +266,7 @@ class TestCatalog:
     ("poincare", "--invariants", {"kind": "kleinian", "alpha": [2, 2, MAX_RANK]}),
     ("hilbert", "--gram", {"gram": [[0]] * (MAX_RANK - 1)}),
     ("verify", "--all", "--order", str(MAX_ORDER + 1)),
+    ("verify", "--all", "--random", str(MAX_RANDOM + 1)),
     ("hilbert", "--name", "E8", "--order", str(MAX_ORDER + 1)),
 ])
 def test_over_size_limit_exits_2(capsys, tmp_path, argv):

@@ -22,6 +22,7 @@ from coxlat.lattice import (
     radical_basis,
     reflection_matrix,
     rows_vec,
+    star_char_poly,
 )
 from coxlat.star import build, catalog, catalog_names, kleinian_invariants
 
@@ -32,6 +33,7 @@ from oracles import (
     mat_mul_naive,
     matrix_order,
 )
+from strategies import chain_grams, valid_stars
 
 A2 = Lattice(("e1", "e2"), ((-2, 1), (1, -2)))
 RANK1 = Lattice(("e",), ((-2,),))
@@ -382,3 +384,32 @@ def test_quotient_gram_matches_pairings_on_degenerate_grams(gram):
     quo = quotient_by_radical(lat)
     assert quo.lattice.rank < lat.rank
     assert [list(r) for r in quo.lattice.gram] == gram_by_pairings(lat.gram, quo.lift)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_stars())
+def test_chain_elimination_matches_berkowitz_on_stars(inv):
+    lats = build(inv)
+    for lat in (lats.minus, lats.zero, lats.plus):
+        assert star_char_poly(lat, lats.center) == char_poly(coxeter_matrix(lat))
+
+
+def ends_parallel(lat, center):
+    """Whether the pairings of the chain ends with the core are pairwise parallel."""
+    ends = [lat.gram[i][center:] for i in range(center)
+            if i + 1 == center or not lat.gram[i][i + 1]]
+    return all(v[p] * w[q] == v[q] * w[p]
+               for v in ends for w in ends for p in range(len(v)) for q in range(len(v)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_grams())
+def test_chain_elimination_on_chain_grams(case):
+    """Off the stars: any chain pairings, any core of at most three vertices.
+    Elimination answers exactly when the chain ends are parallel, and then
+    agrees with Berkowitz."""
+    lat, center = case
+    delta = star_char_poly(lat, center)
+    assert (delta is not None) == ends_parallel(lat, center)
+    if delta is not None:
+        assert delta == char_poly(coxeter_matrix(lat))

@@ -1,10 +1,17 @@
 import random
 from itertools import accumulate
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxlat.lattice import Lattice, coxeter_inverse_matrix, coxeter_matrix
+from coxlat.lattice import (
+    Lattice,
+    char_poly,
+    coxeter_inverse_matrix,
+    coxeter_matrix,
+    star_char_poly,
+)
 from coxlat.series import RootedLattice, hilbert_P, hilbert_Q, poincare_direct
 from coxlat.star import (
     SingularityKind,
@@ -27,20 +34,26 @@ from coxlat.verify import (
     verify_lattices,
 )
 
-from oracles import mat_mul_naive, matrix_order
+from oracles import mat_mul_naive, matrix_order, star_deltas
 from strategies import root_lattices, valid_stars
 
 E8 = kleinian_invariants((2, 3, 5))
 E12 = fuchsian_invariants((2, 3, 7))
 
 
-def broken_e8_lattices():
-    """E8 star with one arm edge deleted, extensions rebuilt on top."""
-    lats = build(E8)
+def flipped_lattices(inv, i, j):
+    """The star of inv with its V_minus entry (i, j) flipped between 0 and 1,
+    extensions rebuilt on top."""
+    lats = build(inv)
     g = lats.minus.gram_rows()
-    g[4][5] = g[5][4] = 0
-    bad_minus = Lattice(lats.minus.labels, tuple(tuple(r) for r in g))
-    return lattices_from_minus(bad_minus, lats.invariants, lats.kind, lats.arms, lats.center)
+    g[i][j] = g[j][i] = 1 - g[i][j]
+    bad_minus = Lattice(lats.minus.labels, tuple(map(tuple, g)))
+    return lattices_from_minus(bad_minus, inv, lats.kind, lats.arms, lats.center)
+
+
+def broken_e8_lattices():
+    """E8 star with one arm edge deleted."""
+    return flipped_lattices(E8, 4, 5)
 
 
 def test_run_check_stops_at_first_witness():
@@ -61,20 +74,20 @@ def test_run_check_stops_at_first_witness():
 FLIP_INPUTS = [inv for _, inv in suite_inputs() if inv.alphas]
 
 
+def draw_entry(data, inv):
+    """An off-diagonal position (i, j), i < j, of the V_minus Gram of inv."""
+    j = data.draw(st.integers(1, sum(a - 1 for a in inv.alphas)))
+    return data.draw(st.integers(0, j - 1)), j
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_flipped_minus_entry_fails_with_witness(data):
     """One off-diagonal V_minus Gram entry flipped between 0 and 1 breaks the
     theorem, and every failing check names where."""
     inv = data.draw(st.sampled_from(FLIP_INPUTS))
-    lats = build(inv)
-    j = data.draw(st.integers(1, lats.minus.rank - 1))
-    i = data.draw(st.integers(0, j - 1))
-    g = lats.minus.gram_rows()
-    g[i][j] = g[j][i] = 1 - g[i][j]
-    bad_minus = Lattice(lats.minus.labels, tuple(map(tuple, g)))
-    bad = lattices_from_minus(bad_minus, inv, lats.kind, lats.arms, lats.center)
-    reports = verify_lattices(bad, 60)
+    lats = flipped_lattices(inv, *draw_entry(data, inv))
+    reports = verify_lattices(lats, 60)
     theorem = reports[0]
     assert theorem.check == "theorem" and not theorem.passed
     w = theorem.witness
@@ -83,6 +96,41 @@ def test_flipped_minus_entry_fails_with_witness(data):
         assert report.passed == (report.witness is None)
         if not report.passed:
             assert set(report.witness) == {"identity", "index", "expected", "got"}
+
+
+def assert_delta_is_berkowitz(lats):
+    subject = Subject(lats)
+    for which in ("minus", "zero", "plus"):
+        assert subject.delta(which) == char_poly(coxeter_matrix(getattr(lats, which)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_delta_matches_berkowitz_on_flipped_grams(data):
+    inv = data.draw(st.sampled_from(FLIP_INPUTS))
+    assert_delta_is_berkowitz(flipped_lattices(inv, *draw_entry(data, inv)))
+
+
+# E8's V_minus basis: arms {0}, {1, 2}, {3, 4, 5, 6}, then E at 7
+@pytest.mark.parametrize("i, j, eliminated", [
+    (4, 5, True),    # an arm edge deleted: the arm splits, one piece off the core
+    (0, 7, True),    # an arm detached from E
+    (3, 7, False),   # an interior arm vertex joined to E
+    (0, 2, False),   # two vertices that are not neighbours joined
+])
+def test_delta_branches_on_edited_e8(i, j, eliminated):
+    """Subject.delta eliminates chains where the Gram keeps the chain shape
+    and falls back to Berkowitz on tau where it does not; both agree."""
+    lats = flipped_lattices(E8, i, j)
+    for lat in (lats.minus, lats.zero, lats.plus):
+        assert (star_char_poly(lat, lats.center) is not None) == eliminated
+    assert_delta_is_berkowitz(lats)
+
+
+def test_many_arm_star_minus_delta_is_closed_form():
+    """Sixty short arms fill tau_minus in; elimination never builds it."""
+    alphas = (3,) * 60 + (100,)
+    assert Subject(build(fuchsian_invariants(alphas))).delta("minus") == star_deltas(alphas)["minus"]
 
 
 def naive_orbit_pairings(lat, tau, a, count):
