@@ -43,12 +43,18 @@ from .exact import series_from_rational  # noqa: F401
 from .series import hilbert_Q  # noqa: F401
 
 # Largest accepted rank of V_plus, series order and count of random inputs.
-# On a 2-vCPU host, `verify` at order 200 takes 1.8 to 2.2 s on D250 (rank 252)
-# and 2.2 to 3.0 s on a star of sixty short arms (rank 222), mostly in the
-# dense products over arm factors and the determinant of tau, which grow as
-# rank^3; the one orbit walk grows linearly in the order.  `verify --all
-# --random 500` at order 200 takes 8.5 to 10 s.
-MAX_RANK = 300
+# On a 2-vCPU host at rank 900, `verify` at order 200 takes 4.3 s on D898
+# and 4.6 to 5.2 s on the Fuchsian star of 299 arms with alpha = 3 and one
+# with alpha = 300; `poincare` at order 10000 takes 3.3 s on that star.
+# Every step on a star grows about as rank^2: the columns of each tau from
+# its reflection word, the form solve -A^-1 A^t, the chain elimination and
+# the radical; the one orbit walk grows linearly in the order.  A --gram
+# input may be any root lattice, so its rank keeps the earlier limit:
+# Berkowitz on a tau that fills in grows as rank^4, and compiling the walk
+# of a dense Gram takes about 120 MB at rank 300.  `verify --all --random
+# 500` at order 200 takes 5.3 s.
+MAX_RANK = 900
+MAX_GRAM_RANK = 300
 MAX_ORDER = 10000
 MAX_RANDOM = 500
 
@@ -98,25 +104,26 @@ def _load_invariants(args):
     return None
 
 
-def _refuse_rank(rank_plus: int):
-    if rank_plus > MAX_RANK:
-        raise TooLarge(f"V_plus would have rank {rank_plus}, above the limit {MAX_RANK}")
+def _refuse_rank(rank_plus: int, limit: int):
+    if rank_plus > limit:
+        raise TooLarge(f"V_plus would have rank {rank_plus}, above the limit {limit}")
 
 
 def _load_input(args):
     """The input of any route: (invariants, None), or (None, lattice) for --gram.
 
     The rank of V_plus is read off the ramification indices or the Gram row
-    count and refused over MAX_RANK before any matrix is built.
+    count and refused over MAX_RANK, or MAX_GRAM_RANK for a Gram, before any
+    matrix is built.
     """
     inv = _load_invariants(args)
     if inv is not None:
-        _refuse_rank(sum(a - 1 for a in inv.alphas) + 3)
+        _refuse_rank(sum(a - 1 for a in inv.alphas) + 3, MAX_RANK)
         return inv, None
     with open(args.gram, encoding="utf-8") as handle:
         obj = json.load(handle)
     if isinstance(obj, dict) and isinstance(obj.get("gram"), list):
-        _refuse_rank(len(obj["gram"]) + 2)
+        _refuse_rank(len(obj["gram"]) + 2, MAX_GRAM_RANK)
     return None, Lattice.from_json(obj)
 
 

@@ -7,18 +7,21 @@ the basis is the product of the reflections in basis order, rightmost
 factor acting first.  All matrices act on column coordinate vectors and
 everything is exact integer arithmetic on plain lists.
 
-The Grams, Coxeter elements and radical projections of star lattices
-have two to four nonzero entries per row, so the kernels work on nonzero
-rows: ``nonzeros(m)`` lists each row of m as its (column, entry) pairs
-with entry != 0, and a product visits only those pairs.  ``rows_vec``
-applies such rows to a vector, ``mat_mul`` combines the nonzero rows of
-its right factor, and Berkowitz reads its blocks from them.
+The Grams of star lattices have two to four nonzero entries per row, so
+the kernels work on nonzero rows: ``nonzeros(m)`` lists each row of m as
+its (column, entry) pairs with entry != 0, and a product visits only
+those pairs.  ``rows_vec`` applies such rows to a vector, ``mat_mul``
+combines the nonzero rows of its right factor, and Berkowitz reads its
+blocks from them.
 
-A matrix that a walk applies once per coefficient is compiled once by its
-caller with ``linear_map(m)`` into a straight-line function v -> m v,
-which runs about 3.5 times faster than ``rows_vec`` but costs about half a
-millisecond to build.  A matrix applied only a few times (Berkowitz
-blocks, an arm-period loop, a projection) stays on ``rows_vec``.
+A Coxeter element acts matrix-free, as its reflection word:
+``reflection_word`` lists the factors, rightmost first, and each rewrites
+one coordinate in place, v[i] = -v[i] + sum_{j != i} g_ij v[j], so one
+application costs O(nnz(Gram)) even where the product tau fills in.
+``apply_word`` interprets a word, for the few applications of an arm
+period or the rank-many columns of tau; ``compile_word`` turns it once
+into straight-line statements for an orbit walk, which applies it once per
+coefficient and runs about three times faster per step.
 
 Characteristic polynomials come two ways.  ``star_char_poly`` reads
 det(t*I - tau) = det(t*A + A^t) off a star Gram by eliminating its arm
@@ -61,39 +64,6 @@ def rows_vec(rows: list, v: Sequence[int]) -> Vector:
             total += x * v[j]
         out.append(total)
     return out
-
-
-_CHUNK = 64  # terms per parenthesised sum; long chains overflow the compiler
-
-
-def _sum_source(terms: list) -> str:
-    """One expression for the sum of terms that each begin with + or -,
-    nested so that no chain has more than _CHUNK terms."""
-    while len(terms) > _CHUNK:
-        terms = ["+(" + "".join(terms[i:i + _CHUNK]).removeprefix("+") + ")"
-                 for i in range(0, len(terms), _CHUNK)]
-    return "".join(terms).removeprefix("+") or "0"
-
-
-def linear_map(m: Matrix):
-    """The function v -> m v, compiled once into one list display of row
-    sums that reads only v[j].  Entries other than +-1 are written as hex
-    literals, which have no digit limit; any entry whose type is not int
-    raises TypeError, so only integers reach the source text."""
-    rows = []
-    for row in m:
-        terms = []
-        for j, x in enumerate(row):
-            if type(x) is not int:
-                raise TypeError(f"linear_map needs int entries, got {type(x).__name__} {x!r}")
-            if x == 1:
-                terms.append(f"+v[{j}]")
-            elif x == -1:
-                terms.append(f"-v[{j}]")
-            elif x:
-                terms.append(f"{x:+#x}*v[{j}]")
-        rows.append(_sum_source(terms))
-    return eval(compile(f"lambda v: [{', '.join(rows)}]", "<linear_map>", "eval"), {})
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -237,24 +207,9 @@ def reflection_matrix(lat: Lattice, i: int) -> Matrix:
 
 
 def reflection_product(lat: Lattice, indices: Sequence[int]) -> Matrix:
-    """Product s_{e_{i1}} ... s_{e_{ik}}, rightmost reflection acting first.
-
-    Left-multiplying an accumulator by s_{e_i} only rewrites its row i,
-    so the whole product costs O(k n^2).
-    """
-    n = lat.rank
-    out = identity_matrix(n)
-    for i in reversed(indices):
-        lat.require_root(i)
-        grow = lat.gram[i]
-        new_row = out[i][:]
-        for j, g in enumerate(grow):
-            if g:
-                row_j = out[j]
-                for c in range(n):
-                    new_row[c] += g * row_j[c]
-        out[i] = new_row
-    return out
+    """Product s_{e_{i1}} ... s_{e_{ik}}, rightmost reflection acting first,
+    as the transpose of the columns of its word."""
+    return mat_transpose(word_columns(reflection_word(lat, indices), lat.rank))
 
 
 def coxeter_matrix(lat: Lattice) -> Matrix:
@@ -265,6 +220,70 @@ def coxeter_matrix(lat: Lattice) -> Matrix:
 def coxeter_inverse_matrix(lat: Lattice) -> Matrix:
     """Inverse Coxeter element: the same reflections in reversed order."""
     return reflection_product(lat, range(lat.rank - 1, -1, -1))
+
+
+_CHUNK = 64  # terms per parenthesised sum; long chains overflow the compiler
+
+
+def _sum_source(terms: list) -> str:
+    """One expression for the sum of terms that each begin with + or -,
+    nested so that no chain has more than _CHUNK terms."""
+    while len(terms) > _CHUNK:
+        terms = ["+(" + "".join(terms[i:i + _CHUNK]).removeprefix("+") + ")"
+                 for i in range(0, len(terms), _CHUNK)]
+    return "".join(terms).removeprefix("+") or "0"
+
+
+def reflection_word(lat: Lattice, indices: Sequence[int]) -> tuple:
+    """The word s_{e_{i1}} ... s_{e_{ik}} as its steps, rightmost first.
+
+    Step (i, pairs) is s_{e_i}(v) = v + <v, e_i> e_i for the root e_i: it
+    rewrites v[i] = -v[i] + sum_{j != i} g_ij v[j], and pairs lists the
+    nonzero g_ij, j != i.  Roots are checked in the order the steps act, so
+    of several factors that are not roots the rightmost one is named.
+    """
+    steps = []
+    for i in reversed(indices):
+        lat.require_root(i)
+        steps.append((i, tuple([(j, g) for j, g in enumerate(lat.gram[i]) if g and j != i])))
+    return tuple(steps)
+
+
+def apply_word(word, v: Vector) -> Vector:
+    """Apply the word to v in place and return v."""
+    for i, pairs in word:
+        total = -v[i]
+        for j, g in pairs:
+            total += g * v[j]
+        v[i] = total
+    return v
+
+
+def _term(g, j: int) -> str:
+    """+g*v[j] as source text.  Values other than +-1 are hex literals, which
+    have no digit limit; a value whose type is not int raises TypeError, so
+    only integers reach the source text."""
+    if type(g) is not int:
+        raise TypeError(f"compile_word needs int entries, got {type(g).__name__} {g!r}")
+    return f"+v[{j}]" if g == 1 else f"-v[{j}]" if g == -1 else f"{g:+#x}*v[{j}]"
+
+
+def compile_word(word, readout):
+    """apply_word compiled once into one statement per step.  The function
+    returns the list of readout rows (as nonzeros) applied to the result,
+    which spares a walk a second interpreted pass over v."""
+    lines = [f"    v[{i}] = {_sum_source([f'-v[{i}]'] + [_term(g, j) for j, g in pairs])}\n"
+             for i, pairs in word]
+    values = ", ".join(_sum_source([_term(g, j) for j, g in row]) for row in readout)
+    namespace = {}
+    exec(compile(f"def word(v):\n{''.join(lines)}    return [{values}]\n", "<compile_word>", "exec"),
+         namespace)
+    return namespace.pop("word")  # no cycle through its globals: freed with its last use
+
+
+def word_columns(word, n: int) -> list:
+    """The columns of the word's matrix on rank n: the word applied to each e_j."""
+    return [apply_word(word, [0] * j + [1] + [0] * (n - j - 1)) for j in range(n)]
 
 
 def asym_form_matrix(lat: Lattice) -> Matrix:
@@ -283,31 +302,28 @@ def asym_form_matrix(lat: Lattice) -> Matrix:
     return out
 
 
-def unitriangular_inverse(a: Matrix) -> Matrix:
-    """Exact inverse of an upper-triangular matrix with unit diagonal."""
-    n = len(a)
-    for i in range(n):
-        if a[i][i] != 1 or any(a[i][j] for j in range(i)):
-            raise NotUnitriangular("matrix is not upper-triangular with unit diagonal")
-    inv = identity_matrix(n)
-    # back substitution, bottom row first: row r of the inverse is e_r minus
-    # the rows below it, weighted by the off-diagonal nonzeros of row r of a
-    rows = nonzeros(a)
-    for r in range(n - 2, -1, -1):
-        out = inv[r]
-        for k, x in rows[r]:
-            if k > r:
-                row_k = inv[k]
-                for c in range(k, n):
-                    out[c] -= x * row_k[c]
-    return inv
-
-
 def coxeter_via_form(a: Matrix) -> Matrix:
-    """The Coxeter element as -A^{-1} A^t for the upper-triangular form A."""
-    inv = unitriangular_inverse(a)
-    at = mat_transpose(a)
-    return [[-x for x in row] for row in mat_mul(inv, at)]
+    """The Coxeter element as -A^{-1} A^t for the upper-triangular form A.
+
+    Column j solves A x = -(row j of A) by back substitution over the
+    nonzero entries of A, from the last nonzero of row j up (x is zero
+    below it), so the whole costs O(rank * (rank + nnz(A))).
+    """
+    rows = nonzeros(a)
+    for i, row in enumerate(rows):
+        if row[:1] != [(i, 1)]:
+            raise NotUnitriangular("matrix is not upper-triangular with unit diagonal")
+    above = [row[1:] for row in rows]
+    cols = []
+    for j, row in enumerate(rows):
+        x = [-y for y in a[j]]
+        for r in range(row[-1][0], -1, -1):
+            total = x[r]
+            for k, y in above[r]:
+                total -= y * x[k]
+            x[r] = total
+        cols.append(x)
+    return mat_transpose(cols)
 
 
 # ---------------------------------------------------------------------------

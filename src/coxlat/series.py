@@ -22,9 +22,9 @@ from typing import Sequence
 
 from .errors import NegativeDimension, NotARoot, RouteMismatch
 from .exact import PowerSeries
-from .lattice import Lattice, asym_form_matrix, coxeter_matrix, linear_map
-# Not called here; perfbench/spans.py wraps this binding by attribute.
-from .lattice import coxeter_inverse_matrix  # noqa: F401
+from .lattice import Lattice, asym_form_matrix, compile_word, nonzeros, reflection_word, rows_vec
+# Not called here; perfbench/spans.py wraps these bindings by attribute.
+from .lattice import coxeter_inverse_matrix, coxeter_matrix  # noqa: F401
 from .star import OrbitInvariants, SingularityKind
 
 
@@ -85,27 +85,29 @@ def _row(m, a: Sequence[int]):
     return [sum(ai * x for ai, x in zip(a, col)) for col in zip(*m)]
 
 
-def hilbert_P(rl: RootedLattice, order: int) -> PowerSeries:
+def hilbert_P(rl: RootedLattice, order: int, word=None) -> PowerSeries:
     """P series of (V, a): coefficient k is 1 + sum_{l<k} <a, tau^l a>.
 
     Every coefficient is checked against the triangular form value
-    (a, tau^k a).  tau and both functionals are compiled once for the
-    walk; tau is built first, so of several basis vectors that are not
-    roots the one with the highest index is named.
+    (a, tau^k a).  tau acts as its reflection word (``word``, or the word
+    of the whole basis), compiled once for the walk together with both
+    functionals.  The word is built before the form, so of several basis
+    vectors that are not roots the one with the highest index is named.
     """
     lat = rl.lattice
-    step = linear_map(coxeter_matrix(lat))
-    functionals = linear_map([_row(asym_form_matrix(lat), rl.root), _row(lat.gram, rl.root)])
+    word = word or reflection_word(lat, range(lat.rank))
+    functionals = nonzeros([_row(asym_form_matrix(lat), rl.root), _row(lat.gram, rl.root)])
+    step = compile_word(word, functionals)
     coeffs = []
     v = list(rl.root)
     acc = 1
+    form_value, paired = rows_vec(functionals, v)
     for k in range(order + 1):
-        form_value, paired = functionals(v)
         if form_value != acc:
             raise RouteMismatch(f"P coefficient {k}: orbit sum {acc} vs form value {form_value}")
         coeffs.append(acc)
         acc += paired
-        v = step(v)
+        form_value, paired = step(v)
     return PowerSeries(tuple(coeffs))
 
 

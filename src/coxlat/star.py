@@ -363,8 +363,10 @@ def invariants_from_json(obj: dict) -> OrbitInvariants:
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
     if "kind" in obj:
+        if "alpha" not in obj:
+            raise CoxlatError("shorthand invariants need an 'alpha' list next to 'kind'")
         kind = str(obj["kind"]).lower()
-        alphas = json_ints(obj.get("alpha", []), "'alpha'")
+        alphas = json_ints(obj["alpha"], "'alpha'")
         if kind == "kleinian":
             return kleinian_invariants(alphas)
         if kind == "fuchsian":

@@ -22,25 +22,23 @@ from itertools import zip_longest
 from .errors import NotAStarLattice
 from .exact import PowerSeries, poly_add, poly_mul, series_equal, series_from_rational
 from .lattice import (
+    apply_word,
     asym_form_matrix,
     char_poly,
-    coxeter_matrix,
     coxeter_via_form,
     identity_matrix,
-    mat_det,
-    mat_mul,
     mat_transpose,
     nonzeros,
-    quotient_by_radical,
     radical_basis,
-    reflection_matrix,
-    reflection_product,
+    reflection_word,
     rows_vec,
     star_char_poly,
+    word_columns,
 )
 from .series import RootedLattice, divisor_degree, hilbert_P, p_and_q, poincare_direct
 # Not called here; perfbench/spans.py wraps these bindings by attribute.
-from .lattice import coxeter_inverse_matrix  # noqa: F401
+from .lattice import (coxeter_inverse_matrix, coxeter_matrix, mat_det, mat_mul,  # noqa: F401
+                      quotient_by_radical, reflection_matrix, reflection_product)
 from .series import hilbert_Q  # noqa: F401
 from .star import (
     OrbitInvariants,
@@ -96,12 +94,14 @@ def subject_of(inv: OrbitInvariants, kind: SingularityKind) -> str:
 
 class Subject:
     """One input's star lattices and label, and what the checks and commands
-    share: tau and Delta of each lattice, the orbit walk of (V_zero, E) and
-    each Delta quotient, each computed at most once per lattice or order.
+    share: the reflection word of each lattice and the columns of its tau,
+    Delta of each lattice, the orbit walk of (V_zero, E) and each Delta
+    quotient, each computed at most once per lattice or order.
 
     Delta comes from the Gram by chain elimination (star_char_poly), so it
     needs no tau; only a Gram outside the star shape falls back to
-    Berkowitz on tau."""
+    Berkowitz on the columns of tau, that is on tau^t, which has the same
+    characteristic polynomial."""
 
     def __init__(self, lats: StarLattices, label: str | None = None):
         self.lats = lats
@@ -113,8 +113,14 @@ class Subject:
             self._memo[key] = compute()
         return self._memo[key]
 
-    def coxeter(self, which: str):
-        return self._once(("coxeter", which), lambda: coxeter_matrix(getattr(self.lats, which)))
+    def word(self, which: str) -> tuple:
+        lat = getattr(self.lats, which)
+        return self._once(("word", which), lambda: reflection_word(lat, range(lat.rank)))
+
+    def coxeter(self, which: str) -> list:
+        """The columns tau e_j, each the word applied to e_j."""
+        return self._once(("coxeter", which), lambda: word_columns(
+            self.word(which), getattr(self.lats, which).rank))
 
     def delta(self, which: str):
         def compute():
@@ -127,7 +133,7 @@ class Subject:
         """P of (V_zero, E) to order + 1, which holds P and Q to order."""
         lats = self.lats
         return self._once(("walk", order), lambda: hilbert_P(
-            RootedLattice.at_basis_index(lats.zero, lats.center), order + 1))
+            RootedLattice.at_basis_index(lats.zero, lats.center), order + 1, self.word("zero")))
 
     def quotient(self, which: str, order: int) -> PowerSeries:
         """Delta_which / Delta_zero expanded to order."""
@@ -143,7 +149,11 @@ def _series_witness(identity: str, lhs: PowerSeries, rhs: PowerSeries):
 
 
 def _matrix_witness(identity: str, got, expected):
-    for i, (row_g, row_e) in enumerate(zip(got, expected)):
+    """The first discrepancy, in row-major order, of two matrices given as
+    lists of columns."""
+    if got == expected:
+        return None
+    for i, (row_g, row_e) in enumerate(zip(zip(*got), zip(*expected))):
         for j, (x, y) in enumerate(zip(row_g, row_e)):
             if x != y:
                 return {"identity": identity, "index": [i, j], "expected": y, "got": x}
@@ -222,48 +232,49 @@ def check_orbit_series(subject: Subject, order: int) -> VerificationReport:
 
 
 def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
-    """Checks on the radical quotient of V_zero.
+    """Checks on V_minus as the quotient of V_zero by its radical <u>.
 
-    (a) the induced reflections in E and E-u compose to the identity,
-    (b) the induced Coxeter element factors through the arm chains,
-    (c) each arm factor moves the class of E with period exactly alpha_i,
+    The projection pi: V_zero -> V_minus maps E-u to E and has kernel <u>,
+    and the lift iota pads a zero coordinate for E-u.  Every reflection of
+    V_zero fixes u, and the pairings of E-u are those of E, so pi s_i =
+    s_i pi for each arm root and both s_E and s_{E-u} descend to s_E:
+
+    (a) pi s_E s_{E-u} iota is the identity,
+    (b) pi tau_zero iota is tau_1 ... tau_r, the arm words on V_minus,
+    (c) each arm word moves E with period exactly alpha_i,
     (d) the orbit sums reproduce 1 + deg D^(k) for both divisor patterns.
 
+    (a) and (b) compare columns, so a witness indexes V_minus coordinates.
     (d) reads the orbit sums P_k and Q_k = -P_{k+1} off the subject's walk
-    of (V_zero, E), with no walk of its own.  They equal the sums of the
-    class e of E on the quotient: u spans the radical, so projecting keeps
-    every pairing, and every reflection fixes u, so tau descends to tau_0;
-    hence <e, tau_0^l e> = <E, tau^l E> for every l.
+    of (V_zero, E), with no walk of its own.  They equal the sums of E on
+    V_minus: pi keeps every pairing and tau descends, so
+    <E, tau_0^l E> = <E, tau^l E> for every l.
     """
     def witnesses():
         lats = subject.lats
         inv = lats.invariants
-        quo = quotient_by_radical(lats.zero)
-        rank = quo.lattice.rank
-        s_center = quo.induced(reflection_matrix(lats.zero, lats.center))
-        s_f = quo.induced(reflection_matrix(lats.zero, lats.f_index))
-        yield _matrix_witness(
-            "s_E s_{E-u} == id", mat_mul(s_center, s_f), identity_matrix(rank)
-        )
+        f = lats.f_index
 
-        tau0 = quo.induced(subject.coxeter("zero"))
-        factors = [quo.induced(reflection_product(lats.zero, range(start, stop)))
-                   for start, stop in lats.arms]
-        product = identity_matrix(rank)
-        for factor in factors:
-            product = mat_mul(product, factor)
-        yield _matrix_witness("tau_0 == tau_1 ... tau_r", tau0, product)
+        def project(y):
+            out = y[:f]
+            out[lats.center] += y[f]
+            return out
 
-        e_bar = quo.project([1 if i == lats.center else 0 for i in range(lats.zero.rank)])
-        for arm_index, (factor, alpha) in enumerate(zip(factors, inv.alphas), start=1):
-            factor_rows = nonzeros(factor)
-            v = e_bar
-            period = None
-            for k in range(1, alpha + 1):
-                v = rows_vec(factor_rows, v)
-                if v == e_bar:
-                    period = k
-                    break
+        units = identity_matrix(f)  # the basis of V_minus, as columns
+        pair = reflection_word(lats.zero, (lats.center, f))
+        yield _matrix_witness("s_E s_{E-u} == id",
+                              [project(apply_word(pair, e + [0])) for e in units], units)
+
+        arms = reflection_word(lats.minus, range(lats.center))
+        yield _matrix_witness("tau_0 == tau_1 ... tau_r",
+                              [project(col) for col in subject.coxeter("zero")[:f]],
+                              [apply_word(arms, list(e)) for e in units])
+
+        e = units[lats.center]
+        for arm_index, ((start, stop), alpha) in enumerate(zip(lats.arms, inv.alphas), start=1):
+            arm = reflection_word(lats.minus, range(start, stop))
+            v = list(e)
+            period = next((k for k in range(1, alpha + 1) if apply_word(arm, v) == e), None)
             yield _value_witness(f"arm {arm_index} period on class of E", alpha, period, alpha)
 
         walk = subject.walk(k_max)
@@ -277,16 +288,26 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
 
 
 def check_identities(subject: Subject) -> VerificationReport:
-    """Structural identities of the three lattices and their Coxeter elements."""
+    """Structural identities of the three lattices and their Coxeter elements.
+
+    tau comes as the columns of its reflection word and is compared with
+    -A^-1 A^t, solved from the form.  det tau is read off the word: each
+    factor s_i = I + e_i <e_i, -> has det 1 + <e_i, e_i> by the matrix
+    determinant lemma.  The second route to det tau = (-1)^rank is
+    A tau = -A^t, checked just before: A is unitriangular, so
+    det tau = det(-A^t) = (-1)^rank.
+    """
     def witnesses():
         lats = subject.lats
         for which in ("minus", "zero", "plus"):
             lat = getattr(lats, which)
             tau = subject.coxeter(which)
-            form = asym_form_matrix(lat)
-            yield _matrix_witness(f"coxeter({which}) == -A^-1 A^t", tau, coxeter_via_form(form))
-            minus_a_tau = [[-x for x in row] for row in mat_mul(form, tau)]
-            yield _matrix_witness(f"(y,x) == -(x,tau y) on {which}", mat_transpose(form), minus_a_tau)
+            form = asym_form_matrix(lat)  # the rows of A are the columns of A^t
+            yield _matrix_witness(f"coxeter({which}) == -A^-1 A^t", tau,
+                                  mat_transpose(coxeter_via_form(form)))
+            form_rows = nonzeros(form)
+            minus_a_tau = [[-x for x in rows_vec(form_rows, col)] for col in tau]
+            yield _matrix_witness(f"(y,x) == -(x,tau y) on {which}", form, minus_a_tau)
             delta = subject.delta(which)
             yield _value_witness(f"char poly of {which} has constant term 1", 0, delta[0], 1)
             # char_poly is monic, so palindromic up to sign means delta[i] == delta[n - i]
@@ -295,10 +316,10 @@ def check_identities(subject: Subject) -> VerificationReport:
                 yield _value_witness(
                     f"char poly of {which} palindromic up to sign", i, delta[i], delta[n - i]
                 )
-            yield _value_witness(
-                f"det tau == (-1)^rank on {which}", lat.rank, mat_det(tau), (-1) ** lat.rank
-            )
-
+            det = 1
+            for i, _ in subject.word(which):
+                det *= 1 + lat.gram[i][i]
+            yield _value_witness(f"det tau == (-1)^rank on {which}", lat.rank, det, (-1) ** lat.rank)
         rad = radical_basis(lats.zero)
         u = list(lats.u_zero)
         if not (len(rad) == 1 and (rad[0] == u or rad[0] == [-x for x in u])):

@@ -60,6 +60,16 @@ def mat_mul_naive(a, b, width):
             for i in range(len(a))]
 
 
+def reflection_product_naive(gram, indices):
+    """s_{i1} ... s_{ik} multiplied out densely from the left: each
+    s_i = I + e_i g_i^t, so P s_i = P + (P e_i) g_i^t."""
+    n = len(gram)
+    product = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in indices:
+        product = [[x + row[i] * g for x, g in zip(row, gram[i])] for row in product]
+    return product
+
+
 def matrix_order(m, cap=1000):
     """Least k <= cap with m^k = I, or None if the cap is exceeded.
 

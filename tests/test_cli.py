@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxlat import cli
-from coxlat.cli import MAX_ORDER, MAX_RANDOM, MAX_RANK, main
+from coxlat.cli import MAX_GRAM_RANK, MAX_ORDER, MAX_RANDOM, MAX_RANK, main
 
 from strategies import valid_stars
 
@@ -155,6 +155,16 @@ class TestHilbert:
         assert err == "error: NotARoot: basis vector 'e3' has self-pairing -3, not -2\n"
 
 
+    def test_non_root_gram_names_highest_of_several(self, capsys, tmp_path):
+        # three non-roots, none of them next to the root at the last index
+        path = tmp_path / "three-non-roots.json"
+        path.write_text(json.dumps({"gram": [[-3, 1, 0, 0, 0], [1, -4, 0, 0, 0], [0, 0, -2, 1, 0],
+                                             [0, 0, 1, -1, 0], [0, 0, 0, 0, -2]]}))
+        code, out, err = run_cli(capsys, "hilbert", "--gram", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: NotARoot: basis vector 'e4' has self-pairing -1, not -2\n"
+
+
 class TestVerify:
     def test_single_input_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--fuchsian", "2,3,7", "--order", "60")
@@ -268,6 +278,7 @@ class TestCatalog:
     ("verify", "--all", "--order", str(MAX_ORDER + 1)),
     ("verify", "--all", "--random", str(MAX_RANDOM + 1)),
     ("hilbert", "--name", "E8", "--order", str(MAX_ORDER + 1)),
+    ("charpoly", "--gram", {"gram": [[0]] * (MAX_GRAM_RANK - 1)}),
 ])
 def test_over_size_limit_exits_2(capsys, tmp_path, argv):
     argv = list(argv)
@@ -279,6 +290,14 @@ def test_over_size_limit_exits_2(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith("error: TooLarge:") and "limit" in err
     assert out == ""
+
+
+def test_shorthand_without_alpha_exits_2(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"kind": "fuchsian", "alphas": [2, 3, 7]}))
+    code, out, err = run_cli(capsys, "verify", "--invariants", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: CoxlatError:") and "'alpha'" in err
 
 
 def test_internal_error_exits_2(capsys, monkeypatch):

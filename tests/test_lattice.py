@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from coxlat.errors import NotARoot, NotUnitriangular
 from coxlat.lattice import (
     Lattice,
+    apply_word,
     asym_form_matrix,
     char_poly,
+    compile_word,
     coxeter_inverse_matrix,
     coxeter_matrix,
     coxeter_via_form,
     identity_matrix,
-    linear_map,
     mat_det,
     mat_mul,
     mat_transpose,
@@ -21,8 +22,11 @@ from coxlat.lattice import (
     quotient_by_radical,
     radical_basis,
     reflection_matrix,
+    reflection_product,
+    reflection_word,
     rows_vec,
     star_char_poly,
+    word_columns,
 )
 from coxlat.star import build, catalog, catalog_names, kleinian_invariants
 
@@ -32,8 +36,9 @@ from oracles import (
     gram_by_pairings,
     mat_mul_naive,
     matrix_order,
+    reflection_product_naive,
 )
-from strategies import chain_grams, valid_stars
+from strategies import chain_grams, root_lattices, valid_stars
 
 A2 = Lattice(("e1", "e2"), ((-2, 1), (1, -2)))
 RANK1 = Lattice(("e",), ((-2,),))
@@ -332,25 +337,78 @@ def test_rows_vec_matches_matrix_vector(case):
     m, v = case
     expected = naive_mat_vec(m, v)
     assert rows_vec(nonzeros(m), v) == expected
-    assert linear_map(m)(v) == expected
 
 
-def test_linear_map_edge_cases():
-    """A row longer than any interpreter's chain limit (3.13 compiles 5,000
-    chained terms but not 10,000), an entry longer than the decimal digit
-    limit, empty shapes, and entries that are not ints."""
+# ---------------------------------------------------------------------------
+# the reflection-word kernel against the reflection products
+
+
+def naive_word(word, v):
+    """The word applied one step at a time, each step building a new vector."""
+    for i, pairs in word:
+        v = [-x + sum(g * v[j] for j, g in pairs) if k == i else x for k, x in enumerate(v)]
+    return v
+
+
+def unit(n, j):
+    return [int(k == j) for k in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(root_lattices(), st.data())
+def test_word_matches_reflection_product(lat, data):
+    """tau from the word in basis order, and tau^-1 from the reversed word,
+    against the dense product of the reflection matrices: column by column,
+    interpreted and compiled, and on a random vector."""
+    n = lat.rank
+    v = data.draw(st.lists(DENSE, min_size=n, max_size=n))
+    for order in (range(n), range(n - 1, -1, -1)):
+        word = reflection_word(lat, order)
+        product = reflection_product_naive(lat.gram, order)
+        assert reflection_product(lat, order) == product
+        columns = mat_transpose(product)
+        assert word_columns(word, n) == columns
+        step = compile_word(word, nonzeros(identity_matrix(n)))  # reads out the whole result
+        assert [step(unit(n, j)) for j in range(n)] == columns
+        assert step(list(v)) == apply_word(word, list(v)) == naive_mat_vec(mat_transpose(columns), v)
+
+
+def test_word_names_rightmost_non_root():
+    lat = Lattice(("a", "b", "c"), ((-4, 1, 0), (1, -2, 1), (0, 1, -3)))
+    with pytest.raises(NotARoot, match="'c'"):
+        reflection_word(lat, range(3))
+    with pytest.raises(NotARoot, match="'a'"):
+        reflection_word(lat, range(2, -1, -1))
+
+
+def test_compile_word_edge_cases():
+    """A step and a readout row longer than any interpreter's chain limit
+    (3.13 compiles 5,000 chained terms but not 10,000), a pairing longer
+    than the decimal digit limit, empty shapes, and entries that are not
+    ints."""
     rng = random.Random(5)
-    n = 10000
+    n = 10001
     v = [rng.randint(-9, 9) for _ in range(n)]
-    long_row = [rng.choice((1, -1, 2, -3, 7)) for _ in range(n)]
     huge = 10 ** 4999 + 3  # 5,000 decimal digits
-    m = [long_row, [-huge] + [0] * (n - 2) + [huge], [0] * n]
-    assert linear_map(m)(v) == naive_mat_vec(m, v)
-    assert linear_map([])(v) == []
-    assert linear_map([[], []])([]) == [0, 0]
+    long_row = tuple((j, rng.choice((1, -1, 2, -3, 7))) for j in range(1, n))
+    word = ((0, long_row), (1, ((0, -huge), (n - 1, huge))), (2, ()))
+    expected = naive_word(word, v)
+    readout = [long_row, [(1, -1), (2, huge)], []]
+    w = list(v)
+    assert compile_word(word, readout)(w) == [
+        sum(g * expected[j] for j, g in row) for row in readout]
+    assert w == apply_word(word, list(v)) == expected
+    w = list(v)
+    assert compile_word((), ())(w) == [] and w == v
+    assert compile_word((), ())([]) == apply_word((), []) == []
+    w = [5]
+    compile_word(((0, ()),), ())(w)
+    assert w == [-5]
     for bad in (True, False, 1.0, 0.5):
         with pytest.raises(TypeError):
-            linear_map([[1, bad]])
+            compile_word(((0, ((1, bad),)),), ())
+        with pytest.raises(TypeError):
+            compile_word((), [[(0, bad)]])
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from coxlat.errors import NeitherKind, NotAStarLattice, UnknownName
+from coxlat.errors import CoxlatError, NeitherKind, NotAStarLattice, UnknownName
 from coxlat.lattice import Lattice, mat_mul, mat_transpose, radical_basis
 from coxlat.star import (
     OrbitInvariants,
@@ -189,6 +189,12 @@ class TestJson:
             invariants_from_json({"kind": "weird", "alpha": [2, 3, 7]})
         with pytest.raises(ValueError):
             invariants_from_json({"alpha": [2, 3, 7]})
+
+    def test_shorthand_needs_alpha(self):
+        # a misspelled key used to decode as the armless star
+        with pytest.raises(CoxlatError, match="'alpha'"):
+            invariants_from_json({"kind": "kleinian", "alphas": [2, 3, 5]})
+        assert invariants_from_json({"kind": "kleinian", "alpha": []}) == kleinian_invariants(())
 
     @settings(max_examples=60, deadline=None)
     @given(valid_stars())

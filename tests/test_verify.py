@@ -7,15 +7,20 @@ from hypothesis import strategies as st
 
 from coxlat.lattice import (
     Lattice,
+    apply_word,
     char_poly,
     coxeter_inverse_matrix,
     coxeter_matrix,
+    mat_transpose,
+    reflection_word,
     star_char_poly,
+    word_columns,
 )
 from coxlat.series import RootedLattice, hilbert_P, hilbert_Q, poincare_direct
 from coxlat.star import (
     SingularityKind,
     build,
+    catalog,
     fuchsian_invariants,
     kleinian_invariants,
     lattices_from_minus,
@@ -34,7 +39,7 @@ from coxlat.verify import (
     verify_lattices,
 )
 
-from oracles import mat_mul_naive, matrix_order, star_deltas
+from oracles import mat_mul_naive, matrix_order, reflection_product_naive, star_deltas
 from strategies import root_lattices, valid_stars
 
 E8 = kleinian_invariants((2, 3, 5))
@@ -131,6 +136,63 @@ def test_many_arm_star_minus_delta_is_closed_form():
     """Sixty short arms fill tau_minus in; elimination never builds it."""
     alphas = (3,) * 60 + (100,)
     assert Subject(build(fuchsian_invariants(alphas))).delta("minus") == star_deltas(alphas)["minus"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_stars())
+def test_coxeter_descends_to_arm_words(inv):
+    """pi tau_zero iota, from the dense product of reflections on V_zero,
+    is the product of the arm words on V_minus, and each arm word moves E
+    with period alpha_i.  pi folds the E-u coordinate into E, iota
+    pads a zero."""
+    lats = build(inv)
+    f, c = lats.f_index, lats.center
+    tau = reflection_product_naive(lats.zero.gram, range(lats.zero.rank))
+    projected = [row[:f] for row in tau[:f]]
+    projected[c] = [x + y for x, y in zip(projected[c], tau[f])]
+    arms = word_columns(reflection_word(lats.minus, range(c)), f)
+    assert projected == mat_transpose(arms)
+    e = [int(k == c) for k in range(f)]
+    for (start, stop), alpha in zip(lats.arms, inv.alphas):
+        arm = reflection_word(lats.minus, range(start, stop))
+        v = list(e)
+        assert [k for k in range(1, 2 * alpha + 1) if apply_word(arm, v) == e] == [alpha, 2 * alpha]
+
+
+class CorruptedMinusWord(Subject):
+    """A subject whose V_minus word has a spurious pairing with e_k in its
+    first step, which acts only on the column tau e_k."""
+
+    k = 1  # not a neighbour of E in the E8 star
+
+    def word(self, which):
+        word = super().word(which)
+        if which != "minus":
+            return word
+        (i, pairs), *rest = word
+        return ((i, pairs + ((self.k, 1),)), *rest)
+
+
+def test_corrupted_word_fails_identities_at_its_column():
+    subject = CorruptedMinusWord(build(E8))
+    k = subject.k
+    tau = subject.coxeter("minus")
+    honest = mat_transpose(reflection_product_naive(subject.lats.minus.gram, range(8)))
+    assert [j for j, (col, ok) in enumerate(zip(tau, honest)) if col != ok] == [k]
+    report = check_identities(subject)
+    assert not report.passed
+    w = report.witness
+    assert w["identity"] == "coxeter(minus) == -A^-1 A^t" and w["index"][1] == k
+    i = w["index"][0]
+    assert (w["got"], w["expected"]) == (tau[k][i], honest[k][i])
+
+
+@pytest.mark.parametrize("inv", [catalog("D250"), fuchsian_invariants((3,) * 60 + (100,))],
+                         ids=["D250", "sixty-arms"])
+def test_large_inputs_pass(inv):
+    reports = verify_lattices(build(inv), 50)
+    assert [r.check for r in reports] == ["theorem", "orbit-series", "orbit-formulas", "identities"]
+    assert all(r.passed for r in reports)
 
 
 def naive_orbit_pairings(lat, tau, a, count):
