@@ -303,7 +303,12 @@ def asym_form_matrix(lat: Lattice) -> Matrix:
 
 
 def coxeter_via_form(a: Matrix) -> Matrix:
-    """The Coxeter element as -A^{-1} A^t for the upper-triangular form A.
+    """The Coxeter element as -A^{-1} A^t for the upper-triangular form A."""
+    return mat_transpose(coxeter_columns_via_form(a))
+
+
+def coxeter_columns_via_form(a: Matrix) -> list:
+    """The columns of -A^{-1} A^t for the upper-triangular form A.
 
     Column j solves A x = -(row j of A) by back substitution over the
     nonzero entries of A, from the last nonzero of row j up (x is zero
@@ -323,7 +328,7 @@ def coxeter_via_form(a: Matrix) -> Matrix:
                 total -= y * x[k]
             x[r] = total
         cols.append(x)
-    return mat_transpose(cols)
+    return cols
 
 
 # ---------------------------------------------------------------------------

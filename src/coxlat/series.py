@@ -85,17 +85,17 @@ def _row(m, a: Sequence[int]):
     return [sum(ai * x for ai, x in zip(a, col)) for col in zip(*m)]
 
 
-def hilbert_P(rl: RootedLattice, order: int, word=None) -> PowerSeries:
+def hilbert_P(rl: RootedLattice, order: int) -> PowerSeries:
     """P series of (V, a): coefficient k is 1 + sum_{l<k} <a, tau^l a>.
 
     Every coefficient is checked against the triangular form value
-    (a, tau^k a).  tau acts as its reflection word (``word``, or the word
-    of the whole basis), compiled once for the walk together with both
-    functionals.  The word is built before the form, so of several basis
-    vectors that are not roots the one with the highest index is named.
+    (a, tau^k a).  tau acts as the reflection word of the whole basis,
+    compiled once for the walk together with both functionals.  The word
+    is built before the form, so of several basis vectors that are not
+    roots the one with the highest index is named.
     """
     lat = rl.lattice
-    word = word or reflection_word(lat, range(lat.rank))
+    word = reflection_word(lat, range(lat.rank))
     functionals = nonzeros([_row(asym_form_matrix(lat), rl.root), _row(lat.gram, rl.root)])
     step = compile_word(word, functionals)
     coeffs = []

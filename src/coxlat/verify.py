@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+from math import prod
 
 from .errors import NotAStarLattice
 from .exact import PowerSeries, poly_add, poly_mul, series_equal, series_from_rational
@@ -25,9 +26,8 @@ from .lattice import (
     apply_word,
     asym_form_matrix,
     char_poly,
-    coxeter_via_form,
+    coxeter_columns_via_form,
     identity_matrix,
-    mat_transpose,
     nonzeros,
     radical_basis,
     reflection_word,
@@ -37,8 +37,9 @@ from .lattice import (
 )
 from .series import RootedLattice, divisor_degree, hilbert_P, p_and_q, poincare_direct
 # Not called here; perfbench/spans.py wraps these bindings by attribute.
-from .lattice import (coxeter_inverse_matrix, coxeter_matrix, mat_det, mat_mul,  # noqa: F401
-                      quotient_by_radical, reflection_matrix, reflection_product)
+from .lattice import (coxeter_inverse_matrix, coxeter_matrix, coxeter_via_form,  # noqa: F401
+                      mat_det, mat_mul, mat_transpose, quotient_by_radical,
+                      reflection_matrix, reflection_product)
 from .series import hilbert_Q  # noqa: F401
 from .star import (
     OrbitInvariants,
@@ -133,7 +134,7 @@ class Subject:
         """P of (V_zero, E) to order + 1, which holds P and Q to order."""
         lats = self.lats
         return self._once(("walk", order), lambda: hilbert_P(
-            RootedLattice.at_basis_index(lats.zero, lats.center), order + 1, self.word("zero")))
+            RootedLattice.at_basis_index(lats.zero, lats.center), order + 1))
 
     def quotient(self, which: str, order: int) -> PowerSeries:
         """Delta_which / Delta_zero expanded to order."""
@@ -149,12 +150,12 @@ def _series_witness(identity: str, lhs: PowerSeries, rhs: PowerSeries):
 
 
 def _matrix_witness(identity: str, got, expected):
-    """The first discrepancy, in row-major order, of two matrices given as
-    lists of columns."""
+    """The first discrepancy of two matrices given as lists of columns: the
+    topmost in the first column that differs, indexed [row, column]."""
     if got == expected:
         return None
-    for i, (row_g, row_e) in enumerate(zip(zip(*got), zip(*expected))):
-        for j, (x, y) in enumerate(zip(row_g, row_e)):
+    for j, (col_g, col_e) in enumerate(zip(got, expected)):
+        for i, (x, y) in enumerate(zip(col_g, col_e)):
             if x != y:
                 return {"identity": identity, "index": [i, j], "expected": y, "got": x}
     return None
@@ -291,11 +292,12 @@ def check_identities(subject: Subject) -> VerificationReport:
     """Structural identities of the three lattices and their Coxeter elements.
 
     tau comes as the columns of its reflection word and is compared with
-    -A^-1 A^t, solved from the form.  det tau is read off the word: each
-    factor s_i = I + e_i <e_i, -> has det 1 + <e_i, e_i> by the matrix
-    determinant lemma.  The second route to det tau = (-1)^rank is
-    A tau = -A^t, checked just before: A is unitriangular, so
-    det tau = det(-A^t) = (-1)^rank.
+    the columns of -A^-1 A^t, solved from the form.  det tau == (-1)^rank
+    multiplies the word's factors, det s_i = 1 + <e_i, e_i> by the matrix
+    determinant lemma; it reads none of tau's entries, so it checks only
+    that the word has one root reflection per basis vector.  The value of
+    det tau is pinned before it, by A tau = -A^t with A unitriangular
+    (det tau = det(-A^t) = (-1)^rank) and by Delta(0) = det(-tau) = 1.
     """
     def witnesses():
         lats = subject.lats
@@ -304,7 +306,7 @@ def check_identities(subject: Subject) -> VerificationReport:
             tau = subject.coxeter(which)
             form = asym_form_matrix(lat)  # the rows of A are the columns of A^t
             yield _matrix_witness(f"coxeter({which}) == -A^-1 A^t", tau,
-                                  mat_transpose(coxeter_via_form(form)))
+                                  coxeter_columns_via_form(form))
             form_rows = nonzeros(form)
             minus_a_tau = [[-x for x in rows_vec(form_rows, col)] for col in tau]
             yield _matrix_witness(f"(y,x) == -(x,tau y) on {which}", form, minus_a_tau)
@@ -316,9 +318,7 @@ def check_identities(subject: Subject) -> VerificationReport:
                 yield _value_witness(
                     f"char poly of {which} palindromic up to sign", i, delta[i], delta[n - i]
                 )
-            det = 1
-            for i, _ in subject.word(which):
-                det *= 1 + lat.gram[i][i]
+            det = prod(1 + lat.gram[i][i] for i, _ in subject.word(which))
             yield _value_witness(f"det tau == (-1)^rank on {which}", lat.rank, det, (-1) ** lat.rank)
         rad = radical_basis(lats.zero)
         u = list(lats.u_zero)
