@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import CoxlatError, NotAStarLattice, TooLarge
 from .exact import poly_to_string
-from .lattice import Lattice, char_poly, coxeter_matrix
+from .lattice import Lattice, char_poly, coxeter_matrix, star_char_poly
 from .series import RootedLattice, hilbert_P, p_and_q, poincare_direct
 from .star import (
     build,
@@ -43,16 +43,19 @@ from .exact import series_from_rational  # noqa: F401
 from .series import hilbert_Q  # noqa: F401
 
 # Largest accepted rank of V_plus, series order and count of random inputs.
-# On a 2-vCPU host at rank 900, `verify` at order 200 takes 4.3 s on D898
-# and 4.6 to 5.2 s on the Fuchsian star of 299 arms with alpha = 3 and one
-# with alpha = 300; `poincare` at order 10000 takes 3.3 s on that star.
-# Every step on a star grows about as rank^2: the columns of each tau from
-# its reflection word, the form solve -A^-1 A^t, the chain elimination and
-# the radical; the one orbit walk grows linearly in the order.  A --gram
-# input may be any root lattice, so its rank keeps the earlier limit:
-# Berkowitz on a tau that fills in grows as rank^4, and compiling the walk
-# of a dense Gram takes about 120 MB at rank 300.  `verify --all --random
-# 500` at order 200 takes 5.3 s.
+# On a 2-vCPU host at rank 900, `verify` at order 200 takes 3.7 to 4.3 s on
+# D898 and 4.4 to 5.2 s on the Fuchsian star of 299 arms with alpha = 3 and
+# one with alpha = 300.  `poincare` at order 10000 takes 1.5 to 2.0 s on that
+# star, 0.5 s on D898 and 1.1 to 1.5 s on the star of 440 arms with
+# alpha = 2 (rank 443), where the 441 terms of prod (1 - t^2) are as many
+# as Delta_zero has.  Every step on a star grows about as rank^2: the
+# columns of each tau from its reflection word, the form solve
+# -A^-1 A^t, the chain elimination and the radical; the one orbit walk
+# grows linearly in the order.  A --gram input may be any root lattice, so
+# its rank keeps the earlier limit: `charpoly --gram` eliminates the chains
+# of a star Gram (0.3 s at rank 298), but Berkowitz on a tau that fills in
+# grows as rank^4, and compiling the walk of a dense Gram takes about 120 MB
+# at rank 300.  `verify --all --random 500` at order 200 takes 5.3 s.
 MAX_RANK = 900
 MAX_GRAM_RANK = 300
 MAX_ORDER = 10000
@@ -168,7 +171,10 @@ def cmd_build(args) -> int:
 def cmd_charpoly(args) -> int:
     inv, lat = _load_input(args)
     if lat is not None:
-        delta = char_poly(coxeter_matrix(lat))
+        # A star Gram is V_minus, V_zero or V_plus: its core of one, two or
+        # three vertices comes last.  Any other root lattice takes Berkowitz.
+        by_core = (star_char_poly(lat, lat.rank - size) for size in (1, 2, 3))
+        delta = next((d for d in by_core if d is not None), None) or char_poly(coxeter_matrix(lat))
         if args.format == "json":
             _emit_json({"charpoly": delta})
         else:

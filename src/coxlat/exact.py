@@ -106,25 +106,30 @@ class PowerSeries:
 def series_from_rational(num: Sequence[int], den: Sequence[int], order: int) -> PowerSeries:
     """Expand num/den as a power series up to the given order.
 
-    Uses the linear recurrence den[0]*c[k] = num[k] - sum_j den[j]*c[k-j];
-    raises ZeroConstantTerm if den(0) = 0 and NonIntegralCoefficient as soon
-    as a coefficient fails to divide exactly.
+    Uses the linear recurrence den[0]*c[k] = num[k] - sum_j den[j]*c[k-j],
+    summed over the nonzero den[j] only, so each coefficient costs one
+    product per nonzero term of den, not one per degree: a denominator
+    such as prod (1 - t^a_i) has a few terms spread over a high degree.
+    Raises ZeroConstantTerm if den(0) = 0 and NonIntegralCoefficient as
+    soon as a coefficient fails to divide exactly.
     """
-    num = poly_trim(num)
+    num = poly_trim(num)[:order + 1]
     den = poly_trim(den)
     if not den or den[0] == 0:
         raise ZeroConstantTerm("denominator has zero constant term")
-    d0 = den[0]
-    out = []
-    for k in range(order + 1):
-        acc = num[k] if k < len(num) else 0
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[j] * out[k - j]
+    d0, deg = den[0], len(den) - 1
+    # out holds deg zeros, then c[0], c[1], ...; so c[k - j] is out[k + deg - j]
+    terms = [(c, deg - j) for j, c in enumerate(den) if j and c]
+    out = [0] * deg
+    for k, n_k in enumerate(num + [0] * (order + 1 - len(num))):
+        acc = n_k
+        for c, shift in terms:
+            acc -= c * out[k + shift]
         q, r = divmod(acc, d0)
         if r:
             raise NonIntegralCoefficient(f"coefficient of t^{k} is {acc}/{d0}")
         out.append(q)
-    return PowerSeries(tuple(out))
+    return PowerSeries(tuple(out[deg:]))
 
 
 def series_equal(a: PowerSeries, b: PowerSeries):

@@ -17,6 +17,7 @@ value on every coefficient; a disagreement raises RouteMismatch.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -66,17 +67,25 @@ def poincare_direct(inv: OrbitInvariants, kind: SingularityKind, order: int) -> 
 
     dim L(D^(k)) = 1 + deg D^(k), except the Fuchsian k = 1 coefficient
     which is dim L(D_0) = g = 0.  A negative 1 + deg anywhere else means
-    the genus-0 vanishing hypothesis fails for this input.
+    the genus-0 vanishing hypothesis fails for this input; the error names
+    the first such k.
+
+    The degrees of divisor_degree are summed arm by arm: one column of
+    floors for k = 0..order per distinct alpha, weighted by the number of
+    arms that carry it, is added to the running sum, so a star of many
+    equal arms costs one column and memory stays O(order).
     """
-    coeffs = []
-    for k in range(order + 1):
-        if kind is SingularityKind.FUCHSIAN and k == 1:
-            coeffs.append(0)
-            continue
-        dim = 1 + divisor_degree(inv, kind, k)
+    fuchsian = kind is SingularityKind.FUCHSIAN
+    slope = -2 if fuchsian else 2 - inv.r
+    coeffs = [1 + slope * k for k in range(order + 1)]
+    for a, count in Counter(inv.alphas).items():
+        b = a - 1 if fuchsian else 1
+        coeffs = [c + count * (k * b // a) for k, c in enumerate(coeffs)]
+    if fuchsian and order >= 1:
+        coeffs[1] = 0
+    for k, dim in enumerate(coeffs):
         if dim < 0:
             raise NegativeDimension(f"1 + deg D^({k}) = {dim} < 0")
-        coeffs.append(dim)
     return PowerSeries(tuple(coeffs))
 
 

@@ -17,6 +17,24 @@ def conv(p, q):
     return out
 
 
+def series_by_dense_recurrence(num, den, order):
+    """num/den to order by den[0] c[k] = num[k] - sum_{j=1..min(k, deg)} den[j] c[k-j],
+    visiting every j whether den[j] is zero or not.
+
+    Returns (coefficients, None), or (the coefficients before k, k) at the
+    first k where den[0] does not divide.  den[0] must be nonzero.
+    """
+    out = []
+    for k in range(order + 1):
+        acc = num[k] if k < len(num) else 0
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        if acc % den[0]:
+            return out, k
+        out.append(acc // den[0])
+    return out, None
+
+
 def charpoly_minor_expansion(m):
     """det(t*I - m) by Laplace expansion along the first row, ascending coeffs.
 

@@ -9,12 +9,13 @@ from coxlat.star import SingularityKind, classify_alphas, fuchsian_invariants, k
 
 
 @st.composite
-def valid_stars(draw, max_zero_rank=40):
-    """Kleinian or genus-0 Fuchsian invariants whose V_zero has rank at most
-    max_zero_rank, that is sum (alpha_i - 1) <= max_zero_rank - 2."""
+def valid_stars(draw, max_zero_rank=40, max_arms=6):
+    """Kleinian or genus-0 Fuchsian invariants with at most max_arms arms
+    whose V_zero has rank at most max_zero_rank, that is
+    sum (alpha_i - 1) <= max_zero_rank - 2."""
     budget = max_zero_rank - 2
     alphas = []
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, max_arms))):
         if budget < 1:
             break
         alphas.append(draw(st.integers(2, budget + 1)))

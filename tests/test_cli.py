@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from coxlat import cli
 from coxlat.cli import MAX_GRAM_RANK, MAX_ORDER, MAX_RANDOM, MAX_RANK, main
+from coxlat.lattice import Lattice, char_poly, coxeter_matrix
+from coxlat.star import build
 
 from strategies import valid_stars
 
@@ -78,7 +80,9 @@ class TestCharpoly:
     @settings(max_examples=25, deadline=None)
     @given(valid_stars(max_zero_rank=24))
     def test_json_round_trip(self, inv):
-        # build --format json re-ingested via --gram reproduces the char polys
+        # build --format json re-ingested via --gram reproduces the char polys.
+        # Both commands eliminate the chains of a star, so each polynomial is
+        # also checked against Berkowitz on tau.
         with tempfile.TemporaryDirectory() as tmp:
             source = Path(tmp) / "invariants.json"
             source.write_text(json.dumps(inv.to_json()))
@@ -89,11 +93,33 @@ class TestCharpoly:
             assert code == 0
             expected = json.loads(out)
             for which in ("minus", "zero", "plus"):
+                assert expected[which] == char_poly(coxeter_matrix(Lattice.from_json(built[which])))
                 path = Path(tmp) / f"{which}.json"
                 path.write_text(json.dumps(built[which]))
                 code, out = run_quiet("charpoly", "--gram", str(path), "--format", "json")
                 assert code == 0
                 assert json.loads(out)["charpoly"] == expected[which]
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_stars(max_zero_rank=20), st.sampled_from(["minus", "zero", "plus"]), st.data())
+    def test_gram_matches_berkowitz(self, inv, which, data):
+        """charpoly --gram on a star Gram of each shape, or on one with an
+        off-diagonal entry flipped between 0 and 1, is Berkowitz on tau.  Half
+        of the flips pair a vertex with the core, the last three vertices, so
+        that an arm end often pairs with the core off the other ends' line."""
+        lat = getattr(build(inv), which)
+        gram = lat.gram_rows()
+        if lat.rank > 1 and data.draw(st.booleans()):
+            j = data.draw(st.integers(1, lat.rank - 1) | st.integers(max(1, lat.rank - 3), lat.rank - 1))
+            i = data.draw(st.integers(0, j - 1))
+            gram[i][j] = gram[j][i] = 1 - gram[i][j]
+        lat = Lattice(lat.labels, tuple(map(tuple, gram)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "gram.json"
+            path.write_text(json.dumps(lat.to_json()))
+            code, out = run_quiet("charpoly", "--gram", str(path), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["charpoly"] == char_poly(coxeter_matrix(lat))
 
 
 class TestPoincare:

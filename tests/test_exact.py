@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxlat.errors import NonIntegralCoefficient, OrderMismatch, ZeroConstantTerm
 from coxlat.exact import (
@@ -11,7 +13,8 @@ from coxlat.exact import (
     series_from_rational,
 )
 
-from oracles import conv, poly_deg, poly_eval, series_from_poly, series_mul_poly
+from oracles import (conv, poly_deg, poly_eval, series_by_dense_recurrence, series_from_poly,
+                     series_mul_poly)
 
 
 def rand_poly(rng, max_deg=8, bound=9):
@@ -96,6 +99,32 @@ class TestSeriesFromRational:
             den[0] = 1  # guarantee integral expansion
             s = series_from_rational(num, den, 15)
             assert series_mul_poly(s.coeffs, den) == series_from_poly(num, 15)
+
+
+# coefficients that are zero half of the time, so a polynomial has interior zeros
+SPARSE_COEFF = st.integers(-4, 4) | st.just(0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.lists(SPARSE_COEFF, max_size=14),
+       den=st.tuples(st.sampled_from([1, -1, 2, -3]), st.lists(SPARSE_COEFF, max_size=14)),
+       order=st.integers(0, 40))
+def test_sparse_recurrence_matches_dense(num, den, order):
+    """The recurrence over den's nonzero terms gives the dense recurrence's
+    coefficients, and fails with NonIntegralCoefficient at the same k."""
+    den = [den[0], *den[1]]
+    expected, bad = series_by_dense_recurrence(num, den, order)
+    if bad is None:
+        assert series_from_rational(num, den, order).coeffs == tuple(expected)
+    else:
+        with pytest.raises(NonIntegralCoefficient, match=rf"^coefficient of t\^{bad} is "):
+            series_from_rational(num, den, order)
+
+
+@given(num=st.lists(SPARSE_COEFF, max_size=6), den=st.lists(SPARSE_COEFF, max_size=6))
+def test_zero_constant_term_rejected_at_any_degree(num, den):
+    with pytest.raises(ZeroConstantTerm):
+        series_from_rational(num, [0, *den], 5)
 
 
 class TestSeriesEqual:

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from coxlat.errors import NegativeDimension, NotARoot
+from coxlat.errors import NegativeDimension, NeitherKind, NotARoot
 from coxlat.exact import series_equal, series_from_rational
 from coxlat.lattice import Lattice, char_poly, coxeter_matrix
 from coxlat.series import (
@@ -16,6 +18,7 @@ from coxlat.star import (
     OrbitInvariants,
     SingularityKind,
     build,
+    classify_alphas,
     fuchsian_invariants,
     kleinian_invariants,
     validate,
@@ -81,6 +84,53 @@ class TestPoincareDirect:
         dims = hypersurface_dims((6, 14, 21), 42, 60)
         s = poincare_direct(E12, SingularityKind.FUCHSIAN, 60)
         assert list(s.coeffs) == dims
+
+
+@st.composite
+def stars_with_repeated_alphas(draw):
+    """Valid invariants whose alphas take at most three values, each on up
+    to six arms."""
+    values = draw(st.lists(st.integers(2, 9), min_size=1, max_size=3, unique=True))
+    alphas = sorted(a for a in values for _ in range(draw(st.integers(1, 6))))
+    try:
+        kind = classify_alphas(alphas)
+    except NeitherKind:
+        assume(False)
+    return (kleinian_invariants if kind is SingularityKind.KLEINIAN else fuchsian_invariants)(alphas)
+
+
+def first_negative_dimension(inv, kind, order):
+    """The k that the divisor count flags, one k at a time: the first with
+    1 + deg D^(k) < 0, skipping the Fuchsian k = 1."""
+    return next((k for k in range(order + 1)
+                 if not (kind is SingularityKind.FUCHSIAN and k == 1)
+                 and 1 + divisor_degree(inv, kind, k) < 0), None)
+
+
+class TestDirectColumns:
+    """poincare_direct sums one column per distinct alpha; divisor_degree
+    evaluates the formula one k at a time."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(stars_with_repeated_alphas(), st.integers(0, 90))
+    def test_matches_divisor_degree(self, inv, order):
+        kind = validate(inv)
+        expected = [1 + divisor_degree(inv, kind, k) for k in range(order + 1)]
+        if kind is SingularityKind.FUCHSIAN and order >= 1:
+            expected[1] = 0
+        assert poincare_direct(inv, kind, order).coeffs == tuple(expected)
+
+    @pytest.mark.parametrize("pairs, kind, k", [
+        (((2, 1),) * 4, SingularityKind.KLEINIAN, 1),    # the fake of test_negative_dimension_guard
+        (((2, 1),) * 3 + ((3, 1),), SingularityKind.KLEINIAN, 1),
+        (((2, 1),) * 3, SingularityKind.FUCHSIAN, 3),    # k = 1 is skipped, k = 2 gives 0
+        (((3, 1), (3, 1)), SingularityKind.FUCHSIAN, 2),
+    ])
+    def test_negative_dimension_names_first_k(self, pairs, kind, k):
+        fake = OrbitInvariants(0, 2, pairs)
+        assert first_negative_dimension(fake, kind, 10) == k
+        with pytest.raises(NegativeDimension, match=rf"^1 \+ deg D\^\({k}\) = -"):
+            poincare_direct(fake, kind, 10)
 
 
 class TestHilbertSeries:

@@ -39,7 +39,8 @@ from coxlat.verify import (
     verify_lattices,
 )
 
-from oracles import mat_mul_naive, matrix_order, reflection_product_naive, star_deltas
+from oracles import (conv, mat_mul_naive, matrix_order, reflection_product_naive,
+                     series_by_dense_recurrence, star_deltas)
 from strategies import root_lattices, valid_stars
 
 E8 = kleinian_invariants((2, 3, 5))
@@ -114,6 +115,40 @@ def assert_delta_is_berkowitz(lats):
 def test_delta_matches_berkowitz_on_flipped_grams(data):
     inv = data.draw(st.sampled_from(FLIP_INPUTS))
     assert_delta_is_berkowitz(flipped_lattices(inv, *draw_entry(data, inv)))
+
+
+def assert_quotients_are_dense_recurrence(lats, order):
+    """Subject.quotient, which expands m Delta_which / m Delta_zero over the
+    nonzero terms, against the dense recurrence on the bare Deltas."""
+    subject = Subject(lats)
+    for which in ("minus", "plus"):
+        expected, bad = series_by_dense_recurrence(
+            subject.delta(which), subject.delta("zero"), order)
+        assert bad is None
+        assert subject.quotient(which, order).coeffs == tuple(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_stars(max_zero_rank=30, max_arms=8), st.integers(0, 80))
+def test_quotient_matches_dense_recurrence(inv, order):
+    assert_quotients_are_dense_recurrence(build(inv), order)
+    if inv.r >= 2:  # the denominator the expansion runs on is prod (1 - t^a_i)
+        expected = [1]
+        for a in inv.alphas:
+            expected = conv(expected, [1] + [0] * (a - 1) + [-1])
+        assert Subject(build(inv))._scaled_delta("zero") == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quotient_matches_dense_recurrence_on_edited_grams(data):
+    """A flipped entry, or the link (j-1, j), which deletes an arm edge where
+    there is one, leaves a Delta_zero that is not (1-t)^2 prod [a_i]."""
+    inv = data.draw(st.sampled_from(FLIP_INPUTS))
+    i, j = draw_entry(data, inv)
+    if data.draw(st.booleans()):
+        i = j - 1
+    assert_quotients_are_dense_recurrence(flipped_lattices(inv, i, j), 60)
 
 
 # E8's V_minus basis: arms {0}, {1, 2}, {3, 4, 5, 6}, then E at 7
