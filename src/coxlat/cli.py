@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import CoxlatError, NotAStarLattice, TooLarge
 from .exact import poly_to_string
-from .lattice import Lattice, char_poly, coxeter_matrix, star_char_poly
+from .lattice import Lattice, char_poly, coxeter_matrix, star_char_polys
 from .series import RootedLattice, hilbert_P, p_and_q, poincare_direct
 from .star import (
     build,
@@ -43,21 +43,23 @@ from .exact import series_from_rational  # noqa: F401
 from .series import hilbert_Q  # noqa: F401
 
 # Largest accepted rank of V_plus, series order and count of random inputs.
-# On a 2-vCPU host at rank 900, `verify` at order 200 takes 3.7 to 4.3 s on
-# D898 and 4.4 to 5.2 s on the Fuchsian star of 299 arms with alpha = 3 and
-# one with alpha = 300.  `poincare` at order 10000 takes 1.5 to 2.0 s on that
-# star, 0.5 s on D898 and 1.1 to 1.5 s on the star of 440 arms with
-# alpha = 2 (rank 443), where the 441 terms of prod (1 - t^2) are as many
-# as Delta_zero has.  Every step on a star grows about as rank^2: the
-# columns of each tau from its reflection word, the form solve
-# -A^-1 A^t, the chain elimination and the radical; the one orbit walk
-# grows linearly in the order.  A --gram input may be any root lattice, so
-# its rank keeps the earlier limit: `charpoly --gram` eliminates the chains
-# of a star Gram (0.3 s at rank 298), but Berkowitz on a tau that fills in
-# grows as rank^4, and compiling the walk of a dense Gram takes about 120 MB
-# at rank 300.  `verify --all --random 500` at order 200 takes 5.3 s.
+# On a 2-vCPU host at rank 900, `verify` at order 200 takes 3.8 to 4.4 s on
+# D898 and 4.7 to 5.2 s on the Fuchsian star of 299 arms with alpha = 3 and
+# one with alpha = 300.  `poincare` at order 10000 takes 1.6 s on that star,
+# 0.5 s on D898 and 1.4 s on the star of 440 arms with alpha = 2 (rank
+# 443), where the 441 terms of prod (1 - t^2) are as many as Delta_zero
+# has.  Every step on a star grows about as rank^2: the columns of each tau
+# from its reflection word, the form solve -A^-1 A^t, the chain elimination
+# and the radical; the one orbit walk grows linearly in the order.  A --gram
+# input may be any root lattice; compiling the walk of a dense Gram takes
+# about 120 MB at rank 300, hence MAX_GRAM_RANK.  `charpoly --gram`
+# eliminates a star Gram in 0.2 to 0.4 s at ranks 296 to 298, but Berkowitz
+# on a tau that fills in takes 2.7 s on a dense +-1 Gram of rank 80, 10 to
+# 11 s at rank 100 and 31 s at rank 120, hence MAX_BERKOWITZ_RANK for any
+# other Gram.  `verify --all --random 500` at order 200 takes 4.7 s.
 MAX_RANK = 900
 MAX_GRAM_RANK = 300
+MAX_BERKOWITZ_RANK = 100
 MAX_ORDER = 10000
 MAX_RANDOM = 500
 
@@ -170,18 +172,18 @@ def cmd_build(args) -> int:
 
 def cmd_charpoly(args) -> int:
     inv, lat = _load_input(args)
-    if lat is not None:
-        # A star Gram is V_minus, V_zero or V_plus: its core of one, two or
-        # three vertices comes last.  Any other root lattice takes Berkowitz.
-        by_core = (star_char_poly(lat, lat.rank - size) for size in (1, 2, 3))
-        delta = next((d for d in by_core if d is not None), None) or char_poly(coxeter_matrix(lat))
-        if args.format == "json":
-            _emit_json({"charpoly": delta})
-        else:
-            print(f"charpoly: {poly_to_string(delta)}")
-        return 0
-    subject = Subject(build(inv))
-    deltas = {which: subject.delta(which) for which in ("minus", "zero", "plus")}
+    if lat is None:
+        subject = Subject(build(inv))
+        deltas = {which: subject.delta(which) for which in ("minus", "zero", "plus")}
+    else:
+        # A star Gram is V_minus, V_zero or V_plus, with its center the last,
+        # second or third vertex; any other root lattice takes Berkowitz.
+        by_core = (star_char_polys(lat, lat.rank - size) for size in (1, 2, 3))
+        prefixes = next((d for d in by_core if d is not None), None)
+        if prefixes is None and lat.rank > MAX_BERKOWITZ_RANK:
+            raise TooLarge(f"a Gram outside the star shapes has rank {lat.rank}, "
+                           f"above the limit {MAX_BERKOWITZ_RANK} for Berkowitz on tau")
+        deltas = {"charpoly": char_poly(coxeter_matrix(lat)) if prefixes is None else prefixes[-1]}
     if args.format == "json":
         _emit_json(deltas)
     else:

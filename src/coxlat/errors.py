@@ -63,5 +63,5 @@ class NotAStarLattice(CoxlatError):
 
 
 class TooLarge(CoxlatError):
-    """An input whose rank or series order is over the stated size limits;
-    refused before any matrix is built."""
+    """An input over the stated size limits, refused before any matrix is
+    built, or an orbit walk coefficient too long for Python to print."""

@@ -23,11 +23,11 @@ period or the rank-many columns of tau; ``compile_word`` turns it once
 into straight-line statements for an orbit walk, which applies it once per
 coefficient and runs about three times faster per step.
 
-Characteristic polynomials come two ways.  ``star_char_poly`` reads
-det(t*I - tau) = det(t*A + A^t) off a star Gram by eliminating its arm
-chains onto the core, in O(rank * sum of chain lengths) small-integer
-steps and without building tau.  ``char_poly`` is Berkowitz on any
-matrix; it serves Grams outside the star shape.
+Characteristic polynomials come two ways.  ``star_char_polys`` reads
+det(t*I - tau) = det(t*A + A^t) off a star Gram for each basis prefix from
+the center on, by continuants and prefix rules and without tau, so one pass
+over V_plus gives the Delta of its prefixes V_minus and V_zero too.
+``char_poly`` is Berkowitz on any matrix, for Grams outside that shape.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CoxlatError, NotARoot, NotUnitriangular
-from .exact import Poly, poly_add, poly_mul, poly_trim
+from .exact import poly_add, poly_mul
 
 Matrix = list  # list[list[int]], rows
 Vector = list  # list[int]
@@ -369,83 +369,52 @@ def char_poly(m: Matrix) -> list:
     return p
 
 
-_MAX_CORE = 3  # E, E-u, u-w
+def star_char_polys(lat: Lattice, center: int):
+    """Delta of each basis prefix ending at ``center`` or later; None off this shape.
 
+    Delta = det(t*I - tau) = det(t*A + A^t), with 1 + t on the diagonal and
+    (i, j), (j, i) entries whose product is t*g_ij^2; its leading k x k minor
+    D_k is the Delta of the first k basis vectors.  With c = center, the
+    vertices before c are chains in basis order, each pairing with c at most
+    at its last vertex, by g_R.  Chain R has the continuant f_R, f_k =
+    (1+t) f_{k-1} - t g_{k-1,k}^2 f_{k-2}, and h_R without its last vertex;
+    D_c = prod f_R, and
 
-def _poly_det(m: list) -> Poly:
-    """Determinant of a small matrix of polynomials, by Laplace expansion."""
-    if not m:
-        return [1]
-    out = []
-    for j, x in enumerate(m[0]):
-        if x:
-            minor = [row[:j] + row[j + 1:] for row in m[1:]]
-            out = poly_add(out, poly_mul(x, _poly_det(minor)), (-1) ** j)
-    return out
+        D_{c+1} = (1+t) prod f_R - t sum_R g_R^2 h_R prod_{R' != R} f_R'.
 
-
-def star_char_poly(lat: Lattice, center: int):
-    """det(t*I - tau) of a star by eliminating its chains onto the core, or
-    None for a Gram outside that shape.
-
-    A is unitriangular, so det(t*I - tau) = det(t*A + A^t), a matrix with
-    1 + t on the diagonal, -t*g_ij above it and -g_ij below.  The core is
-    the at most three vertices from ``center`` on.  The vertices before it
-    must form chains in basis order (every pairing among them joins i and
-    i + 1), each touching the core only at its last vertex.  A chain R has the
-    continuant f_R of its block, f_k = (1+t) f_{k-1} - t g_{k-1,k}^2 f_{k-2},
-    and h_R, the same without its last vertex.  With K the core block and
-    v_R the pairings of R's last vertex with the core, the Schur complement
-    and the matrix determinant lemma give
-
-        Delta = det K prod f_R - t sum_R (v_R^t adj(K) v_R) h_R prod_{R' != R} f_R'
-
-    exactly when the v_R are pairwise parallel, which extend_star ensures.
-    One running pass builds the sum in O(rank * sum of chain lengths) steps.
+    Each later vertex k is a twin of k - 1 (the same pairings with every
+    earlier vertex, and -2 with k - 1), so D_{k+1} = (1-t)^2 D_{k-1}; or a
+    leaf on k - 1 (no earlier pairing), so D_{k+1} = (1+t) D_k - t g^2 D_{k-1},
+    g = <k, k-1>.  E-u is a twin of E and u-w a leaf on E-u, so on V_plus one
+    pass of O(rank * sum of chain lengths) steps gives all three Deltas.
     """
     n = lat.rank
     gram = lat.gram
-    if not 0 <= center <= n or n - center > _MAX_CORE:
-        return None
-    if any(gram[i][i] != -2 for i in range(n)):
-        return None  # not a root lattice; the reflection product says where
-    chains = []
-    start = 0
+    if not 0 <= center < n or any(gram[i][i] != -2 for i in range(n)):
+        return None  # for a non-root lattice the reflection product says where
+    prod, acc = [1], []  # prod f_R and sum g_R^2 h_R prod_{R' != R} f_R' over closed chains
+    h, f, g = [], [1], 0  # the open chain's continuants and its link into vertex i
     for i in range(center):
-        if any(gram[i][i + 2:center]):
+        row = gram[i]
+        link = row[i + 1] if i + 1 < center else 0
+        if any(row[i + 2:center]) or (link and row[center]):
             return None
-        if i + 1 == center or not gram[i][i + 1]:
-            if any(any(gram[k][center:]) for k in range(start, i)):
-                return None
-            chains.append((start, i + 1))
-            start = i + 1
-    ends = [tuple(gram[stop - 1][center:]) for _, stop in chains]
-    ref = next((v for v in ends if any(v)), None)
-    if ref is not None and any(v[p] * ref[q] != v[q] * ref[p]
-                               for v in ends for p in range(len(v)) for q in range(p)):
-        return None
-
-    core = range(center, n)
-    block = [[[1, 1] if p == q else poly_trim([0, -gram[p][q]]) if p < q else poly_trim([-gram[p][q]])
-              for q in core] for p in core]
-    det_k = _poly_det(block)
-    weights = {}  # v -> v^t adj(K) v = det(K + v v^t) - det K
-
-    prod, acc = [1], []
-    for (start, stop), v in zip(chains, ends):
-        h, f = [], [1]
-        for i in range(start, stop):
-            g2 = gram[i - 1][i] ** 2 if i > start else 0
-            h, f = f, poly_add(poly_mul([1, 1], f), h, -g2, 1)
-        acc = poly_mul(acc, f)
-        if any(v):
-            if v not in weights:
-                bumped = [[poly_add(x, [v[p] * v[q]]) for q, x in enumerate(row)]
-                          for p, row in enumerate(block)]
-                weights[v] = poly_add(_poly_det(bumped), det_k, -1)
-            acc = poly_add(acc, poly_mul(weights[v], poly_mul(h, prod)))
-        prod = poly_mul(prod, f)
-    return poly_add(poly_mul(det_k, prod), acc, -1, 1)
+        h, f = f, poly_add(poly_mul([1, 1], f), h, -g * g, 1)
+        g = link
+        if not link:  # i ends its chain
+            acc = poly_add(poly_mul(acc, f), poly_mul(h, prod), row[center] ** 2)
+            prod = poly_mul(prod, f)
+            h, f = [], [1]
+    d = [prod, poly_add(poly_mul([1, 1], prod), acc, -1, 1)]
+    for k in range(center + 1, n):
+        row = gram[k]
+        if row[k - 1] == -2 and row[:k - 1] == gram[k - 1][:k - 1]:  # a twin of k - 1
+            d.append(poly_mul([1, -2, 1], d[-2]))
+        elif not any(row[:k - 1]):  # a leaf on k - 1
+            d.append(poly_add(poly_mul([1, 1], d[-1]), d[-2], -row[k - 1] ** 2, 1))
+        else:
+            return None
+    return d[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ value on every coefficient; a disagreement raises RouteMismatch.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NegativeDimension, NotARoot, RouteMismatch
+from .errors import NegativeDimension, NotARoot, RouteMismatch, TooLarge
 from .exact import PowerSeries
 from .lattice import Lattice, asym_form_matrix, compile_word, nonzeros, reflection_word, rows_vec
 # Not called here; perfbench/spans.py wraps these bindings by attribute.
@@ -101,12 +102,16 @@ def hilbert_P(rl: RootedLattice, order: int) -> PowerSeries:
     (a, tau^k a).  tau acts as the reflection word of the whole basis,
     compiled once for the walk together with both functionals.  The word
     is built before the form, so of several basis vectors that are not
-    roots the one with the highest index is named.
+    roots the one with the highest index is named.  On an indefinite Gram
+    the coefficients grow exponentially; the first too long to print raises
+    TooLarge at once, without walking on.
     """
     lat = rl.lattice
     word = reflection_word(lat, range(lat.rank))
     functionals = nonzeros([_row(asym_form_matrix(lat), rl.root), _row(lat.gram, rl.root)])
     step = compile_word(word, functionals)
+    digits = sys.get_int_max_str_digits()  # 0: no limit
+    bound = 10 ** digits if digits else None
     coeffs = []
     v = list(rl.root)
     acc = 1
@@ -114,6 +119,8 @@ def hilbert_P(rl: RootedLattice, order: int) -> PowerSeries:
     for k in range(order + 1):
         if form_value != acc:
             raise RouteMismatch(f"P coefficient {k}: orbit sum {acc} vs form value {form_value}")
+        if bound and not -bound < acc < bound:
+            raise TooLarge(f"P coefficient {k} has more than {digits} digits, Python's limit to print")
         coeffs.append(acc)
         acc += paired
         form_value, paired = step(v)

@@ -153,6 +153,8 @@ class StarLattices:
 
     ``arms`` holds the index span [start, stop) of each chain in the minus
     basis; ``center`` is the index of E (always last in the minus basis).
+    V_minus and V_zero are basis prefixes of V_plus: their labels and Grams
+    are the leading ones of V_plus, which star_char_polys relies on.
     """
 
     invariants: OrbitInvariants

@@ -32,7 +32,7 @@ from .lattice import (
     radical_basis,
     reflection_word,
     rows_vec,
-    star_char_poly,
+    star_char_polys,
     word_columns,
 )
 from .series import RootedLattice, divisor_degree, hilbert_P, p_and_q, poincare_direct
@@ -99,10 +99,10 @@ class Subject:
     Delta of each lattice, the orbit walk of (V_zero, E) and each Delta
     quotient, each computed at most once per lattice or order.
 
-    Delta comes from the Gram by chain elimination (star_char_poly), so it
-    needs no tau; only a Gram outside the star shape falls back to
-    Berkowitz on the columns of tau, that is on tau^t, which has the same
-    characteristic polynomial."""
+    V_minus and V_zero are basis prefixes of V_plus, so one star_char_polys
+    call on V_plus gives all three Deltas, with no tau.  A Gram outside that
+    shape falls back, lattice by lattice, to Berkowitz on the columns of
+    tau, that is on tau^t, with the same characteristic polynomial."""
 
     def __init__(self, lats: StarLattices, label: str | None = None):
         self.lats = lats
@@ -124,11 +124,10 @@ class Subject:
             self.word(which), getattr(self.lats, which).rank))
 
     def delta(self, which: str):
-        def compute():
-            delta = star_char_poly(getattr(self.lats, which), self.lats.center)
-            return char_poly(self.coxeter(which)) if delta is None else delta
-
-        return self._once(("delta", which), compute)
+        deltas = self._once("deltas", lambda: star_char_polys(self.lats.plus, self.lats.center))
+        if deltas is None:
+            return self._once(("delta", which), lambda: char_poly(self.coxeter(which)))
+        return deltas[("minus", "zero", "plus").index(which)]
 
     def walk(self, order: int) -> PowerSeries:
         """P of (V_zero, E) to order + 1, which holds P and Q to order."""
@@ -205,7 +204,8 @@ def _closed_form_deltas(alphas) -> dict:
         Delta_zero  = (1-t)^2 prod [a_i]
         Delta_plus  = (1+t) Delta_zero - t Delta_minus
 
-    The sum is built in one pass over the arms, as in star_char_poly.
+    The sum is built in one pass over the arms, as in star_char_polys, whose
+    twin and leaf rules (g = 1) give Delta_zero and Delta_plus here too.
     """
     prod, acc = [1], []
     for a in alphas:

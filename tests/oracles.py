@@ -72,6 +72,31 @@ def charpoly_minor_expansion(m):
     return poly
 
 
+def prefix_shape(gram, center):
+    """Whether the Gram has the shape whose basis prefixes have Delta by the
+    chain, twin and leaf rules, read off the definitions one pairing at a
+    time: roots only; before the center, pairings only between neighbours
+    i and i + 1, and with the center only from a vertex that has no next
+    neighbour; after it, each vertex k a twin of k - 1 (the same pairings
+    with everything before k - 1, and -2 with k - 1) or a leaf on k - 1 (no
+    pairing with anything before k - 1)."""
+    n = len(gram)
+    if not 0 <= center < n or any(gram[i][i] != -2 for i in range(n)):
+        return False
+    for i in range(center):
+        for j in range(i + 1, center):
+            if gram[i][j] and j != i + 1:
+                return False
+        if gram[i][center] and i + 1 < center and gram[i][i + 1]:
+            return False
+    for k in range(center + 1, n):
+        twin = gram[k][k - 1] == -2 and all(gram[k][j] == gram[k - 1][j] for j in range(k - 1))
+        leaf = all(gram[k][j] == 0 for j in range(k - 1))
+        if not (twin or leaf):
+            return False
+    return True
+
+
 def mat_mul_naive(a, b, width):
     """a b by the triple loop; ``width`` is the column count of b."""
     return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(width)]

@@ -44,31 +44,47 @@ def root_lattices(draw, max_rank=9):
 @st.composite
 def chain_grams(draw, max_rank=12):
     """(lattice, center): roots whose vertices before center form chains with
-    pairings in -3..3, each chain touching a core of at most three vertices
-    only at its last vertex.  In half of the draws every chain end pairs
-    with the core along one direction; in the other half each end draws
-    its own pairings, so the ends are often not parallel."""
-    core = draw(st.integers(0, 3))
+    links in -3..3, then a core of one to three vertices from center on.
+
+    In a third of the draws the core has the shape of V_plus, or of its
+    prefixes V_minus and V_zero: E, a twin of E and a leaf on the twin, with
+    each chain end pairing with E by any g in -3..3.  Half of those then
+    redraw one entry of a core row, which often spoils the twin or the leaf.
+    In the other draws each chain end, and now and then an interior chain
+    vertex, pairs with every core vertex freely, and so do the core
+    vertices among themselves."""
+    core = draw(st.integers(1, 3))
     n = draw(st.integers(core, max_rank))
     center = n - core
     entry = st.integers(-3, 3)
-    gram = [[-2] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i):
-            gram[i][j] = gram[j][i] = 0
-    for i in range(center, n):
-        for j in range(center, i):
-            gram[i][j] = gram[j][i] = draw(entry)
-    direction = draw(st.lists(entry, min_size=core, max_size=core))
-    skew = draw(st.booleans())
+    gram = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def pair(i, j, x):
+        gram[i][j] = gram[j][i] = x
+
+    shaped = draw(st.integers(0, 2)) == 0
     for i in range(center):
         link = draw(entry) if i + 1 < center else 0
         if i + 1 < center:
-            gram[i][i + 1] = gram[i + 1][i] = link
-        if not link:  # i ends a chain
-            scale = draw(entry)
-            v = draw(st.lists(entry, min_size=core, max_size=core)) if skew else [
-                scale * x for x in direction]
-            for p, x in enumerate(v, center):
-                gram[i][p] = gram[p][i] = x
+            pair(i, i + 1, link)
+        if shaped:
+            if not link:
+                pair(i, center, draw(entry))
+        elif not link or draw(st.integers(0, 4)) == 0:
+            for p in range(center, n):
+                pair(i, p, draw(entry))
+    if shaped:
+        if n > center + 1:  # E-u: pairs as E does, and with E by -2
+            for j in range(center):
+                pair(center + 1, j, gram[center][j])
+            pair(center + 1, center, -2)
+        if n > center + 2:  # u-w: pairs with E-u only
+            pair(center + 2, center + 1, draw(entry))
+        if n > center + 1 and draw(st.booleans()):
+            k = draw(st.integers(center + 1, n - 1))
+            pair(k, draw(st.integers(0, k - 1)), draw(entry))
+    else:
+        for p in range(center, n):
+            for q in range(center, p):
+                pair(p, q, draw(entry))
     return Lattice(tuple(f"e{i + 1}" for i in range(n)), tuple(map(tuple, gram))), center

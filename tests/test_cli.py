@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxlat import cli
-from coxlat.cli import MAX_GRAM_RANK, MAX_ORDER, MAX_RANDOM, MAX_RANK, main
+from coxlat.cli import MAX_BERKOWITZ_RANK, MAX_GRAM_RANK, MAX_ORDER, MAX_RANDOM, MAX_RANK, main
 from coxlat.lattice import Lattice, char_poly, coxeter_matrix
-from coxlat.star import build
+from coxlat.star import build, fuchsian_invariants
 
+from oracles import star_deltas
 from strategies import valid_stars
 
 
@@ -305,6 +306,7 @@ class TestCatalog:
     ("verify", "--all", "--random", str(MAX_RANDOM + 1)),
     ("hilbert", "--name", "E8", "--order", str(MAX_ORDER + 1)),
     ("charpoly", "--gram", {"gram": [[0]] * (MAX_GRAM_RANK - 1)}),
+    ("charpoly", "--gram", {"gram": [[-2] * (MAX_BERKOWITZ_RANK + 1)] * (MAX_BERKOWITZ_RANK + 1)}),
 ])
 def test_over_size_limit_exits_2(capsys, tmp_path, argv):
     argv = list(argv)
@@ -316,6 +318,36 @@ def test_over_size_limit_exits_2(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith("error: TooLarge:") and "limit" in err
     assert out == ""
+
+
+def test_berkowitz_limit_refuses_only_non_star_grams(capsys, tmp_path):
+    """A star Gram above MAX_BERKOWITZ_RANK is still eliminated; the same Gram
+    with an interior arm vertex joined to E takes Berkowitz, and is refused
+    before tau is built."""
+    alphas = [3] * (MAX_BERKOWITZ_RANK // 2) + [4]
+    lats = build(fuchsian_invariants(alphas))
+    assert lats.minus.rank > MAX_BERKOWITZ_RANK
+    path = tmp_path / "minus.json"
+    path.write_text(json.dumps(lats.minus.to_json()))
+    code, out, _ = run_cli(capsys, "charpoly", "--gram", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["charpoly"] == star_deltas(alphas)["minus"]
+    gram = lats.minus.gram_rows()
+    gram[0][lats.center] = gram[lats.center][0] = 1
+    path.write_text(json.dumps({"gram": gram}))
+    code, out, err = run_cli(capsys, "charpoly", "--gram", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: TooLarge:") and f"limit {MAX_BERKOWITZ_RANK}" in err
+
+
+def test_hilbert_stops_at_a_coefficient_too_long_to_print(capsys, tmp_path):
+    """On an indefinite Gram P grows exponentially; the walk stops at the
+    first coefficient Python will not convert to a string."""
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"gram": [[-2, 3], [3, -2]]}))
+    code, out, err = run_cli(capsys, "hilbert", "--gram", str(path), "--order", str(MAX_ORDER))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: TooLarge: P coefficient ")
 
 
 def test_shorthand_without_alpha_exits_2(capsys, tmp_path):

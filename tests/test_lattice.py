@@ -25,7 +25,7 @@ from coxlat.lattice import (
     reflection_product,
     reflection_word,
     rows_vec,
-    star_char_poly,
+    star_char_polys,
     word_columns,
 )
 from coxlat.star import build, catalog, catalog_names, kleinian_invariants
@@ -36,6 +36,7 @@ from oracles import (
     gram_by_pairings,
     mat_mul_naive,
     matrix_order,
+    prefix_shape,
     reflection_product_naive,
 )
 from strategies import chain_grams, root_lattices, valid_stars
@@ -447,27 +448,27 @@ def test_quotient_gram_matches_pairings_on_degenerate_grams(gram):
 @settings(max_examples=60, deadline=None)
 @given(valid_stars())
 def test_chain_elimination_matches_berkowitz_on_stars(inv):
+    """One pass over V_plus gives the Delta of all three lattices."""
     lats = build(inv)
-    for lat in (lats.minus, lats.zero, lats.plus):
-        assert star_char_poly(lat, lats.center) == char_poly(coxeter_matrix(lat))
+    assert star_char_polys(lats.plus, lats.center) == [
+        char_poly(coxeter_matrix(lat)) for lat in (lats.minus, lats.zero, lats.plus)]
 
 
-def ends_parallel(lat, center):
-    """Whether the pairings of the chain ends with the core are pairwise parallel."""
-    ends = [lat.gram[i][center:] for i in range(center)
-            if i + 1 == center or not lat.gram[i][i + 1]]
-    return all(v[p] * w[q] == v[q] * w[p]
-               for v in ends for w in ends for p in range(len(v)) for q in range(len(v)))
+def prefix(lat, k):
+    """The lattice of the first k basis vectors."""
+    return Lattice(lat.labels[:k], tuple(row[:k] for row in lat.gram[:k]))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(chain_grams())
 def test_chain_elimination_on_chain_grams(case):
-    """Off the stars: any chain pairings, any core of at most three vertices.
-    Elimination answers exactly when the chain ends are parallel, and then
-    agrees with Berkowitz."""
+    """Off the stars: any chain links and pairings with the center, a core of
+    one to three vertices.  Elimination answers exactly when the shape
+    oracle says so, and then each prefix from the center on is Berkowitz
+    on that prefix."""
     lat, center = case
-    delta = star_char_poly(lat, center)
-    assert (delta is not None) == ends_parallel(lat, center)
-    if delta is not None:
-        assert delta == char_poly(coxeter_matrix(lat))
+    deltas = star_char_polys(lat, center)
+    assert (deltas is not None) == prefix_shape(lat.gram, center)
+    if deltas is not None:
+        assert deltas == [char_poly(coxeter_matrix(prefix(lat, k)))
+                          for k in range(center + 1, lat.rank + 1)]

@@ -1,9 +1,14 @@
+import argparse
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coxlat import cli
 from coxlat.errors import CoxlatError, NeitherKind, NotAStarLattice, UnknownName
 from coxlat.lattice import Lattice, mat_mul, mat_transpose, radical_basis
 from coxlat.star import (
@@ -18,6 +23,7 @@ from coxlat.star import (
     invariants_from_json,
     invariants_from_star,
     kleinian_invariants,
+    lattices_from_minus,
     validate,
 )
 
@@ -97,12 +103,30 @@ class TestBuild:
             n = sum(a - 1 for a in alphas) + 1
             assert (lats.minus.rank, lats.zero.rank, lats.plus.rank) == (n, n + 1, n + 2)
 
-    def test_restriction_of_extended_grams(self):
-        lats = build(fuchsian_invariants((2, 3, 7)))
-        n = lats.minus.rank
-        assert tuple(tuple(row[:n]) for row in lats.zero.gram[:n]) == lats.minus.gram
-        m = lats.zero.rank
-        assert tuple(tuple(row[:m]) for row in lats.plus.gram[:m]) == lats.zero.gram
+    @settings(max_examples=40, deadline=None)
+    @given(valid_stars(max_zero_rank=20), st.data())
+    def test_restriction_of_extended_grams(self, inv, data):
+        """V_minus and V_zero are basis prefixes of V_plus on every route to
+        StarLattices: build, lattices_from_minus on an edited Gram, and the
+        decoding of a --gram input."""
+        lats = build(inv)
+        g = lats.minus.gram_rows()
+        if lats.minus.rank > 1:
+            j = data.draw(st.integers(1, lats.minus.rank - 1))
+            i = data.draw(st.integers(0, j - 1))
+            g[i][j] = g[j][i] = 1 - g[i][j]
+        edited = Lattice(lats.minus.labels, tuple(map(tuple, g)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "minus.json"
+            path.write_text(json.dumps(lats.minus.to_json()))
+            decoded = cli._star_lattices(argparse.Namespace(gram=str(path)))
+        routes = (lats, lattices_from_minus(edited, inv, lats.kind, lats.arms, lats.center),
+                  decoded)
+        for route in routes:
+            for lat in (route.minus, route.zero):
+                k = lat.rank
+                assert route.plus.labels[:k] == lat.labels
+                assert tuple(row[:k] for row in route.plus.gram[:k]) == lat.gram
 
     def test_kleinian_minus_is_definite(self):
         # negative definite star: no radical

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxlat import verify
 from coxlat.lattice import (
     Lattice,
     apply_word,
@@ -13,7 +14,7 @@ from coxlat.lattice import (
     coxeter_matrix,
     mat_transpose,
     reflection_word,
-    star_char_poly,
+    star_char_polys,
     word_columns,
 )
 from coxlat.series import RootedLattice, hilbert_P, hilbert_Q, poincare_direct
@@ -162,9 +163,23 @@ def test_delta_branches_on_edited_e8(i, j, eliminated):
     """Subject.delta eliminates chains where the Gram keeps the chain shape
     and falls back to Berkowitz on tau where it does not; both agree."""
     lats = flipped_lattices(E8, i, j)
-    for lat in (lats.minus, lats.zero, lats.plus):
-        assert (star_char_poly(lat, lats.center) is not None) == eliminated
+    assert (star_char_polys(lats.plus, lats.center) is not None) == eliminated
     assert_delta_is_berkowitz(lats)
+
+
+def test_subject_eliminates_once_for_all_three_deltas(monkeypatch):
+    """All four checks read Delta_minus, Delta_zero and Delta_plus from one
+    star_char_polys call on V_plus."""
+    calls = []
+
+    def counted(lat, center):
+        calls.append(lat)
+        return star_char_polys(lat, center)
+
+    monkeypatch.setattr(verify, "star_char_polys", counted)
+    lats = build(E12)
+    assert all(report.passed for report in verify_lattices(lats, 20))
+    assert calls == [lats.plus]
 
 
 def test_many_arm_star_minus_delta_is_closed_form():
