@@ -43,14 +43,14 @@ from .exact import series_from_rational  # noqa: F401
 from .series import hilbert_Q  # noqa: F401
 
 # Largest accepted rank of V_plus, series order and count of random inputs.
-# On a 2-vCPU host at rank 900, `verify` at order 200 takes 3.8 to 4.4 s on
-# D898 and 4.7 to 5.2 s on the Fuchsian star of 299 arms with alpha = 3 and
+# On a 2-vCPU host at rank 900, `verify` at order 200 takes 2.4 to 2.6 s on
+# D898 and 3.1 to 3.3 s on the Fuchsian star of 299 arms with alpha = 3 and
 # one with alpha = 300.  `poincare` at order 10000 takes 1.6 s on that star,
 # 0.5 s on D898 and 1.4 s on the star of 440 arms with alpha = 2 (rank
 # 443), where the 441 terms of prod (1 - t^2) are as many as Delta_zero
 # has.  Every step on a star grows about as rank^2: the columns of each tau
-# from its reflection word, the form solve -A^-1 A^t, the chain elimination
-# and the radical; the one orbit walk grows linearly in the order.  A --gram
+# from its reflection word, the residual A tau + A^t and the chain
+# elimination; the one orbit walk grows linearly in the order.  A --gram
 # input may be any root lattice; compiling the walk of a dense Gram takes
 # about 120 MB at rank 300, hence MAX_GRAM_RANK.  `charpoly --gram`
 # eliminates a star Gram in 0.2 to 0.4 s at ranks 296 to 298, but Berkowitz

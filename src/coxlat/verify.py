@@ -29,7 +29,6 @@ from .lattice import (
     coxeter_columns_via_form,
     identity_matrix,
     nonzeros,
-    radical_basis,
     reflection_word,
     rows_vec,
     star_char_polys,
@@ -39,7 +38,7 @@ from .series import RootedLattice, divisor_degree, hilbert_P, p_and_q, poincare_
 # Not called here; perfbench/spans.py wraps these bindings by attribute.
 from .lattice import (coxeter_inverse_matrix, coxeter_matrix, coxeter_via_form,  # noqa: F401
                       mat_det, mat_mul, mat_transpose, quotient_by_radical,
-                      reflection_matrix, reflection_product)
+                      radical_basis, reflection_matrix, reflection_product)
 from .series import hilbert_Q  # noqa: F401
 from .star import (
     OrbitInvariants,
@@ -264,7 +263,7 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
     s_i pi for each arm root and both s_E and s_{E-u} descend to s_E:
 
     (a) pi s_E s_{E-u} iota is the identity,
-    (b) pi tau_zero iota is tau_1 ... tau_r, the arm words on V_minus,
+    (b) pi tau_zero iota is tau_1 ... tau_r, read as tau_minus s_E (s_E^2 = 1),
     (c) each arm word moves E with period exactly alpha_i,
     (d) the orbit sums reproduce 1 + deg D^(k) for both divisor patterns.
 
@@ -289,10 +288,11 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
         yield _matrix_witness("s_E s_{E-u} == id",
                               [project(apply_word(pair, e + [0])) for e in units], units)
 
-        arms = reflection_word(lats.minus, range(lats.center))
+        tau_minus = subject.coxeter("minus")
         yield _matrix_witness("tau_0 == tau_1 ... tau_r",
                               [project(col) for col in subject.coxeter("zero")[:f]],
-                              [apply_word(arms, list(e)) for e in units])
+                              [[x + g * y for x, y in zip(col, tau_minus[lats.center])] if g else col
+                               for col, g in zip(tau_minus, lats.minus.gram[lats.center])])
 
         e = units[lats.center]
         for arm_index, ((start, stop), alpha) in enumerate(zip(lats.arms, inv.alphas), start=1):
@@ -314,13 +314,16 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
 def check_identities(subject: Subject) -> VerificationReport:
     """Structural identities of the three lattices and their Coxeter elements.
 
-    tau comes as the columns of its reflection word and is compared with
-    the columns of -A^-1 A^t, solved from the form.  det tau == (-1)^rank
-    multiplies the word's factors, det s_i = 1 + <e_i, e_i> by the matrix
-    determinant lemma; it reads none of tau's entries, so it checks only
-    that the word has one root reflection per basis vector.  The value of
-    det tau is pinned before it, by A tau = -A^t with A unitriangular
-    (det tau = det(-A^t) = (-1)^rank) and by Delta(0) = det(-tau) = 1.
+    tau comes as the columns of its reflection word.  A is unitriangular, so
+    tau == -A^-1 A^t exactly when A tau == -A^t; that residual decides both,
+    and -A^-1 A^t is solved only to name where tau differs.  det tau ==
+    (-1)^rank multiplies the word's factors, det s_i = 1 + <e_i, e_i>, so it
+    checks only that the word has one root reflection per basis vector; its
+    value is pinned before it by A tau = -A^t and Delta(0) = det(-tau) = 1.
+
+    The radical of V_zero is Zu: G_zero u = 0, u is primitive (entries +-1),
+    and its corank-1 leading block V_minus has Delta_minus(1) = det(A + A^t)
+    = (-1)^rank det G_minus != 0, so the saturated radical has rank 1.
     """
     def witnesses():
         lats = subject.lats
@@ -328,26 +331,23 @@ def check_identities(subject: Subject) -> VerificationReport:
             lat = getattr(lats, which)
             tau = subject.coxeter(which)
             form = asym_form_matrix(lat)  # the rows of A are the columns of A^t
-            yield _matrix_witness(f"coxeter({which}) == -A^-1 A^t", tau,
-                                  coxeter_columns_via_form(form))
             form_rows = nonzeros(form)
             minus_a_tau = [[-x for x in rows_vec(form_rows, col)] for col in tau]
+            if minus_a_tau != form:  # only the solve names identity 1's entry
+                yield _matrix_witness(f"coxeter({which}) == -A^-1 A^t", tau,
+                                      coxeter_columns_via_form(form))
             yield _matrix_witness(f"(y,x) == -(x,tau y) on {which}", form, minus_a_tau)
             delta = subject.delta(which)
             yield _value_witness(f"char poly of {which} has constant term 1", 0, delta[0], 1)
             # char_poly is monic, so palindromic up to sign means delta[i] == delta[n - i]
-            n = len(delta) - 1
-            for i in range(n + 1):
-                yield _value_witness(
-                    f"char poly of {which} palindromic up to sign", i, delta[i], delta[n - i]
-                )
+            yield _poly_witness(f"char poly of {which} palindromic up to sign", delta, delta[::-1])
             det = prod(1 + lat.gram[i][i] for i, _ in subject.word(which))
             yield _value_witness(f"det tau == (-1)^rank on {which}", lat.rank, det, (-1) ** lat.rank)
-        rad = radical_basis(lats.zero)
-        u = list(lats.u_zero)
-        if not (len(rad) == 1 and (rad[0] == u or rad[0] == [-x for x in u])):
-            yield {"identity": "radical of V_zero is rank 1 spanned by u",
-                   "index": len(rad), "expected": u, "got": rad}
+        radical = "radical of V_zero is rank 1 spanned by u"
+        u = [(j, x) for j, x in enumerate(lats.u_zero) if x]
+        yield _poly_witness(radical, [sum(row[j] * x for j, x in u) for row in lats.zero.gram], [])
+        if not sum(subject.delta("minus")):
+            yield {"identity": radical, "index": "Delta_minus(1)", "expected": "nonzero", "got": 0}
 
         # The closed forms are those of the star of the invariants.  A V_minus
         # that is not that star (an edited Gram) fails the theorem check instead.

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import accumulate
 
@@ -13,6 +14,7 @@ from coxlat.lattice import (
     coxeter_inverse_matrix,
     coxeter_matrix,
     mat_transpose,
+    radical_basis,
     reflection_word,
     star_char_polys,
     word_columns,
@@ -25,6 +27,7 @@ from coxlat.star import (
     fuchsian_invariants,
     kleinian_invariants,
     lattices_from_minus,
+    star_minus_lattice,
     validate,
 )
 from coxlat.verify import (
@@ -202,6 +205,10 @@ def test_coxeter_descends_to_arm_words(inv):
     projected[c] = [x + y for x, y in zip(projected[c], tau[f])]
     arms = word_columns(reflection_word(lats.minus, range(c)), f)
     assert projected == mat_transpose(arms)
+    # tau_minus = tau_1 ... tau_r s_E, and s_E is an involution
+    tau_minus = reflection_product_naive(lats.minus.gram, range(f))
+    s_e = reflection_product_naive(lats.minus.gram, [c])
+    assert mat_mul_naive(tau_minus, s_e, f) == mat_transpose(arms)
     e = [int(k == c) for k in range(f)]
     for (start, stop), alpha in zip(lats.arms, inv.alphas):
         arm = reflection_word(lats.minus, range(start, stop))
@@ -210,14 +217,16 @@ def test_coxeter_descends_to_arm_words(inv):
 
 
 class CorruptedMinusWord(Subject):
-    """A subject whose V_minus word has a spurious pairing with e_k in its
-    first step, which acts only on the column tau e_k."""
+    """A subject whose V_minus word, or the word of ``lattice`` where that is
+    set, has a spurious pairing with e_k in its first step, which acts only
+    on the column tau e_k."""
 
     k = 1  # not a neighbour of E in the E8 star
+    lattice = "minus"
 
     def word(self, which):
         word = super().word(which)
-        if which != "minus":
+        if which != self.lattice:
             return word
         (i, pairs), *rest = word
         return ((i, pairs + ((self.k, 1),)), *rest)
@@ -235,6 +244,91 @@ def test_corrupted_word_fails_identities_at_its_column():
     assert w["identity"] == "coxeter(minus) == -A^-1 A^t" and w["index"][1] == k
     i = w["index"][0]
     assert (w["got"], w["expected"]) == (tau[k][i], honest[k][i])
+
+
+@pytest.mark.parametrize("which", ["zero", "plus"])
+def test_corrupted_zero_or_plus_word_fails_identities_at_its_column(which):
+    """V_minus passes, so the first witness is the solve's, on the corrupted
+    lattice, at the one column its word gets wrong."""
+    subject = CorruptedMinusWord(build(E8))
+    subject.lattice = which
+    k, lat = subject.k, getattr(subject.lats, which)
+    tau = subject.coxeter(which)
+    honest = mat_transpose(reflection_product_naive(lat.gram, range(lat.rank)))
+    assert [j for j, (col, ok) in enumerate(zip(tau, honest)) if col != ok] == [k]
+    w = check_identities(subject).witness
+    assert w["identity"] == f"coxeter({which}) == -A^-1 A^t" and w["index"][1] == k
+    i = w["index"][0]
+    assert (w["got"], w["expected"]) == (tau[k][i], honest[k][i])
+
+
+def test_passing_subjects_neither_solve_the_form_nor_reduce_the_gram(monkeypatch):
+    """The residual A tau + A^t decides tau == -A^-1 A^t, and the radical is
+    read off u and Delta_minus(1): the solve runs only to name a failing
+    entry, and radical_basis not at all."""
+    calls = []
+    for name in ("coxeter_columns_via_form", "radical_basis"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    for _, inv in suite_inputs(n_random=5):
+        assert all(report.passed for report in verify_lattices(build(inv), 30))
+    assert calls == []
+    assert not check_identities(CorruptedMinusWord(build(E8))).passed
+    assert calls == ["coxeter_columns_via_form"]
+
+
+RADICAL = "radical of V_zero is rank 1 spanned by u"
+
+
+def assert_radical_verdict_is_radical_basis(lats):
+    """The identities' radical verdict, from G_zero u and Delta_minus(1),
+    against the unimodular column reduction; returns the witness.
+
+    A null vector of G_minus pairs with E-u as with E, so where
+    Delta_minus(1) = 0 it is a radical vector of V_zero besides u."""
+    w = check_identities(Subject(lats)).witness
+    # the identities before the radical hold on every Gram of roots
+    assert w is None or w["identity"] == RADICAL or w["identity"].endswith("== closed form")
+    u = list(lats.u_zero)
+    spanned_by_u = radical_basis(lats.zero) in ([u], [[-x for x in u]])
+    assert (w is None or w["identity"] != RADICAL) == spanned_by_u
+    return w
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_radical_verdict_matches_radical_basis_on_flipped_grams(data):
+    inv = data.draw(st.sampled_from(FLIP_INPUTS))
+    assert_radical_verdict_is_radical_basis(flipped_lattices(inv, *draw_entry(data, inv)))
+
+
+def affine_d4_lattices():
+    """The affine D4 Gram, null vector (1, 1, 1, 1, 2), as V_minus."""
+    minus, arms, center = star_minus_lattice((2, 2, 2, 2))
+    inv = fuchsian_invariants((2, 2, 2, 3))
+    return lattices_from_minus(minus, inv, validate(inv), arms, center)
+
+
+# two of the 14 flips of the first 40 roster inputs whose V_minus is degenerate
+@pytest.mark.parametrize("lats", [affine_d4_lattices(), flipped_lattices(catalog("A3"), 0, 1),
+                                  flipped_lattices(E12, 3, 4)], ids=["affine-D4", "A3", "E12"])
+def test_degenerate_minus_fails_radical_at_delta_minus_one(lats):
+    w = assert_radical_verdict_is_radical_basis(lats)
+    assert w == {"identity": RADICAL, "index": "Delta_minus(1)", "expected": "nonzero", "got": 0}
+    assert len(radical_basis(lats.zero)) == 2
+
+
+def test_zero_gram_off_u_fails_radical_at_its_row():
+    """E-u of V_zero made to pair with e_1, which E does not: row 1 of
+    G_zero u is the first that is not zero."""
+    lats = build(E8)
+    g = lats.zero.gram_rows()
+    f = lats.f_index
+    g[1][f] = g[f][1] = 1
+    lats = dataclasses.replace(lats, zero=Lattice(lats.zero.labels, g))
+    w = assert_radical_verdict_is_radical_basis(lats)
+    assert w == {"identity": RADICAL, "index": 1, "expected": 0, "got": -1}
 
 
 @pytest.mark.parametrize("inv", [catalog("D250"), fuchsian_invariants((3,) * 60 + (100,))],
