@@ -10,7 +10,7 @@ as exact integer series equalities.
 from .errors import CoxlatError
 from .exact import PowerSeries, series_from_rational
 from .lattice import Lattice, char_poly, coxeter_matrix
-from .series import RootedLattice, hilbert_P, hilbert_Q, poincare_direct
+from .series import hilbert_P, hilbert_Q, poincare_direct
 from .star import (
     OrbitInvariants,
     SingularityKind,

@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import CoxlatError, NotAStarLattice, TooLarge
 from .exact import poly_to_string
 from .lattice import Lattice, char_poly, coxeter_matrix, star_char_polys
-from .series import RootedLattice, hilbert_P, p_and_q, poincare_direct
+from .series import hilbert_P, p_and_q, poincare_direct
 from .star import (
     build,
     catalog,
@@ -43,20 +43,21 @@ from .exact import series_from_rational  # noqa: F401
 from .series import hilbert_Q  # noqa: F401
 
 # Largest accepted rank of V_plus, series order and count of random inputs.
-# On a 2-vCPU host at rank 900, `verify` at order 200 takes 2.4 to 2.6 s on
-# D898 and 3.1 to 3.3 s on the Fuchsian star of 299 arms with alpha = 3 and
-# one with alpha = 300.  `poincare` at order 10000 takes 1.6 s on that star,
-# 0.5 s on D898 and 1.4 s on the star of 440 arms with alpha = 2 (rank
-# 443), where the 441 terms of prod (1 - t^2) are as many as Delta_zero
-# has.  Every step on a star grows about as rank^2: the columns of each tau
-# from its reflection word, the residual A tau + A^t and the chain
-# elimination; the one orbit walk grows linearly in the order.  A --gram
-# input may be any root lattice; compiling the walk of a dense Gram takes
-# about 120 MB at rank 300, hence MAX_GRAM_RANK.  `charpoly --gram`
-# eliminates a star Gram in 0.2 to 0.4 s at ranks 296 to 298, but Berkowitz
-# on a tau that fills in takes 2.7 s on a dense +-1 Gram of rank 80, 10 to
-# 11 s at rank 100 and 31 s at rank 120, hence MAX_BERKOWITZ_RANK for any
-# other Gram.  `verify --all --random 500` at order 200 takes 4.7 s.
+# On a 2-vCPU host at rank 900, `verify` at order 200 takes 2.3 to 2.7 s on
+# D898 and 2.8 to 3.4 s on the Fuchsian star of 299 arms with alpha = 3 and
+# one with alpha = 300.  `poincare` at order 10000 takes 1.5 to 1.6 s on
+# that star, 0.6 s on D898 and 1.0 to 1.3 s on the star of 440 arms with
+# alpha = 2 (rank 443), where the 441 terms of prod (1 - t^2) are as many as
+# Delta_zero has; `hilbert` at order 10000 takes 1.2 s on D898.  Every step
+# on a star grows about as rank^2: the columns of each tau from its
+# reflection word, the residual A tau + A^t and the chain elimination; the
+# one orbit walk grows linearly in the order.  A --gram input may be any
+# root lattice; compiling the walk of a dense Gram takes about 120 MB at
+# rank 300, hence MAX_GRAM_RANK.  `charpoly --gram` eliminates a star Gram
+# in 0.2 to 0.4 s at ranks 296 to 298, but Berkowitz on a tau that fills in
+# takes 2.7 s on a dense +-1 Gram of rank 80, 10 to 11 s at rank 100 and
+# 31 s at rank 120, hence MAX_BERKOWITZ_RANK for any other Gram.  `verify
+# --all --random 500` at order 200 takes 3.4 to 4.2 s.
 MAX_RANK = 900
 MAX_GRAM_RANK = 300
 MAX_BERKOWITZ_RANK = 100
@@ -213,14 +214,11 @@ def cmd_hilbert(args) -> int:
         raise CoxlatError("--root needs a --gram input; the other inputs root the series at E")
     inv, lat = _load_input(args)
     if lat is not None:
-        root_index = lat.rank - 1 if args.root is None else args.root
-        if not 0 <= root_index < lat.rank:
-            raise CoxlatError(f"--root {root_index} out of range for rank {lat.rank}")
-        rl = RootedLattice.at_basis_index(lat, root_index)
+        root = lat.rank - 1 if args.root is None else args.root
     else:
         lats = build(inv)
-        rl = RootedLattice.at_basis_index(lats.zero, lats.center)
-    series = dict(zip(("P", "Q"), p_and_q(hilbert_P(rl, args.order + 1))))
+        lat, root = lats.zero, lats.center
+    series = dict(zip(("P", "Q"), p_and_q(hilbert_P(lat, root, args.order + 1))))
     rows = {key: s for key, s in series.items() if args.series in (key, "both")}
     if args.format == "json":
         _emit_json({key: s.to_json() for key, s in rows.items()})

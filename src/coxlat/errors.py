@@ -35,10 +35,6 @@ class NeitherKind(CoxlatError):
     """Orbit invariants match neither the Kleinian nor the Fuchsian pattern."""
 
 
-class GorensteinViolation(CoxlatError):
-    """The Gorenstein congruence/degree relations failed for the claimed kind."""
-
-
 class UnknownName(CoxlatError):
     """Catalog lookup of an unknown singularity name."""
 

@@ -151,10 +151,6 @@ class Lattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    def pairing(self, x: Sequence[int], y: Sequence[int]) -> int:
-        """<x, y> for coordinate vectors x, y."""
-        return sum(xi * sum(g * yj for g, yj in zip(row, y)) for xi, row in zip(x, self.gram))
-
     def is_root(self, i: int) -> bool:
         return self.gram[i][i] == -2
 

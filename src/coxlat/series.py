@@ -2,54 +2,32 @@
 
 Two independent routes to the same generating function.  The direct route
 counts sections of the divisors D^(k) on a genus-0 base via the dimension
-formula dim L(D) = 1 + deg D.  The lattice route pairs a distinguished
-root a with its orbit under the Coxeter element tau, building the two
+formula dim L(D) = 1 + deg D.  The lattice route pairs a basis root e = e_i
+with its orbit under the Coxeter element tau, building the two
 Hilbert-Poincare series
 
-    P coefficient k : 1 + sum_{l=0}^{k-1} <a, tau^l a>   =  (a, tau^k a)
-    Q coefficient k : 1 - sum_{l=1}^{k}  <a, tau^-l a>   =  (a, tau^-k a)  =  -P_{k+1}
+    P coefficient k : 1 + sum_{l=0}^{k-1} <e, tau^l e>   =  (e, tau^k e)
+    Q coefficient k : 1 - sum_{l=1}^{k}  <e, tau^-l e>   =  (e, tau^-k e)  =  -P_{k+1}
 
-where (-,-) is the upper-triangular form with tau = -A^{-1}A^t.  One walk
-of a under tau gives both: Q to order n is read off P to order n + 1 (the
-proof is in hilbert_Q).  The walk compares the orbit sum with the form
-value on every coefficient; a disagreement raises RouteMismatch.
+where (-,-) is the upper-triangular form with tau = -A^{-1}A^t.  Both
+functionals the walk reads, <e, -> and (e, -), are row i of the Gram and
+row i of A, so they come off one Gram row in O(rank).  One walk of e under
+tau gives both series: Q to order n is read off P to order n + 1 (the proof
+is in hilbert_Q).  The walk compares the orbit sum with the form value on
+every coefficient; a disagreement raises RouteMismatch.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
 
-from .errors import NegativeDimension, NotARoot, RouteMismatch, TooLarge
+from .errors import CoxlatError, NegativeDimension, RouteMismatch, TooLarge
 from .exact import PowerSeries
-from .lattice import Lattice, asym_form_matrix, compile_word, nonzeros, reflection_word, rows_vec
+from .lattice import Lattice, compile_word, reflection_word
 # Not called here; perfbench/spans.py wraps these bindings by attribute.
-from .lattice import coxeter_inverse_matrix, coxeter_matrix  # noqa: F401
+from .lattice import asym_form_matrix, coxeter_inverse_matrix, coxeter_matrix  # noqa: F401
 from .star import OrbitInvariants, SingularityKind
-
-
-@dataclass(frozen=True)
-class RootedLattice:
-    """A lattice with a distinguished root a, given by coordinates."""
-
-    lattice: Lattice
-    root: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "root", tuple(self.root))
-        if len(self.root) != self.lattice.rank:
-            raise ValueError("root coordinate length does not match rank")
-        norm = self.lattice.pairing(self.root, self.root)
-        if norm != -2:
-            raise NotARoot(f"distinguished vector has self-pairing {norm}, not -2")
-
-    @classmethod
-    def at_basis_index(cls, lat: Lattice, i: int) -> "RootedLattice":
-        v = [0] * lat.rank
-        v[i] = 1
-        return cls(lat, tuple(v))
 
 
 def divisor_degree(inv: OrbitInvariants, kind: SingularityKind, k: int) -> int:
@@ -90,32 +68,38 @@ def poincare_direct(inv: OrbitInvariants, kind: SingularityKind, order: int) -> 
     return PowerSeries(tuple(coeffs))
 
 
-def _row(m, a: Sequence[int]):
-    """The row vector a^T m; for m the Gram this is the functional <a, ->."""
-    return [sum(ai * x for ai, x in zip(a, col)) for col in zip(*m)]
-
-
-def hilbert_P(rl: RootedLattice, order: int) -> PowerSeries:
-    """P series of (V, a): coefficient k is 1 + sum_{l<k} <a, tau^l a>.
+def hilbert_P(lat: Lattice, root: int, order: int) -> PowerSeries:
+    """P series of (V, e) for e the basis vector at index root: coefficient k
+    is 1 + sum_{l<k} <e, tau^l e>.
 
     Every coefficient is checked against the triangular form value
-    (a, tau^k a).  tau acts as the reflection word of the whole basis,
-    compiled once for the walk together with both functionals.  The word
-    is built before the form, so of several basis vectors that are not
-    roots the one with the highest index is named.  On an indefinite Gram
-    the coefficients grow exponentially; the first too long to print raises
+    (e, tau^k e).  tau acts as the reflection word of the whole basis,
+    compiled once for the walk together with both functionals, read off
+    Gram row root, g_j = <e, e_j>:
+
+        (e, x) = x_root - sum_{j > root} g_j x_j     (row root of A)
+        <e, x> = sum_j g_j x_j
+
+    The word requires every basis vector, e too, to be a root; it is built
+    before the functionals, so of several basis vectors that are not roots
+    the one with the highest index is named.  On an indefinite Gram the
+    coefficients grow exponentially; the first too long to print raises
     TooLarge at once, without walking on.
     """
-    lat = rl.lattice
+    if not 0 <= root < lat.rank:
+        raise CoxlatError(f"root index {root} out of range for rank {lat.rank}")
     word = reflection_word(lat, range(lat.rank))
-    functionals = nonzeros([_row(asym_form_matrix(lat), rl.root), _row(lat.gram, rl.root)])
-    step = compile_word(word, functionals)
+    row = lat.gram[root]
+    form = [(root, 1)] + [(j, -g) for j, g in enumerate(row[root + 1:], root + 1) if g]
+    pairing = [(j, g) for j, g in enumerate(row) if g]
+    step = compile_word(word, [form, pairing])
     digits = sys.get_int_max_str_digits()  # 0: no limit
     bound = 10 ** digits if digits else None
     coeffs = []
-    v = list(rl.root)
+    v = [0] * lat.rank
+    v[root] = 1
     acc = 1
-    form_value, paired = rows_vec(functionals, v)
+    form_value, paired = 1, row[root]  # (e, e) and <e, e>
     for k in range(order + 1):
         if form_value != acc:
             raise RouteMismatch(f"P coefficient {k}: orbit sum {acc} vs form value {form_value}")
@@ -127,15 +111,16 @@ def hilbert_P(rl: RootedLattice, order: int) -> PowerSeries:
     return PowerSeries(tuple(coeffs))
 
 
-def hilbert_Q(rl: RootedLattice, order: int) -> PowerSeries:
-    """Q series of (V, a): coefficient k is 1 - sum_{1<=l<=k} <a, tau^-l a>,
-    which is (a, tau^-k a) = -P_{k+1}; so Q is read off P to order + 1.
+def hilbert_Q(lat: Lattice, root: int, order: int) -> PowerSeries:
+    """Q series of (V, e) for e the basis vector at index root: coefficient
+    k is 1 - sum_{1<=l<=k} <e, tau^-l e>, which is (e, tau^-k e) = -P_{k+1};
+    so Q is read off P to order + 1.
 
     A tau = -A^t gives (x, tau y) = -(y, x), and then tau^t A tau = A, so
-    (a, tau^-k a) = (tau^k a, a) = -(a, tau^{k+1} a).  The sum starts at
-    l = 1, as Q(0) = (a, a) = 1 forces.
+    (e, tau^-k e) = (tau^k e, e) = -(e, tau^{k+1} e).  The sum starts at
+    l = 1, as Q(0) = (e, e) = 1 forces.
     """
-    return p_and_q(hilbert_P(rl, order + 1))[1]
+    return p_and_q(hilbert_P(lat, root, order + 1))[1]
 
 
 def p_and_q(walk: PowerSeries) -> tuple:

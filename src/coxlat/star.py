@@ -23,18 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CoxlatError, GorensteinViolation, NeitherKind, NotAStarLattice, UnknownName
+from .errors import CoxlatError, NeitherKind, NotAStarLattice, UnknownName
 from .lattice import Lattice, json_ints
 
 
 class SingularityKind(enum.Enum):
     KLEINIAN = "kleinian"
     FUCHSIAN = "fuchsian"
-
-    @property
-    def gorenstein_r(self) -> int:
-        """The integer R with R*beta_i = 1 mod alpha_i: -1 Kleinian, +1 Fuchsian."""
-        return -1 if self is SingularityKind.KLEINIAN else 1
 
     @property
     def top(self) -> str:
@@ -74,10 +69,6 @@ class OrbitInvariants:
     @functools.cached_property
     def alphas(self) -> tuple:
         return tuple(a for a, _ in self.pairs)
-
-    def vdeg(self) -> Fraction:
-        """Virtual degree -b + sum beta_i/alpha_i of the orbit line bundle."""
-        return Fraction(-self.b) + sum((Fraction(b, a) for a, b in self.pairs), Fraction(0))
 
     def describe(self) -> str:
         pairs = ",".join(f"({a},{b})" for a, b in self.pairs)
@@ -119,28 +110,19 @@ def validate(inv: OrbitInvariants) -> SingularityKind:
 
     Kleinian: b = 2, every beta_i = alpha_i - 1, sum 1/alpha_i > r - 2.
     Fuchsian: b = r - 2, every beta_i = 1,       sum 1/alpha_i < r - 2.
-    The Gorenstein relations R*beta_i = 1 mod alpha_i and
-    R*vdeg = 2 - 2g - r + sum 1/alpha_i are re-checked for the matched kind.
+    Either pattern satisfies the Gorenstein relations R*beta_i = 1 mod alpha_i
+    and R*vdeg = 2 - r + sum 1/alpha_i identically (R = -1 Kleinian, +1
+    Fuchsian, vdeg = -b + sum beta_i/alpha_i), so they need no check here.
     """
     if inv.genus != 0:
         raise NeitherKind(f"only genus 0 is supported, got g={inv.genus}")
     r = inv.r
     s = _reciprocal_sum(inv.alphas)
     if inv.b == 2 and all(b == a - 1 for a, b in inv.pairs) and s > r - 2:
-        kind = SingularityKind.KLEINIAN
-    elif inv.b == r - 2 and all(b == 1 for a, b in inv.pairs) and s < r - 2:
-        kind = SingularityKind.FUCHSIAN
-    else:
-        raise NeitherKind(f"invariants {inv.describe()} match neither pattern")
-    big_r = kind.gorenstein_r
-    for a, b in inv.pairs:
-        if (big_r * b) % a != 1 % a:
-            raise GorensteinViolation(f"R*beta = {big_r * b} is not 1 mod {a}")
-    if big_r * inv.vdeg() != 2 - 2 * inv.genus - r + s:
-        raise GorensteinViolation(
-            f"R*vdeg = {big_r * inv.vdeg()} != 2 - 2g - r + sum 1/alpha = {2 - r + s}"
-        )
-    return kind
+        return SingularityKind.KLEINIAN
+    if inv.b == r - 2 and all(b == 1 for a, b in inv.pairs) and s < r - 2:
+        return SingularityKind.FUCHSIAN
+    raise NeitherKind(f"invariants {inv.describe()} match neither pattern")
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .lattice import (
     star_char_polys,
     word_columns,
 )
-from .series import RootedLattice, divisor_degree, hilbert_P, p_and_q, poincare_direct
+from .series import divisor_degree, hilbert_P, p_and_q, poincare_direct
 # Not called here; perfbench/spans.py wraps these bindings by attribute.
 from .lattice import (coxeter_inverse_matrix, coxeter_matrix, coxeter_via_form,  # noqa: F401
                       mat_det, mat_mul, mat_transpose, quotient_by_radical,
@@ -130,9 +130,8 @@ class Subject:
 
     def walk(self, order: int) -> PowerSeries:
         """P of (V_zero, E) to order + 1, which holds P and Q to order."""
-        lats = self.lats
         return self._once(("walk", order), lambda: hilbert_P(
-            RootedLattice.at_basis_index(lats.zero, lats.center), order + 1))
+            self.lats.zero, self.lats.center, order + 1))
 
     def quotient(self, which: str, order: int) -> PowerSeries:
         """Delta_which / Delta_zero expanded to order.

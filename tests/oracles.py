@@ -97,6 +97,11 @@ def prefix_shape(gram, center):
     return True
 
 
+def pairing(gram, x, y):
+    """<x, y> = sum_ab x_a g_ab y_b for coordinate vectors x, y."""
+    return sum(xa * g * yb for xa, row in zip(x, gram) for g, yb in zip(row, y))
+
+
 def mat_mul_naive(a, b, width):
     """a b by the triple loop; ``width`` is the column count of b."""
     return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(width)]

@@ -191,6 +191,13 @@ class TestHilbert:
         assert (code, out) == (2, "")
         assert err == "error: NotARoot: basis vector 'e4' has self-pairing -1, not -2\n"
 
+    def test_root_that_is_not_a_root_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps({"gram": [[-2, 1], [1, -3]]}))
+        code, out, err = run_cli(capsys, "hilbert", "--gram", str(path), "--root", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: NotARoot: basis vector 'e2' has self-pairing -3, not -2\n"
+
 
 class TestVerify:
     def test_single_input_passes(self, capsys):
@@ -252,19 +259,22 @@ BAD_INPUTS = [
     ("verify", "--fuchsian", "2,3,7", "--order", "-1"),
     ("verify", "--all", "--random", "-2"),
     ("hilbert", "--name", "A1", "--order", "3", "--root", "7"),
+    ("hilbert", "--gram", {"gram": [[-2, 1], [1, -2]]}, "--root", "-1"),
+    ("hilbert", "--gram", {"gram": [[-2, 1], [1, -2]]}, "--root", "2"),
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=[
     "gram-not-a-list", "gram-empty", "gram-float", "gram-bool", "alpha-float", "negative-order",
-    "negative-random", "root-without-gram",
+    "negative-random", "root-without-gram", "root-negative", "root-at-rank",
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     argv = list(argv)
-    if isinstance(argv[-1], dict):
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps(argv[-1]))
-        argv[-1] = str(path)
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(arg))
+            argv[i] = str(path)
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects the value before any handler runs

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coxlat.errors import NegativeDimension, NeitherKind, NotARoot
+from coxlat.errors import CoxlatError, NegativeDimension, NeitherKind, NotARoot
 from coxlat.exact import series_equal, series_from_rational
 from coxlat.lattice import Lattice, char_poly, coxeter_matrix
 from coxlat.series import (
-    RootedLattice,
     divisor_degree,
     hilbert_P,
     hilbert_Q,
@@ -29,12 +28,6 @@ from oracles import hypersurface_dims
 E8 = kleinian_invariants((2, 3, 5))
 E12 = fuchsian_invariants((2, 3, 7))
 A2 = Lattice(("e1", "e2"), ((-2, 1), (1, -2)))
-
-
-def rooted_at_center(lats):
-    v = [0] * lats.zero.rank
-    v[lats.center] = 1
-    return RootedLattice(lats.zero, tuple(v))
 
 
 class TestDivisorDegree:
@@ -136,29 +129,28 @@ class TestDirectColumns:
 class TestHilbertSeries:
     def test_armless_P(self):
         lats = build(kleinian_invariants(()))
-        p = hilbert_P(rooted_at_center(lats), 6)
+        p = hilbert_P(lats.zero, lats.center, 6)
         assert p.coeffs == (1, -1, -3, -5, -7, -9, -11)
 
     def test_armless_Q(self):
         lats = build(kleinian_invariants(()))
-        q = hilbert_Q(rooted_at_center(lats), 6)
+        q = hilbert_Q(lats.zero, lats.center, 6)
         assert q.coeffs == (1, 3, 5, 7, 9, 11, 13)
 
     def test_constant_coefficient_is_one(self):
         for inv in (E8, E12, kleinian_invariants((3, 3))):
-            rl = rooted_at_center(build(inv))
-            assert hilbert_P(rl, 0).coeffs == (1,)
-            assert hilbert_Q(rl, 0).coeffs == (1,)
+            lats = build(inv)
+            assert hilbert_P(lats.zero, lats.center, 0).coeffs == (1,)
+            assert hilbert_Q(lats.zero, lats.center, 0).coeffs == (1,)
 
     def test_a2_periodic(self):
         # orbit e1 -> e2 -> -e1-e2 -> e1 gives period-3 pairing sequences
-        rl = RootedLattice.at_basis_index(A2, 0)
-        assert hilbert_P(rl, 8).coeffs == (1, -1, 0, 1, -1, 0, 1, -1, 0)
-        assert hilbert_Q(rl, 8).coeffs == (1, 0, -1, 1, 0, -1, 1, 0, -1)
+        assert hilbert_P(A2, 0, 8).coeffs == (1, -1, 0, 1, -1, 0, 1, -1, 0)
+        assert hilbert_Q(A2, 0, 8).coeffs == (1, 0, -1, 1, 0, -1, 1, 0, -1)
 
     def test_e8_Q_is_poincare_series(self):
         lats = build(E8)
-        q = hilbert_Q(rooted_at_center(lats), 30)
+        q = hilbert_Q(lats.zero, lats.center, 30)
         direct = poincare_direct(E8, SingularityKind.KLEINIAN, 30)
         assert q.coeffs == direct.coeffs
 
@@ -166,18 +158,21 @@ class TestHilbertSeries:
         # replacing E by E-u changes nothing: u is in the radical
         for inv in (E8, E12):
             lats = build(inv)
-            at_e = rooted_at_center(lats)
-            v = [0] * lats.zero.rank
-            v[lats.f_index] = 1
-            at_f = RootedLattice(lats.zero, tuple(v))
-            assert hilbert_P(at_e, 40).coeffs == hilbert_P(at_f, 40).coeffs
-            assert hilbert_Q(at_e, 40).coeffs == hilbert_Q(at_f, 40).coeffs
+            for hilbert in (hilbert_P, hilbert_Q):
+                assert (hilbert(lats.zero, lats.center, 40).coeffs
+                        == hilbert(lats.zero, lats.f_index, 40).coeffs)
 
     def test_non_root_rejected(self):
-        lats = build(E8)
-        u = list(lats.u_zero)  # isotropic, not a root
-        with pytest.raises(NotARoot):
-            RootedLattice(lats.zero, tuple(u))
+        # e2 squares to -3; the walk refuses it as a root and as a factor of tau
+        lat = Lattice(("e1", "e2"), ((-2, 1), (1, -3)))
+        for root in (0, 1):
+            with pytest.raises(NotARoot, match="'e2' has self-pairing -3"):
+                hilbert_P(lat, root, 4)
+
+    @pytest.mark.parametrize("root", [-1, 2])
+    def test_root_index_out_of_range(self, root):
+        with pytest.raises(CoxlatError, match=rf"root index {root} out of range for rank 2"):
+            hilbert_P(A2, root, 4)
 
 
 class TestDegreeRecomputation:
@@ -210,14 +205,13 @@ class TestQuotientIdentities:
         # Q = minus/zero and P + t = plus/zero, as series to order 40
         for inv in (kleinian_invariants(()), kleinian_invariants((2, 2)), E8, E12):
             lats = build(inv)
-            rl = rooted_at_center(lats)
             d_minus = char_poly(coxeter_matrix(lats.minus))
             d_zero = char_poly(coxeter_matrix(lats.zero))
             d_plus = char_poly(coxeter_matrix(lats.plus))
-            q = hilbert_Q(rl, 40)
+            q = hilbert_Q(lats.zero, lats.center, 40)
             ok, _ = series_equal(q, series_from_rational(d_minus, d_zero, 40))
             assert ok
-            p = hilbert_P(rl, 40)
+            p = hilbert_P(lats.zero, lats.center, 40)
             shifted = list(p.coeffs)
             shifted[1] += 1
             ok, _ = series_equal(

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import tempfile
 from fractions import Fraction
@@ -34,15 +35,31 @@ class TestValidate:
     def test_e8_is_kleinian(self):
         inv = OrbitInvariants(0, 2, ((2, 1), (3, 2), (5, 4)))
         assert validate(inv) is SingularityKind.KLEINIAN
-        assert inv.vdeg() == Fraction(-1, 30)
-        # R * vdeg = 2 - 2g - r + sum 1/alpha
-        assert -inv.vdeg() == 2 - 3 + Fraction(31, 30)
 
     def test_237_is_fuchsian(self):
         inv = OrbitInvariants(0, 1, ((2, 1), (3, 1), (7, 1)))
         assert validate(inv) is SingularityKind.FUCHSIAN
-        assert inv.vdeg() == Fraction(-1, 42)
-        assert inv.vdeg() == 2 - 3 + Fraction(41, 42)
+
+    def test_accepted_tuples_satisfy_gorenstein_relations(self):
+        # validate accepts only the two patterns, so these are all the tuples
+        # it accepts with r <= 5 and alpha <= 12.  Each satisfies R*beta = 1
+        # mod alpha and R*vdeg = 2 - 2g - r + sum 1/alpha, with vdeg = -b +
+        # sum beta/alpha and R = -1 Kleinian, +1 Fuchsian: the patterns imply
+        # both relations, so validate does not re-check them
+        accepted = 0
+        for r in range(6):
+            for alphas in itertools.combinations_with_replacement(range(2, 13), r):
+                for inv in (kleinian_invariants(alphas), fuchsian_invariants(alphas)):
+                    try:
+                        kind = validate(inv)
+                    except NeitherKind:
+                        continue
+                    accepted += 1
+                    big_r = -1 if kind is SingularityKind.KLEINIAN else 1
+                    assert all((big_r * b - 1) % a == 0 for a, b in inv.pairs)
+                    vdeg = -inv.b + sum(Fraction(b, a) for a, b in inv.pairs)
+                    assert big_r * vdeg == 2 - 2 * inv.genus - r + sum(Fraction(1, a) for a in alphas)
+        assert accepted == 4364
 
     def test_boundary_is_neither(self):
         inv = OrbitInvariants(0, 1, ((2, 1), (3, 1), (6, 1)))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxlat import verify
+from coxlat import series, verify
+from coxlat.cli import main
 from coxlat.lattice import (
     Lattice,
     apply_word,
@@ -19,7 +20,7 @@ from coxlat.lattice import (
     star_char_polys,
     word_columns,
 )
-from coxlat.series import RootedLattice, hilbert_P, hilbert_Q, poincare_direct
+from coxlat.series import hilbert_P, hilbert_Q, poincare_direct
 from coxlat.star import (
     SingularityKind,
     build,
@@ -43,7 +44,7 @@ from coxlat.verify import (
     verify_lattices,
 )
 
-from oracles import (conv, mat_mul_naive, matrix_order, reflection_product_naive,
+from oracles import (conv, mat_mul_naive, matrix_order, pairing, reflection_product_naive,
                      series_by_dense_recurrence, star_deltas)
 from strategies import root_lattices, valid_stars
 
@@ -339,11 +340,13 @@ def test_large_inputs_pass(inv):
     assert all(r.passed for r in reports)
 
 
-def naive_orbit_pairings(lat, tau, a, count):
-    """<a, tau^l a> for l = 0..count-1, stepping with the triple-loop product."""
-    out, v = [], [[x] for x in a]
+def naive_orbit_pairings(lat, tau, root, count):
+    """<e, tau^l e> for e the basis vector at index root and l = 0..count-1,
+    stepping with the triple-loop product."""
+    e = [int(i == root) for i in range(lat.rank)]
+    out, v = [], [[x] for x in e]
     for _ in range(count):
-        out.append(lat.pairing(a, [x for x, in v]))
+        out.append(pairing(lat.gram, e, [x for x, in v]))
         v = mat_mul_naive(tau, v, 1)
     return out
 
@@ -353,21 +356,37 @@ def naive_orbit_pairings(lat, tau, a, count):
 def test_random_valid_stars_all_routes_agree(inv):
     lats = build(inv)
     assert all(report.passed for report in verify_lattices(lats, 60))
-    rl = RootedLattice.at_basis_index(lats.zero, lats.center)
-    forward = naive_orbit_pairings(lats.zero, coxeter_matrix(lats.zero), rl.root, 60)
-    backward = naive_orbit_pairings(lats.zero, coxeter_inverse_matrix(lats.zero), rl.root, 61)
-    assert hilbert_P(rl, 60).coeffs == tuple(accumulate(forward, initial=1))
-    assert hilbert_Q(rl, 60).coeffs == tuple(accumulate((-x for x in backward[1:]), initial=1))
+    lat, root = lats.zero, lats.center
+    forward = naive_orbit_pairings(lat, coxeter_matrix(lat), root, 60)
+    backward = naive_orbit_pairings(lat, coxeter_inverse_matrix(lat), root, 61)
+    assert hilbert_P(lat, root, 60).coeffs == tuple(accumulate(forward, initial=1))
+    assert hilbert_Q(lat, root, 60).coeffs == tuple(accumulate((-x for x in backward[1:]), initial=1))
 
 
 @settings(max_examples=100, deadline=None)
 @given(root_lattices(), st.data())
 def test_q_read_off_p_matches_inverse_walk(lat, data):
-    """Q_k = -P_{k+1} off the stars, against the naive tau^-1 pairings."""
-    rl = RootedLattice.at_basis_index(lat, data.draw(st.integers(0, lat.rank - 1)))
-    backward = naive_orbit_pairings(lat, coxeter_inverse_matrix(lat), rl.root, 31)
-    assert hilbert_Q(rl, 30).coeffs == tuple(accumulate((-x for x in backward[1:]), initial=1))
+    """P against the naive tau pairings and Q_k = -P_{k+1} against the naive
+    tau^-1 pairings, off the stars and at any basis root: the walk reads its
+    functionals off an arbitrary Gram row."""
+    root = data.draw(st.integers(0, lat.rank - 1))
+    forward = naive_orbit_pairings(lat, reflection_product_naive(lat.gram, range(lat.rank)), root, 30)
+    backward = naive_orbit_pairings(lat, coxeter_inverse_matrix(lat), root, 31)
+    assert hilbert_P(lat, root, 30).coeffs == tuple(accumulate(forward, initial=1))
+    assert hilbert_Q(lat, root, 30).coeffs == tuple(accumulate((-x for x in backward[1:]), initial=1))
 
+
+
+def test_walk_builds_no_dense_form(monkeypatch, capsys):
+    """The walk reads both functionals off one Gram row: a passing
+    verify_lattices and hilbert never call asym_form_matrix from series."""
+    calls = []
+    real = series.asym_form_matrix
+    monkeypatch.setattr(series, "asym_form_matrix", lambda lat: calls.append(lat) or real(lat))
+    assert all(report.passed for report in verify_lattices(build(E12), 60))
+    assert main(["hilbert", "--name", "D10", "--order", "60"]) == 0
+    assert "Q: [1, 0, 1," in capsys.readouterr().out
+    assert calls == []
 
 class TestTheorem:
     def test_kleinian_235(self):
@@ -467,18 +486,15 @@ class TestSuite:
 class TestComposedEquality:
     def test_direct_series_equals_orbit_series(self):
         # Kleinian: direct == Q of (V_zero, E); Fuchsian: direct == P + t
-        from coxlat.series import RootedLattice, hilbert_P, hilbert_Q, poincare_direct
+        from coxlat.series import hilbert_P, hilbert_Q, poincare_direct
         from coxlat.verify import suite_inputs
 
         for _, inv in suite_inputs(n_random=8, seed=31):
             lats = build(inv)
-            root = [0] * lats.zero.rank
-            root[lats.center] = 1
-            rl = RootedLattice(lats.zero, tuple(root))
             direct = poincare_direct(inv, lats.kind, 80)
             if lats.kind is SingularityKind.KLEINIAN:
-                assert hilbert_Q(rl, 80).coeffs == direct.coeffs
+                assert hilbert_Q(lats.zero, lats.center, 80).coeffs == direct.coeffs
             else:
-                shifted = list(hilbert_P(rl, 80).coeffs)
+                shifted = list(hilbert_P(lats.zero, lats.center, 80).coeffs)
                 shifted[1] += 1
                 assert tuple(shifted) == direct.coeffs
