@@ -43,21 +43,22 @@ from .exact import series_from_rational  # noqa: F401
 from .series import hilbert_Q  # noqa: F401
 
 # Largest accepted rank of V_plus, series order and count of random inputs.
-# On a 2-vCPU host at rank 900, `verify` at order 200 takes 2.3 to 2.7 s on
-# D898 and 2.8 to 3.4 s on the Fuchsian star of 299 arms with alpha = 3 and
-# one with alpha = 300.  `poincare` at order 10000 takes 1.5 to 1.6 s on
-# that star, 0.6 s on D898 and 1.0 to 1.3 s on the star of 440 arms with
-# alpha = 2 (rank 443), where the 441 terms of prod (1 - t^2) are as many as
-# Delta_zero has; `hilbert` at order 10000 takes 1.2 s on D898.  Every step
-# on a star grows about as rank^2: the columns of each tau from its
-# reflection word, the residual A tau + A^t and the chain elimination; the
-# one orbit walk grows linearly in the order.  A --gram input may be any
-# root lattice; compiling the walk of a dense Gram takes about 120 MB at
-# rank 300, hence MAX_GRAM_RANK.  `charpoly --gram` eliminates a star Gram
-# in 0.2 to 0.4 s at ranks 296 to 298, but Berkowitz on a tau that fills in
-# takes 2.7 s on a dense +-1 Gram of rank 80, 10 to 11 s at rank 100 and
-# 31 s at rank 120, hence MAX_BERKOWITZ_RANK for any other Gram.  `verify
-# --all --random 500` at order 200 takes 3.4 to 4.2 s.
+# On a shared 2-vCPU Intel Xeon host at rank 900, `verify` at order 200
+# takes 1.8 to 2.5 s on D898 and 2.2 to 3.1 s on the Fuchsian star of 299
+# arms with alpha = 3 and one with alpha = 300.  `poincare` at order 10000
+# takes 1.0 to 1.4 s on that star, 0.4 to 0.5 s on D898 and 0.8 to 1.3 s on
+# the star of 440 arms with alpha = 2 (rank 443), where the 441 terms of
+# prod (1 - t^2) are as many as Delta_zero has; `hilbert` at order 10000
+# takes 1.0 to 1.2 s on D898.  Every step on a star grows about as rank^2:
+# the columns of each tau from its run of V_plus's reflection word, the
+# residual A tau + A^t and the chain elimination; the one orbit walk grows
+# linearly in the order.  A --gram input may be any root lattice; compiling
+# the walk of a dense Gram takes about 120 MB at rank 300, hence
+# MAX_GRAM_RANK.  `charpoly --gram` eliminates a star Gram in 0.15 to 0.25 s
+# at ranks 296 to 298, but Berkowitz on a tau that fills in takes 2.3 s on a
+# dense +-1 Gram of rank 80, 5.4 s at rank 100 and 24 s at rank 120, hence
+# MAX_BERKOWITZ_RANK for any other Gram.  `verify --all --random 500` at
+# order 200 takes 2.5 to 3.5 s.
 MAX_RANK = 900
 MAX_GRAM_RANK = 300
 MAX_BERKOWITZ_RANK = 100
@@ -98,13 +99,13 @@ def _add_input_options(sub, with_gram=True):
 
 
 def _load_invariants(args):
-    if getattr(args, "kleinian", None):
+    if getattr(args, "kleinian", None) is not None:
         return kleinian_invariants(_parse_alphas(args.kleinian))
-    if getattr(args, "fuchsian", None):
+    if getattr(args, "fuchsian", None) is not None:
         return fuchsian_invariants(_parse_alphas(args.fuchsian))
-    if getattr(args, "name", None):
+    if getattr(args, "name", None) is not None:
         return catalog(args.name)
-    if getattr(args, "invariants", None):
+    if getattr(args, "invariants", None) is not None:
         with open(args.invariants, encoding="utf-8") as handle:
             return invariants_from_json(json.load(handle))
     return None

@@ -136,7 +136,8 @@ class StarLattices:
     ``arms`` holds the index span [start, stop) of each chain in the minus
     basis; ``center`` is the index of E (always last in the minus basis).
     V_minus and V_zero are basis prefixes of V_plus: their labels and Grams
-    are the leading ones of V_plus, which star_char_polys relies on.
+    are the leading ones of V_plus.  star_char_polys and the word runs of
+    verify.Subject rely on it, and a V_zero that is not fails the identities.
     """
 
     invariants: OrbitInvariants
@@ -190,25 +191,16 @@ def extend_star(minus: Lattice):
 
     E-u pairs with everything exactly as E does except <E-u, E-u> = -2 and
     <E-u, E> = -2 (u is isotropic and orthogonal to the star); u-w pairs
-    only with E-u, value 1.  Returns (zero, plus).
+    only with E-u, value 1.  V_zero is the leading block of V_plus, cut from
+    its rows.  Returns (zero, plus).
     """
     n = minus.rank
-    center = n - 1
-    e_row = list(minus.gram[center])
-    zero_gram = [list(row) + [e_row[i]] for i, row in enumerate(minus.gram)]
-    f_row = e_row + [-2]
-    f_row[center] = -2
-    zero_gram.append(f_row)
-    zero = Lattice(minus.labels + ("E-u",), zero_gram)
-
-    plus_gram = [list(row) + [0] for row in zero_gram]
-    h_row = [0] * (n + 2)
-    h_row[n] = 1  # pairs with E-u only
-    h_row[n + 1] = -2
-    plus_gram[n][n + 1] = 1
-    plus_gram.append(h_row)
-    plus = Lattice(zero.labels + ("u-w",), plus_gram)
-    return zero, plus
+    e_row = minus.gram[n - 1]
+    f_row = list(e_row) + [-2, 1]
+    f_row[n - 1] = -2
+    gram = [list(row) + [e, 0] for row, e in zip(minus.gram, e_row)] + [f_row, [0] * n + [1, -2]]
+    labels = minus.labels + ("E-u", "u-w")
+    return Lattice(labels[:-1], [row[:-1] for row in gram[:-1]]), Lattice(labels, gram)
 
 
 def build(inv: OrbitInvariants) -> StarLattices:
@@ -277,16 +269,13 @@ def invariants_from_star(lat: Lattice) -> tuple:
     """Decode a star Gram matrix and classify it.
 
     Returns (invariants, kind, arms).  The kind is decided by the
-    sum-of-reciprocals test on the decoded ramification indices.
+    sum-of-reciprocals test on the decoded ramification indices, all >= 2,
+    so its pattern is one that validate accepts.
     """
     alphas, arms = decode_star(lat)
     kind = classify_alphas(alphas)
-    if kind is SingularityKind.KLEINIAN:
-        inv = kleinian_invariants(alphas)
-    else:
-        inv = fuchsian_invariants(alphas)
-    validate(inv)
-    return inv, kind, arms
+    pattern = kleinian_invariants if kind is SingularityKind.KLEINIAN else fuchsian_invariants
+    return pattern(alphas), kind, arms
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .lattice import (
     reflection_word,
     rows_vec,
     star_char_polys,
-    word_columns,
 )
 from .series import divisor_degree, hilbert_P, p_and_q, poincare_direct
 # Not called here; perfbench/spans.py wraps these bindings by attribute.
@@ -94,14 +93,17 @@ def subject_of(inv: OrbitInvariants, kind: SingularityKind) -> str:
 
 class Subject:
     """One input's star lattices and label, and what the checks and commands
-    share: the reflection word of each lattice and the columns of its tau,
-    Delta of each lattice, the orbit walk of (V_zero, E) and each Delta
-    quotient, each computed at most once per lattice or order.
+    share, each computed at most once: V_plus's reflection word, the columns
+    of each tau, each Delta, the orbit walk of (V_zero, E) and each Delta
+    quotient.
 
-    V_minus and V_zero are basis prefixes of V_plus, so one star_char_polys
-    call on V_plus gives all three Deltas, with no tau.  A Gram outside that
-    shape falls back, lattice by lattice, to Berkowitz on the columns of
-    tau, that is on tau^t, with the same characteristic polynomial."""
+    V_minus and V_zero are basis prefixes of V_plus.  So one star_char_polys
+    call on V_plus gives all three Deltas, with no tau; a Gram outside that
+    shape falls back, lattice by lattice, to Berkowitz on the columns of tau,
+    that is on tau^t, with the same characteristic polynomial.  And every
+    other word is a run of V_plus's word: on a vector that is zero from index
+    stop on, the steps for start..stop-1 read those coordinates as 0 and
+    never write them, so they act as the word of the prefix of rank stop."""
 
     def __init__(self, lats: StarLattices, label: str | None = None):
         self.lats = lats
@@ -113,14 +115,20 @@ class Subject:
             self._memo[key] = compute()
         return self._memo[key]
 
+    def run(self, start: int, stop: int) -> tuple:
+        """The steps of V_plus's word for the indices start..stop-1."""
+        n = self.lats.plus.rank
+        word = self._once("word", lambda: reflection_word(self.lats.plus, range(n)))
+        return word[n - stop:n - start]
+
     def word(self, which: str) -> tuple:
-        lat = getattr(self.lats, which)
-        return self._once(("word", which), lambda: reflection_word(lat, range(lat.rank)))
+        return self.run(0, getattr(self.lats, which).rank)
 
     def coxeter(self, which: str) -> list:
-        """The columns tau e_j, each the word applied to e_j."""
-        return self._once(("coxeter", which), lambda: word_columns(
-            self.word(which), getattr(self.lats, which).rank))
+        """The columns tau e_j: the word on e_j padded to V_plus, cut back."""
+        word, rank, n = self.word(which), getattr(self.lats, which).rank, self.lats.plus.rank
+        return self._once(("coxeter", which), lambda: [
+            apply_word(word, [0] * j + [1] + [0] * (n - j - 1))[:rank] for j in range(rank)])
 
     def delta(self, which: str):
         deltas = self._once("deltas", lambda: star_char_polys(self.lats.plus, self.lats.center))
@@ -283,9 +291,9 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
             return out
 
         units = identity_matrix(f)  # the basis of V_minus, as columns
-        pair = reflection_word(lats.zero, (lats.center, f))
+        pair = subject.run(lats.center, f + 1)
         yield _matrix_witness("s_E s_{E-u} == id",
-                              [project(apply_word(pair, e + [0])) for e in units], units)
+                              [project(apply_word(pair, e + [0, 0])) for e in units], units)
 
         tau_minus = subject.coxeter("minus")
         yield _matrix_witness("tau_0 == tau_1 ... tau_r",
@@ -293,9 +301,9 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
                               [[x + g * y for x, y in zip(col, tau_minus[lats.center])] if g else col
                                for col, g in zip(tau_minus, lats.minus.gram[lats.center])])
 
-        e = units[lats.center]
+        e = units[lats.center] + [0, 0]
         for arm_index, ((start, stop), alpha) in enumerate(zip(lats.arms, inv.alphas), start=1):
-            arm = reflection_word(lats.minus, range(start, stop))
+            arm = subject.run(start, stop)
             v = list(e)
             period = next((k for k in range(1, alpha + 1) if apply_word(arm, v) == e), None)
             yield _value_witness(f"arm {arm_index} period on class of E", alpha, period, alpha)

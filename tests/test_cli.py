@@ -261,12 +261,17 @@ BAD_INPUTS = [
     ("hilbert", "--name", "A1", "--order", "3", "--root", "7"),
     ("hilbert", "--gram", {"gram": [[-2, 1], [1, -2]]}, "--root", "-1"),
     ("hilbert", "--gram", {"gram": [[-2, 1], [1, -2]]}, "--root", "2"),
+    ("build", "--kleinian", ""),
+    ("verify", "--fuchsian", ""),
+    ("poincare", "--name", ""),
+    ("charpoly", "--invariants", ""),
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=[
     "gram-not-a-list", "gram-empty", "gram-float", "gram-bool", "alpha-float", "negative-order",
-    "negative-random", "root-without-gram", "root-negative", "root-at-rank",
+    "negative-random", "root-without-gram", "root-negative", "root-at-rank", "kleinian-empty",
+    "fuchsian-empty", "name-empty", "invariants-empty",
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     argv = list(argv)
@@ -282,6 +287,7 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert "error" in captured.err and "Traceback" not in captured.err
+    assert "error: internal" not in captured.err
     assert "passed" not in captured.out
 
 

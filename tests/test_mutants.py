@@ -87,6 +87,20 @@ def scaled_delta_one_short(real):
     return mutant
 
 
+def prefix_word_one_step_short(real):
+    """Each lattice's word as the run 0..rank-2 of V_plus's word, without the
+    step of its last index."""
+    return lambda subject, which: real(subject, which)[1:]
+
+
+def arm_run_one_step_long(real):
+    """An arm run with the step of the next index too.  Only the arm runs end
+    at or before E; the words and the pair s_E s_{E-u} end past it."""
+    def mutant(subject, start, stop):
+        return real(subject, start, stop + 1 if stop <= subject.lats.center else stop)
+    return mutant
+
+
 @dataclass(frozen=True)
 class Row:
     name: str
@@ -113,6 +127,10 @@ ROSTER = [
     Row("_scaled_delta one difference short", Subject, "_scaled_delta", scaled_delta_one_short, {},
         why_equivalent="a common factor m of both Deltas with m(0) = 1 leaves their quotient "
                        "unchanged: (1-t)^(r-3) serves as well as (1-t)^(r-2)"),
+    Row("prefix word one step short", Subject, "word", prefix_word_one_step_short,
+        {"identities": 29}),
+    # A1 has no arms
+    Row("arm run one step long", Subject, "run", arm_run_one_step_long, {"orbit-formulas": 28}),
 ]
 
 

@@ -31,6 +31,18 @@ from coxlat.star import (
 from strategies import valid_stars
 
 
+def accepted_tuples():
+    """Every tuple validate accepts with r <= 5 and alpha <= 12, with its kind:
+    validate accepts only the two patterns, so these are all of them."""
+    for r in range(6):
+        for alphas in itertools.combinations_with_replacement(range(2, 13), r):
+            for inv in (kleinian_invariants(alphas), fuchsian_invariants(alphas)):
+                try:
+                    yield inv, validate(inv)
+                except NeitherKind:
+                    pass
+
+
 class TestValidate:
     def test_e8_is_kleinian(self):
         inv = OrbitInvariants(0, 2, ((2, 1), (3, 2), (5, 4)))
@@ -41,25 +53,25 @@ class TestValidate:
         assert validate(inv) is SingularityKind.FUCHSIAN
 
     def test_accepted_tuples_satisfy_gorenstein_relations(self):
-        # validate accepts only the two patterns, so these are all the tuples
-        # it accepts with r <= 5 and alpha <= 12.  Each satisfies R*beta = 1
-        # mod alpha and R*vdeg = 2 - 2g - r + sum 1/alpha, with vdeg = -b +
-        # sum beta/alpha and R = -1 Kleinian, +1 Fuchsian: the patterns imply
-        # both relations, so validate does not re-check them
+        # Each satisfies R*beta = 1 mod alpha and R*vdeg = 2 - 2g - r + sum
+        # 1/alpha, with vdeg = -b + sum beta/alpha and R = -1 Kleinian, +1
+        # Fuchsian: the patterns imply both relations, so validate does not
+        # re-check them
         accepted = 0
-        for r in range(6):
-            for alphas in itertools.combinations_with_replacement(range(2, 13), r):
-                for inv in (kleinian_invariants(alphas), fuchsian_invariants(alphas)):
-                    try:
-                        kind = validate(inv)
-                    except NeitherKind:
-                        continue
-                    accepted += 1
-                    big_r = -1 if kind is SingularityKind.KLEINIAN else 1
-                    assert all((big_r * b - 1) % a == 0 for a, b in inv.pairs)
-                    vdeg = -inv.b + sum(Fraction(b, a) for a, b in inv.pairs)
-                    assert big_r * vdeg == 2 - 2 * inv.genus - r + sum(Fraction(1, a) for a in alphas)
+        for inv, kind in accepted_tuples():
+            accepted += 1
+            big_r = -1 if kind is SingularityKind.KLEINIAN else 1
+            assert all((big_r * b - 1) % a == 0 for a, b in inv.pairs)
+            vdeg = -inv.b + sum(Fraction(b, a) for a, b in inv.pairs)
+            assert big_r * vdeg == 2 - 2 * inv.genus - inv.r + sum(Fraction(1, a) for a in inv.alphas)
         assert accepted == 4364
+
+    def test_star_of_each_accepted_tuple_decodes_to_it(self):
+        # invariants_from_star builds the pattern of the kind classify_alphas
+        # names, with no validate of its own: it is the tuple validate accepted
+        for inv, kind in accepted_tuples():
+            lats = build(inv)
+            assert invariants_from_star(lats.minus) == (inv, kind, lats.arms)
 
     def test_boundary_is_neither(self):
         inv = OrbitInvariants(0, 1, ((2, 1), (3, 1), (6, 1)))

@@ -14,6 +14,7 @@ from coxlat.lattice import (
     char_poly,
     coxeter_inverse_matrix,
     coxeter_matrix,
+    identity_matrix,
     mat_transpose,
     radical_basis,
     reflection_word,
@@ -25,6 +26,7 @@ from coxlat.star import (
     SingularityKind,
     build,
     catalog,
+    catalog_names,
     fuchsian_invariants,
     kleinian_invariants,
     lattices_from_minus,
@@ -320,16 +322,71 @@ def test_degenerate_minus_fails_radical_at_delta_minus_one(lats):
     assert len(radical_basis(lats.zero)) == 2
 
 
-def test_zero_gram_off_u_fails_radical_at_its_row():
-    """E-u of V_zero made to pair with e_1, which E does not: row 1 of
-    G_zero u is the first that is not zero."""
-    lats = build(E8)
-    g = lats.zero.gram_rows()
+def off_u_at_row_1(lats, which):
+    """lats with E-u of the lattice ``which`` made to pair with e_1, which E
+    does not."""
+    lat = getattr(lats, which)
+    g = lat.gram_rows()
     f = lats.f_index
     g[1][f] = g[f][1] = 1
-    lats = dataclasses.replace(lats, zero=Lattice(lats.zero.labels, g))
+    return dataclasses.replace(lats, **{which: Lattice(lat.labels, g)})
+
+
+def test_zero_gram_off_u_fails_radical_at_its_row():
+    """V_zero and V_plus edited together, so V_zero stays a prefix: row 1 of
+    G_zero u is the first that is not zero."""
+    lats = off_u_at_row_1(off_u_at_row_1(build(E8), "zero"), "plus")
     w = assert_radical_verdict_is_radical_basis(lats)
     assert w == {"identity": RADICAL, "index": 1, "expected": 0, "got": -1}
+
+
+def test_zero_gram_not_a_prefix_of_plus_fails_coxeter_of_zero():
+    """V_zero edited alone is no longer V_plus's leading block: tau_zero, a
+    run of V_plus's word, is not -A^-1 A^t of the edited Gram, first at
+    entry [1, 0]."""
+    w = check_identities(Subject(off_u_at_row_1(build(E8), "zero"))).witness
+    assert w == {"identity": "coxeter(zero) == -A^-1 A^t", "index": [1, 0], "expected": 1, "got": 0}
+
+
+def padded_columns(word, rank, n):
+    """The word applied to each e_j of rank ``rank``, padded with zeros to n
+    and cut back to rank."""
+    return [apply_word(word, col + [0] * (n - rank))[:rank] for col in identity_matrix(rank)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_runs_of_plus_word_act_as_each_lattice_word(data):
+    """On flipped Grams, tau of each lattice from a run of V_plus's word is
+    tau from its own word, and the pair run of (a) and the arm runs of (c)
+    move every basis vector as the words of V_zero and V_minus do."""
+    inv = data.draw(st.sampled_from(FLIP_INPUTS))
+    lats = flipped_lattices(inv, *draw_entry(data, inv))
+    subject = Subject(lats)
+    n, f, c = lats.plus.rank, lats.f_index, lats.center
+    for which in ("minus", "zero", "plus"):
+        lat = getattr(lats, which)
+        assert subject.coxeter(which) == word_columns(reflection_word(lat, range(lat.rank)), lat.rank)
+    assert (padded_columns(subject.run(c, f + 1), f + 1, n)
+            == word_columns(reflection_word(lats.zero, (c, f)), f + 1))
+    for start, stop in lats.arms:
+        assert (padded_columns(subject.run(start, stop), f, n)
+                == word_columns(reflection_word(lats.minus, range(start, stop)), f))
+
+
+def test_one_word_for_the_checks_and_one_for_the_walk(monkeypatch):
+    """verify_lattices builds V_plus's word in Subject and V_zero's in the
+    orbit walk, and no other."""
+    calls = []
+    for module in (verify, series):
+        real = module.reflection_word
+        monkeypatch.setattr(module, "reflection_word", lambda lat, indices, module=module, real=real:
+                            calls.append((module.__name__, lat.rank)) or real(lat, indices))
+    for name in catalog_names():
+        lats = build(catalog(name))
+        calls.clear()
+        assert all(report.passed for report in verify_lattices(lats, 30))
+        assert sorted(calls) == [("coxlat.series", lats.zero.rank), ("coxlat.verify", lats.plus.rank)]
 
 
 @pytest.mark.parametrize("inv", [catalog("D250"), fuchsian_invariants((3,) * 60 + (100,))],
