@@ -44,21 +44,22 @@ from .series import hilbert_Q  # noqa: F401
 
 # Largest accepted rank of V_plus, series order and count of random inputs.
 # On a shared 2-vCPU Intel Xeon host at rank 900, `verify` at order 200
-# takes 1.8 to 2.5 s on D898 and 2.2 to 3.1 s on the Fuchsian star of 299
-# arms with alpha = 3 and one with alpha = 300.  `poincare` at order 10000
+# takes 1.0 to 1.3 s on D898 and 1.5 to 2.1 s on the Fuchsian star of 299
+# arms with alpha = 3 and one with alpha = 300, whose 301 border columns of
+# tau_minus each run the whole word of V_minus.  `poincare` at order 10000
 # takes 1.0 to 1.4 s on that star, 0.4 to 0.5 s on D898 and 0.8 to 1.3 s on
 # the star of 440 arms with alpha = 2 (rank 443), where the 441 terms of
 # prod (1 - t^2) are as many as Delta_zero has; `hilbert` at order 10000
 # takes 1.0 to 1.2 s on D898.  Every step on a star grows about as rank^2:
-# the columns of each tau from its run of V_plus's reflection word, the
-# residual A tau + A^t and the chain elimination; the one orbit walk grows
-# linearly in the order.  A --gram input may be any root lattice; compiling
-# the walk of a dense Gram takes about 120 MB at rank 300, hence
-# MAX_GRAM_RANK.  `charpoly --gram` eliminates a star Gram in 0.15 to 0.25 s
-# at ranks 296 to 298, but Berkowitz on a tau that fills in takes 2.3 s on a
-# dense +-1 Gram of rank 80, 5.4 s at rank 100 and 24 s at rank 120, hence
-# MAX_BERKOWITZ_RANK for any other Gram.  `verify --all --random 500` at
-# order 200 takes 2.5 to 3.5 s.
+# the rank + r + 2 columns of the three tau, each a suffix of V_plus's
+# reflection word, their residual A tau + A^t and the chain elimination;
+# the one orbit walk grows linearly in the order.  A --gram input may be any
+# root lattice; compiling the walk of a dense Gram takes about 120 MB at
+# rank 300, hence MAX_GRAM_RANK.  `charpoly --gram` eliminates a star Gram
+# in 0.15 to 0.25 s at ranks 296 to 298, but Berkowitz on a tau that fills
+# in takes 2.3 s on a dense +-1 Gram of rank 80, 5.4 s at rank 100 and 24 s
+# at rank 120, hence MAX_BERKOWITZ_RANK for any other Gram.
+# `verify --all --random 500` at order 200 takes 2.2 to 2.9 s.
 MAX_RANK = 900
 MAX_GRAM_RANK = 300
 MAX_BERKOWITZ_RANK = 100

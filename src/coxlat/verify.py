@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import compress, zip_longest
 from math import prod
 
 from .errors import NotAStarLattice
@@ -58,7 +58,12 @@ DEFAULT_RANDOM_COUNT = 50
 
 @dataclass
 class VerificationReport:
-    """Outcome of one named check on one input."""
+    """Outcome of one named check on one input.
+
+    elapsed is the wall time of the check.  It includes the shared work the
+    check is the first to ask its Subject for, which later checks read from
+    the memo: in the order of verify_lattices, orbit-formulas computes the
+    columns of tau (all but two of V_plus's), and identities reads them."""
 
     check: str
     subject: str
@@ -91,11 +96,23 @@ def subject_of(inv: OrbitInvariants, kind: SingularityKind) -> str:
     return f"{kind.value}({','.join(str(a) for a in inv.alphas)})"
 
 
+def _first_steps(word, rank: int) -> list:
+    """For each coordinate j < rank, the position in word of the first step
+    that reads or writes it; len(word) where no step does."""
+    first = [len(word)] * rank
+    for pos in range(len(word) - 1, -1, -1):
+        i, pairs = word[pos]
+        for k in [i] + [j for j, _ in pairs]:
+            if k < rank:
+                first[k] = pos
+    return first
+
+
 class Subject:
     """One input's star lattices and label, and what the checks and commands
     share, each computed at most once: V_plus's reflection word, the columns
-    of each tau, each Delta, the orbit walk of (V_zero, E) and each Delta
-    quotient.
+    of the three tau, each Delta, the orbit walk of (V_zero, E) and each
+    Delta quotient.
 
     V_minus and V_zero are basis prefixes of V_plus.  So one star_char_polys
     call on V_plus gives all three Deltas, with no tau; a Gram outside that
@@ -124,11 +141,41 @@ class Subject:
     def word(self, which: str) -> tuple:
         return self.run(0, getattr(self.lats, which).rank)
 
+    def columns(self, which: str) -> list:
+        """(start, top, tau e_j) for each e_j of ``which``, by the two lemmas
+        of coxeter: start is the position in V_plus's word of the first step
+        that touches j (the word's end where none does), top the larger of j
+        and that step's index, and the column is padded with zeros to the
+        rank of V_plus.  The columns are shared: read them, never write."""
+        def compute():
+            word = self.word(which)
+            n, size = self.lats.plus.rank, len(word)
+            out = []
+            for j, pos in enumerate(_first_steps(word, getattr(self.lats, which).rank)):
+                start = n - size + pos
+                column = self._once(("column", j, start), lambda: apply_word(
+                    word[pos:], [0] * j + [1] + [0] * (n - j - 1)))
+                out.append((start, max(j, word[pos][0]) if pos < size else j, column))
+            return out
+
+        return self._once(("columns", which), compute)
+
     def coxeter(self, which: str) -> list:
-        """The columns tau e_j: the word on e_j padded to V_plus, cut back."""
-        word, rank, n = self.word(which), getattr(self.lats, which).rank, self.lats.plus.rank
-        return self._once(("coxeter", which), lambda: [
-            apply_word(word, [0] * j + [1] + [0] * (n - j - 1))[:rank] for j in range(rank)])
+        """The columns tau e_j of ``which``.
+
+        First-step lemma: a step that neither reads nor writes coordinate j
+        leaves e_j fixed, so tau e_j is the suffix of the word from the first
+        step that touches j on, applied to e_j.  The steps run from the
+        highest index down, so that suffix writes no coordinate past the
+        larger of j and its first step's index.
+        Prefix lemma: every word is a suffix of V_plus's, so a column is
+        fixed by j and the position of that first step in V_plus's word, and
+        each is computed once for all three lattices.  On the star they
+        differ only in r + 2 border columns: E and the arm ends of V_minus,
+        which pair with E-u in V_zero, and E-u of V_zero, which pairs with
+        u-w in V_plus; rank(V_plus) + r + 2 columns in all."""
+        rank = getattr(self.lats, which).rank
+        return [column[:rank] for _, _, column in self.columns(which)]
 
     def delta(self, which: str):
         deltas = self._once("deltas", lambda: star_char_polys(self.lats.plus, self.lats.center))
@@ -318,12 +365,26 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
     return run_check("orbit-formulas", subject.label, k_max, witnesses())
 
 
+def _is_leading_block(lat, plus) -> bool:
+    """Whether the Gram of lat is the leading block of the Gram of plus."""
+    rank = lat.rank
+    return rank <= plus.rank and all(row == full[:rank] for row, full in zip(lat.gram, plus.gram))
+
+
 def check_identities(subject: Subject) -> VerificationReport:
     """Structural identities of the three lattices and their Coxeter elements.
 
-    tau comes as the columns of its reflection word.  A is unitriangular, so
-    tau == -A^-1 A^t exactly when A tau == -A^t; that residual decides both,
-    and -A^-1 A^t is solved only to name where tau differs.  det tau ==
+    tau comes as the columns of its reflection word (Subject.columns).  A is
+    unitriangular, so tau == -A^-1 A^t exactly when A tau == -A^t; that
+    residual decides both, and -A^-1 A^t is solved only to name where tau
+    differs.  By the first-step lemma column j is zero past top, so its rows
+    of A tau e_j == -A^t e_j past top hold exactly when row j of the Gram is
+    zero there; the rows up to top combine the sparse columns of A, read off
+    the Gram of V_plus.  By the prefix lemma a lattice whose Gram is
+    V_plus's leading block has those entries, cut to its rank, so the verdict
+    of rows 0..top is fixed by the column's (j, start) and shared across the
+    lattices.  A lattice that is not such a block, or has a failing column,
+    takes the dense route: A tau for every column, and the solve.  det tau ==
     (-1)^rank multiplies the word's factors, det s_i = 1 + <e_i, e_i>, so it
     checks only that the word has one root reflection per basis vector; its
     value is pinned before it by A tau = -A^t and Delta(0) = det(-tau) = 1.
@@ -334,16 +395,38 @@ def check_identities(subject: Subject) -> VerificationReport:
     """
     def witnesses():
         lats = subject.lats
+        gram = lats.plus.gram
+        a_cols = [[(k, 1)] + [(i, -row[i]) for i in compress(range(k), row[:k])]
+                  for k, row in enumerate(gram)]  # the sparse columns of A on V_plus
+        verdicts = {}
+
+        def holds(j, start, top, column):
+            """A tau e_j == -A^t e_j in rows 0..top, and tau e_j zero past top.
+            A tau e_j combines the columns of A at the column's nonzeros."""
+            if (j, start) not in verdicts:
+                a_tau = [0] * (top + 1)
+                for k in compress(range(top + 1), column):
+                    x = column[k]
+                    for i, a in a_cols[k]:
+                        a_tau[i] += a * x
+                verdicts[j, start] = not any(column[top + 1:]) and (
+                    a_tau == [0] * j + [-1] + list(gram[j][j + 1:top + 1]))
+            return verdicts[j, start]
+
         for which in ("minus", "zero", "plus"):
             lat = getattr(lats, which)
-            tau = subject.coxeter(which)
-            form = asym_form_matrix(lat)  # the rows of A are the columns of A^t
-            form_rows = nonzeros(form)
-            minus_a_tau = [[-x for x in rows_vec(form_rows, col)] for col in tau]
-            if minus_a_tau != form:  # only the solve names identity 1's entry
-                yield _matrix_witness(f"coxeter({which}) == -A^-1 A^t", tau,
-                                      coxeter_columns_via_form(form))
-            yield _matrix_witness(f"(y,x) == -(x,tau y) on {which}", form, minus_a_tau)
+            rank = lat.rank
+            if not (_is_leading_block(lat, lats.plus) and all(
+                    not any(gram[j][top + 1:rank]) and holds(j, start, top, column)
+                    for j, (start, top, column) in enumerate(subject.columns(which)))):
+                tau = subject.coxeter(which)
+                form = asym_form_matrix(lat)  # the rows of A are the columns of A^t
+                form_rows = nonzeros(form)
+                minus_a_tau = [[-x for x in rows_vec(form_rows, col)] for col in tau]
+                if minus_a_tau != form:  # only the solve names identity 1's entry
+                    yield _matrix_witness(f"coxeter({which}) == -A^-1 A^t", tau,
+                                          coxeter_columns_via_form(form))
+                yield _matrix_witness(f"(y,x) == -(x,tau y) on {which}", form, minus_a_tau)
             delta = subject.delta(which)
             yield _value_witness(f"char poly of {which} has constant term 1", 0, delta[0], 1)
             # char_poly is monic, so palindromic up to sign means delta[i] == delta[n - i]

@@ -244,3 +244,32 @@ def star_deltas(alphas):
     minus = add(conv([1, 1], product(alphas)), arm_sum, -1, 1)
     zero = conv([1, -2, 1], product(alphas))
     return {"minus": minus, "zero": zero, "plus": add(conv([1, 1], zero), minus, -1, 1)}
+
+
+def dense_coxeter_witness(lats, word):
+    """The first failure of tau == -A^-1 A^t on V_minus, V_zero and V_plus, in
+    that order, named as the identities check names it, or None.
+
+    tau e_j is the whole word of the lattice, word(which), applied to e_j
+    padded with zeros to the rank of V_plus, then cut back.  A is the dense
+    upper-unitriangular form with A + A^t = -G, and each column of
+    -A^-1 A^t is solved by back substitution over the whole row.  The
+    witness is the topmost entry of the first column where the two differ,
+    indexed [row, column]."""
+    n = lats.plus.rank
+    for which in ("minus", "zero", "plus"):
+        gram = getattr(lats, which).gram
+        m = len(gram)
+        a = [[1 if i == k else -gram[i][k] if k > i else 0 for k in range(m)] for i in range(m)]
+        for j in range(m):
+            v = [int(k == j) for k in range(n)]
+            for i, pairs in word(which):
+                v[i] = -v[i] + sum(g * v[k] for k, g in pairs)
+            x = [0] * m
+            for i in reversed(range(m)):
+                x[i] = -a[j][i] - sum(a[i][k] * x[k] for k in range(i + 1, m))
+            for i in range(m):
+                if v[i] != x[i]:
+                    return {"identity": f"coxeter({which}) == -A^-1 A^t", "index": [i, j],
+                            "expected": x[i], "got": v[i]}
+    return None

@@ -7,7 +7,9 @@ and what must follow on the catalog plus 10 seeded random inputs at order
 every input raises.  A mutant inside a function wraps that function's
 output, or its input at a binding the function calls, such as the readout
 rows the walk hands to compile_word.  A row that fails nowhere is an
-equivalent mutant and says why.  A shortcut added later adds its row here.
+equivalent mutant and says why, unless a unit test catches it on an
+edited input, which the row then names.  A shortcut added later adds its
+row here.
 """
 
 from dataclasses import dataclass
@@ -15,6 +17,7 @@ from itertools import accumulate
 
 import pytest
 
+import test_verify
 from coxlat import lattice, series, verify
 from coxlat.cli import main
 from coxlat.errors import RouteMismatch
@@ -101,6 +104,16 @@ def arm_run_one_step_long(real):
     return mutant
 
 
+def column_one_step_late(real):
+    """Each tau column from the step after the first that touches its coordinate."""
+    return lambda word, rank: [min(pos + 1, len(word)) for pos in real(word, rank)]
+
+
+def every_lattice_a_leading_block(real):
+    """The guard on shared verdicts: every Gram taken for V_plus's leading block."""
+    return lambda lat, plus: True
+
+
 @dataclass(frozen=True)
 class Row:
     name: str
@@ -110,6 +123,7 @@ class Row:
     fails: dict         # check -> number of inputs it fails on
     raises: type = None
     why_equivalent: str = ""
+    caught_by: str = ""  # a test in test_verify that fails under the mutant
 
 
 ROSTER = [
@@ -131,6 +145,12 @@ ROSTER = [
         {"identities": 29}),
     # A1 has no arms
     Row("arm run one step long", Subject, "run", arm_run_one_step_long, {"orbit-formulas": 28}),
+    Row("tau column one step late", verify, "_first_steps", column_one_step_late,
+        {"identities": 29}),
+    # every roster lattice is a leading block; an edited V_zero is not
+    Row("leading-block guard always true", verify, "_is_leading_block",
+        every_lattice_a_leading_block, {},
+        caught_by="test_zero_gram_not_a_prefix_of_plus_fails_coxeter_of_zero"),
 ]
 
 
@@ -164,7 +184,10 @@ def test_named_checks_catch_mutant(monkeypatch, row):
                 failed[report.check] += 1
     assert calls
     assert {check: n for check, n in failed.items() if n} == row.fails
-    assert bool(row.fails or row.raises) != bool(row.why_equivalent)
+    if row.caught_by:
+        with pytest.raises(AssertionError):
+            getattr(test_verify, row.caught_by)()
+    assert bool(row.fails or row.raises or row.caught_by) != bool(row.why_equivalent)
 
 
 def test_mutant_fails_verify_all(monkeypatch, capsys):

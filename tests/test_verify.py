@@ -46,8 +46,8 @@ from coxlat.verify import (
     verify_lattices,
 )
 
-from oracles import (conv, mat_mul_naive, matrix_order, pairing, reflection_product_naive,
-                     series_by_dense_recurrence, star_deltas)
+from oracles import (conv, dense_coxeter_witness, mat_mul_naive, matrix_order, pairing,
+                     reflection_product_naive, series_by_dense_recurrence, star_deltas)
 from strategies import root_lattices, valid_stars
 
 E8 = kleinian_invariants((2, 3, 5))
@@ -346,6 +346,82 @@ def test_zero_gram_not_a_prefix_of_plus_fails_coxeter_of_zero():
     entry [1, 0]."""
     w = check_identities(Subject(off_u_at_row_1(build(E8), "zero"))).witness
     assert w == {"identity": "coxeter(zero) == -A^-1 A^t", "index": [1, 0], "expected": 1, "got": 0}
+
+
+def edited_alone(lats, which, i, j):
+    """lats with the entry (i, j) of the Gram of ``which`` alone flipped
+    between 0 and 1 (or -2 and 3), so that V_minus or V_zero may no longer
+    be a leading block of V_plus."""
+    lat = getattr(lats, which)
+    g = lat.gram_rows()
+    g[i][j] = g[j][i] = 1 - g[i][j]
+    return dataclasses.replace(lats, **{which: Lattice(lat.labels, g)})
+
+
+TAU_IDENTITIES = ("coxeter(", "(y,x) == -(x,tau y)")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_identities_give_the_dense_route_witness(data):
+    """check_identities names the dense all-three route's first failure of
+    tau == -A^-1 A^t exactly, and where that route finds none it fails no
+    identity of tau: on valid stars, flipped V_minus entries, one lattice's
+    Gram edited alone and the corrupted words of each lattice."""
+    case = data.draw(st.sampled_from(["star", "flipped", "edited alone", "corrupted word"]))
+    if case == "star":
+        subject = Subject(build(data.draw(valid_stars())))
+    else:
+        inv = data.draw(st.sampled_from(FLIP_INPUTS))
+        lats = build(inv)
+        lattice = st.sampled_from(["minus", "zero", "plus"])
+        if case == "flipped":
+            subject = Subject(flipped_lattices(inv, *draw_entry(data, inv)))
+        elif case == "edited alone":
+            which = data.draw(lattice)
+            j = data.draw(st.integers(1, getattr(lats, which).rank - 1))
+            subject = Subject(edited_alone(lats, which, data.draw(st.integers(0, j - 1)), j))
+        else:
+            subject = CorruptedMinusWord(lats)
+            subject.lattice = data.draw(lattice)
+    expected = dense_coxeter_witness(subject.lats, subject.word)
+    w = check_identities(subject).witness
+    if expected is None:
+        assert w is None or not w["identity"].startswith(TAU_IDENTITIES)
+    else:
+        assert w == expected
+
+
+def test_one_application_per_shared_tau_column(monkeypatch):
+    """verify_lattices applies a suffix of V_plus's word once per distinct
+    column of the three tau: rank(V_plus) + r + 2 times, where V_minus adds
+    the columns of E and its r arm ends and V_zero the column of E-u.  No
+    column fails, so the dense form is never built."""
+    inside, applied, dense = [], [], []
+    real_columns, real_apply = Subject.columns, verify.apply_word
+
+    def columns(subject, which):
+        inside.append(which)
+        try:
+            return real_columns(subject, which)
+        finally:
+            inside.pop()
+
+    def apply_word(word, v):
+        if inside:
+            applied.append(len(word))
+        return real_apply(word, v)
+
+    monkeypatch.setattr(Subject, "columns", columns)
+    monkeypatch.setattr(verify, "apply_word", apply_word)
+    real_form = verify.asym_form_matrix
+    monkeypatch.setattr(verify, "asym_form_matrix", lambda lat: dense.append(lat) or real_form(lat))
+    for name in catalog_names():
+        lats = build(catalog(name))
+        applied.clear()
+        assert all(report.passed for report in verify_lattices(lats, 30))
+        assert len(applied) == lats.plus.rank + lats.invariants.r + 2
+    assert dense == []
 
 
 def padded_columns(word, rank, n):
