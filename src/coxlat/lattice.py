@@ -33,6 +33,7 @@ over V_plus gives the Delta of its prefixes V_minus and V_zero too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .errors import CoxlatError, NotARoot, NotUnitriangular
@@ -238,10 +239,11 @@ def reflection_word(lat: Lattice, indices: Sequence[int]) -> tuple:
     nonzero g_ij, j != i.  Roots are checked in the order the steps act, so
     of several factors that are not roots the rightmost one is named.
     """
-    steps = []
+    steps, basis = [], range(lat.rank)
     for i in reversed(indices):
         lat.require_root(i)
-        steps.append((i, tuple([(j, g) for j, g in enumerate(lat.gram[i]) if g and j != i])))
+        row = lat.gram[i]
+        steps.append((i, tuple([(j, row[j]) for j in compress(basis, row) if j != i])))
     return tuple(steps)
 
 

@@ -21,6 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 from .errors import CoxlatError, NeitherKind, NotAStarLattice, UnknownName
@@ -229,12 +230,12 @@ def decode_star(lat: Lattice):
     if n == 0:
         raise NotAStarLattice("empty Gram matrix", index=0)
     center = n - 1
-    for i in range(n):
-        if lat.gram[i][i] != -2:
-            raise NotAStarLattice(f"vertex {i} has self-pairing {lat.gram[i][i]}", index=i)
-        for j in range(i + 1, n):
-            if lat.gram[i][j] not in (0, 1):
-                raise NotAStarLattice(f"pairing <{i},{j}> = {lat.gram[i][j]} not in {{0,1}}", index=i)
+    for i, row in enumerate(lat.gram):
+        if row[i] != -2:
+            raise NotAStarLattice(f"vertex {i} has self-pairing {row[i]}", index=i)
+        for j in compress(range(i + 1, n), row[i + 1:]):
+            if row[j] != 1:
+                raise NotAStarLattice(f"pairing <{i},{j}> = {row[j]} not in {{0,1}}", index=i)
     arms = []
     i = 0
     while i < center:
@@ -252,15 +253,14 @@ def decode_star(lat: Lattice):
                 )
         arms.append((i, j + 1))
         i = j + 1
-    # no pairings other than consecutive-in-chain and chain-end-to-center
-    for a_start, a_stop in arms:
-        for i in range(a_start, a_stop):
-            for j in range(i + 1, center):
-                expected = 1 if (j == i + 1 and j < a_stop) else 0
-                if lat.gram[i][j] != expected:
-                    raise NotAStarLattice(
-                        f"unexpected pairing <{i},{j}> = {lat.gram[i][j]}", index=i
-                    )
+    # no pairings other than consecutive-in-chain and chain-end-to-center:
+    # the arms cover 0..center-1, and a pairing of i with i + 1 is a link
+    # (a chain stops where there is none), so any other nonzero is wrong
+    for i in range(center):
+        row = lat.gram[i]
+        j = next(compress(range(i + 2, center), row[i + 2:center]), None)
+        if j is not None:
+            raise NotAStarLattice(f"unexpected pairing <{i},{j}> = {row[j]}", index=i)
     alphas = [stop - start + 1 for start, stop in arms]
     return alphas, tuple(arms)
 

@@ -28,9 +28,7 @@ from .lattice import (
     char_poly,
     coxeter_columns_via_form,
     identity_matrix,
-    nonzeros,
     reflection_word,
-    rows_vec,
     star_char_polys,
 )
 from .series import divisor_degree, hilbert_P, p_and_q, poincare_direct
@@ -375,19 +373,19 @@ def check_identities(subject: Subject) -> VerificationReport:
     """Structural identities of the three lattices and their Coxeter elements.
 
     tau comes as the columns of its reflection word (Subject.columns).  A is
-    unitriangular, so tau == -A^-1 A^t exactly when A tau == -A^t; that
-    residual decides both, and -A^-1 A^t is solved only to name where tau
+    unitriangular, so tau == -A^-1 A^t exactly when A tau == -A^t, which is
+    also (y,x) == -(x,tau y) for the form (x,y) = x^t A y: one residual
+    decides all three, and -A^-1 A^t is solved only to name where tau
     differs.  By the first-step lemma column j is zero past top, so its rows
-    of A tau e_j == -A^t e_j past top hold exactly when row j of the Gram is
-    zero there; the rows up to top combine the sparse columns of A, read off
-    the Gram of V_plus.  By the prefix lemma a lattice whose Gram is
-    V_plus's leading block has those entries, cut to its rank, so the verdict
-    of rows 0..top is fixed by the column's (j, start) and shared across the
-    lattices.  A lattice that is not such a block, or has a failing column,
-    takes the dense route: A tau for every column, and the solve.  det tau ==
-    (-1)^rank multiplies the word's factors, det s_i = 1 + <e_i, e_i>, so it
-    checks only that the word has one root reflection per basis vector; its
-    value is pinned before it by A tau = -A^t and Delta(0) = det(-tau) = 1.
+    of A tau e_j == -A^t e_j past top hold exactly when row j of the
+    lattice's Gram is zero there; the rows up to top combine the sparse
+    columns of A, read off V_plus's Gram for a lattice that is its leading
+    block and off its own Gram otherwise.  On a leading block, by the prefix
+    lemma, the verdict of rows 0..top is fixed by the column's (j, start)
+    and shared.  det tau == (-1)^rank multiplies the word's factors,
+    det s_i = 1 + <e_i, e_i>, so it checks only that the word has one root
+    reflection per basis vector; its value is pinned before it by
+    A tau = -A^t and Delta(0) = det(-tau) = 1.
 
     The radical of V_zero is Zu: G_zero u = 0, u is primitive (entries +-1),
     and its corank-1 leading block V_minus has Delta_minus(1) = det(A + A^t)
@@ -395,38 +393,36 @@ def check_identities(subject: Subject) -> VerificationReport:
     """
     def witnesses():
         lats = subject.lats
-        gram = lats.plus.gram
-        a_cols = [[(k, 1)] + [(i, -row[i]) for i in compress(range(k), row[:k])]
-                  for k, row in enumerate(gram)]  # the sparse columns of A on V_plus
-        verdicts = {}
 
-        def holds(j, start, top, column):
-            """A tau e_j == -A^t e_j in rows 0..top, and tau e_j zero past top.
-            A tau e_j combines the columns of A at the column's nonzeros."""
-            if (j, start) not in verdicts:
-                a_tau = [0] * (top + 1)
-                for k in compress(range(top + 1), column):
-                    x = column[k]
-                    for i, a in a_cols[k]:
-                        a_tau[i] += a * x
-                verdicts[j, start] = not any(column[top + 1:]) and (
-                    a_tau == [0] * j + [-1] + list(gram[j][j + 1:top + 1]))
-            return verdicts[j, start]
+        def residual(gram):
+            """holds(j, start, top, column) for the A of gram, memoised by
+            (j, start): A tau e_j == -A^t e_j in rows 0..top, combining the
+            columns of A at the column's nonzeros, and tau e_j zero past top."""
+            a_cols = [[(k, 1)] + [(i, -row[i]) for i in compress(range(k), row[:k])]
+                      for k, row in enumerate(gram)]  # the sparse columns of A
+            verdicts = {}
 
+            def holds(j, start, top, column):
+                if (j, start) not in verdicts:
+                    a_tau = [0] * (top + 1)
+                    for k in compress(range(top + 1), column):
+                        x = column[k]
+                        for i, a in a_cols[k]:
+                            a_tau[i] += a * x
+                    verdicts[j, start] = not any(column[top + 1:]) and (
+                        a_tau == [0] * j + [-1] + list(gram[j][j + 1:top + 1]))
+                return verdicts[j, start]
+
+            return holds
+
+        shared = residual(lats.plus.gram)
         for which in ("minus", "zero", "plus"):
             lat = getattr(lats, which)
-            rank = lat.rank
-            if not (_is_leading_block(lat, lats.plus) and all(
-                    not any(gram[j][top + 1:rank]) and holds(j, start, top, column)
-                    for j, (start, top, column) in enumerate(subject.columns(which)))):
-                tau = subject.coxeter(which)
-                form = asym_form_matrix(lat)  # the rows of A are the columns of A^t
-                form_rows = nonzeros(form)
-                minus_a_tau = [[-x for x in rows_vec(form_rows, col)] for col in tau]
-                if minus_a_tau != form:  # only the solve names identity 1's entry
-                    yield _matrix_witness(f"coxeter({which}) == -A^-1 A^t", tau,
-                                          coxeter_columns_via_form(form))
-                yield _matrix_witness(f"(y,x) == -(x,tau y) on {which}", form, minus_a_tau)
+            holds = shared if _is_leading_block(lat, lats.plus) else residual(lat.gram)
+            if not all(not any(lat.gram[j][top + 1:]) and holds(j, start, top, column)
+                       for j, (start, top, column) in enumerate(subject.columns(which))):
+                yield _matrix_witness(f"coxeter({which}) == -A^-1 A^t", subject.coxeter(which),
+                                      coxeter_columns_via_form(asym_form_matrix(lat)))
             delta = subject.delta(which)
             yield _value_witness(f"char poly of {which} has constant term 1", 0, delta[0], 1)
             # char_poly is monic, so palindromic up to sign means delta[i] == delta[n - i]

@@ -273,3 +273,40 @@ def dense_coxeter_witness(lats, word):
                     return {"identity": f"coxeter({which}) == -A^-1 A^t", "index": [i, j],
                             "expected": x[i], "got": v[i]}
     return None
+
+
+def decode_star_pairwise(gram):
+    """The arms of a star Gram, center last and each arm a chain from its
+    free end toward it, by a scan of every pair of vertices: ("star",
+    alphas, arms), or ("not a star", message, index) at the first pairing
+    that does not fit, with the message and index star.decode_star gives."""
+    n = len(gram)
+    if n == 0:
+        return "not a star", "empty Gram matrix", 0
+    center = n - 1
+    for i in range(n):
+        if gram[i][i] != -2:
+            return "not a star", f"vertex {i} has self-pairing {gram[i][i]}", i
+        for j in range(i + 1, n):
+            if gram[i][j] not in (0, 1):
+                return "not a star", f"pairing <{i},{j}> = {gram[i][j]} not in {{0,1}}", i
+    arms = []
+    i = 0
+    while i < center:
+        j = i
+        while j + 1 < center and gram[j][j + 1] == 1:
+            j += 1
+        if gram[j][center] != 1:
+            return "not a star", f"chain ending at vertex {j} is not attached to the center", j
+        for k in range(i, j):
+            if gram[k][center] != 0:
+                return "not a star", f"interior chain vertex {k} touches the center", k
+        arms.append((i, j + 1))
+        i = j + 1
+    for a_start, a_stop in arms:
+        for i in range(a_start, a_stop):
+            for j in range(i + 1, center):
+                expected = 1 if (j == i + 1 and j < a_stop) else 0
+                if gram[i][j] != expected:
+                    return "not a star", f"unexpected pairing <{i},{j}> = {gram[i][j]}", i
+    return "star", [stop - start + 1 for start, stop in arms], tuple(arms)

@@ -383,6 +383,17 @@ def test_word_names_rightmost_non_root():
         reflection_word(lat, range(2, -1, -1))
 
 
+@settings(max_examples=100, deadline=None)
+@given(root_lattices(), st.data())
+def test_word_steps_list_each_row_as_a_full_scan_does(lat, data):
+    """Each step lists the nonzero pairings of its row but the diagonal, as
+    a scan of the whole row lists them, for the indices in any order."""
+    order = data.draw(st.permutations(range(lat.rank)))
+    assert reflection_word(lat, order) == tuple(
+        (i, tuple([(j, g) for j, g in enumerate(lat.gram[i]) if g and j != i]))
+        for i in reversed(order))
+
+
 def test_compile_word_edge_cases():
     """A step and a readout row longer than any interpreter's chain limit
     (3.13 compiles 5,000 chained terms but not 10,000), a pairing longer

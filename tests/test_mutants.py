@@ -147,10 +147,10 @@ ROSTER = [
     Row("arm run one step long", Subject, "run", arm_run_one_step_long, {"orbit-formulas": 28}),
     Row("tau column one step late", verify, "_first_steps", column_one_step_late,
         {"identities": 29}),
-    # every roster lattice is a leading block; an edited V_zero is not
+    # every roster lattice is a leading block; an edited V_minus is not
     Row("leading-block guard always true", verify, "_is_leading_block",
         every_lattice_a_leading_block, {},
-        caught_by="test_zero_gram_not_a_prefix_of_plus_fails_coxeter_of_zero"),
+        caught_by="test_minus_gram_not_a_prefix_of_plus_fails_coxeter_of_minus"),
 ]
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coxlat import cli
@@ -28,6 +28,7 @@ from coxlat.star import (
     validate,
 )
 
+from oracles import decode_star_pairwise
 from strategies import valid_stars
 
 
@@ -258,6 +259,15 @@ class TestJson:
             assert Lattice.from_json(json.loads(json.dumps(lat.to_json()))) == lat
 
 
+def decoded(lat):
+    """decode_star's arms, or its message and index, as the pairwise oracle
+    gives them."""
+    try:
+        return ("star", *decode_star(lat))
+    except NotAStarLattice as exc:
+        return "not a star", str(exc), exc.index
+
+
 class TestDecode:
     def test_round_trip(self):
         for alphas in ((), (2, 2), (2, 3, 5), (2, 3, 7), (3, 3, 4, 5)):
@@ -281,6 +291,37 @@ class TestDecode:
         with pytest.raises(NotAStarLattice) as err:
             decode_star(broken)
         assert err.value.index is not None
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_stars(max_zero_rank=24), st.data())
+    def test_matches_pairwise_scan_on_edited_entries(self, inv, data):
+        """V_minus, then V_minus with an off-diagonal entry flipped between 0
+        and 1 and now and then one more entry set to a value in -3..2: the
+        same arms as the scan of every pair, or the same message and index."""
+        lat = build(inv).minus
+        g = lat.gram_rows()
+        n = len(g)
+        assert decoded(lat) == decode_star_pairwise(g)
+        assume(n > 1)
+        j = data.draw(st.integers(1, n - 1))
+        i = data.draw(st.integers(0, j - 1))
+        g[i][j] = g[j][i] = 1 - g[i][j]
+        if data.draw(st.booleans()):
+            j = data.draw(st.integers(0, n - 1))
+            i = data.draw(st.integers(0, j))
+            g[i][j] = g[j][i] = data.draw(st.integers(-3, 2))
+        assert decoded(Lattice(lat.labels, g)) == decode_star_pairwise(g)
+
+    @pytest.mark.parametrize("name", ["E8", "D10", "E12", "A5", "D7"])
+    def test_matches_pairwise_scan_on_every_single_entry_edit(self, name):
+        """Each entry of V_minus set to each value in -3..2 in turn."""
+        lat = build(catalog(name)).minus
+        for j in range(lat.rank):
+            for i in range(j + 1):
+                for x in range(-3, 3):
+                    g = lat.gram_rows()
+                    g[i][j] = g[j][i] = x
+                    assert decoded(Lattice(lat.labels, g)) == decode_star_pairwise(g)
 
     def test_non_root_diagonal_rejected(self):
         lat = Lattice(("a", "b"), ((-2, 1), (1, -4)))

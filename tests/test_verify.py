@@ -279,6 +279,9 @@ def test_passing_subjects_neither_solve_the_form_nor_reduce_the_gram(monkeypatch
     assert calls == []
     assert not check_identities(CorruptedMinusWord(build(E8))).passed
     assert calls == ["coxeter_columns_via_form"]
+    calls.clear()
+    assert not check_identities(Subject(off_u_at_row_1(build(E8), "zero"))).passed
+    assert calls == ["coxeter_columns_via_form"]
 
 
 RADICAL = "radical of V_zero is rank 1 spanned by u"
@@ -358,7 +361,18 @@ def edited_alone(lats, which, i, j):
     return dataclasses.replace(lats, **{which: Lattice(lat.labels, g)})
 
 
-TAU_IDENTITIES = ("coxeter(", "(y,x) == -(x,tau y)")
+def test_minus_gram_not_a_prefix_of_plus_fails_coxeter_of_minus():
+    """V_minus of E8 edited alone at (0, 1), inside the rows 0..top of its
+    column 0: only the residual on V_minus's own Gram sees the edit, and it
+    names the dense route's witness."""
+    lats = edited_alone(build(E8), "minus", 0, 1)
+    subject = Subject(lats)
+    w = check_identities(subject).witness
+    assert w == dense_coxeter_witness(lats, subject.word)
+    assert w == {"identity": "coxeter(minus) == -A^-1 A^t", "index": [0, 0], "expected": 2, "got": 0}
+
+
+TAU_IDENTITIES = ("coxeter(",)
 
 
 @settings(max_examples=100, deadline=None)
