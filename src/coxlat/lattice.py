@@ -20,8 +20,10 @@ one coordinate in place, v[i] = -v[i] + sum_{j != i} g_ij v[j], so one
 application costs O(nnz(Gram)) even where the product tau fills in.
 ``apply_word`` interprets a word, for the few applications of an arm
 period or the rank-many columns of tau; ``compile_word`` turns it once
-into straight-line statements for an orbit walk, which applies it once per
-coefficient and runs about three times faster per step.
+into the generator of an orbit walk, which applies it once per coefficient
+to the coordinates held in local variables: a step reads and writes locals
+only, with no list indexing, and runs about twice as fast as a compiled
+statement over the list would.
 
 Characteristic polynomials come two ways.  ``star_char_polys`` reads
 det(t*I - tau) = det(t*A + A^t) off a star Gram for each basis prefix from
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import eq
 from typing import Sequence
 
 from .errors import CoxlatError, NotARoot, NotUnitriangular
@@ -138,15 +141,18 @@ class Lattice:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "gram", _frozen_rows(self.gram))
-        n = len(self.gram)
+        gram, n = self.gram, len(self.gram)
         if len(self.labels) != n:
             raise ValueError("label count does not match Gram size")
-        for i, row in enumerate(self.gram):
-            if len(row) != n:
-                raise ValueError("Gram matrix is not square")
-            for j in range(i):
-                if row[j] != self.gram[j][i]:
-                    raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
+        # Each row against its column, one column alive at a time; zip stops at
+        # the shortest row, so the rows' lengths are checked first.
+        if any(len(row) != n for row in gram) or not all(map(eq, gram, zip(*gram))):
+            for i, row in enumerate(gram):  # name the first fault, row by row
+                if len(row) != n:
+                    raise ValueError("Gram matrix is not square")
+                for j in range(i):
+                    if row[j] != gram[j][i]:
+                        raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
 
     @property
     def rank(self) -> int:
@@ -258,25 +264,37 @@ def apply_word(word, v: Vector) -> Vector:
 
 
 def _term(g, j: int) -> str:
-    """+g*v[j] as source text.  Values other than +-1 are hex literals, which
+    """+g*x_j as source text.  Values other than +-1 are hex literals, which
     have no digit limit; a value whose type is not int raises TypeError, so
     only integers reach the source text."""
     if type(g) is not int:
         raise TypeError(f"compile_word needs int entries, got {type(g).__name__} {g!r}")
-    return f"+v[{j}]" if g == 1 else f"-v[{j}]" if g == -1 else f"{g:+#x}*v[{j}]"
+    return f"+x{j}" if g == 1 else f"-x{j}" if g == -1 else f"{g:+#x}*x{j}"
 
 
 def compile_word(word, readout):
-    """apply_word compiled once into one statement per step.  The function
-    returns the list of readout rows (as nonzeros) applied to the result,
-    which spares a walk a second interpreted pass over v."""
-    lines = [f"    v[{i}] = {_sum_source([f'-v[{i}]'] + [_term(g, j) for j, g in pairs])}\n"
-             for i, pairs in word]
+    """The orbit of a vector under the word, compiled once: a generator
+    function orbit(v) that loads v[0..top] into the locals x0..x_top, top
+    the highest coordinate the word or the readout names, and then applies
+    the word to them without end, one local assignment per step, yielding
+    after each application the list of readout rows (as nonzeros) applied
+    to the result.  v itself is never written.  The generator is lazy: a
+    walk that stops pulling applies the word no further.
+
+    The load is one unpacking into a list display, which has no cap on its
+    targets (a starred one has 256); it is [] = v[:0] when the word and the
+    readout name no coordinate."""
+    rows = [pairs for _, pairs in word] + list(readout)
+    top = max([i for i, _ in word] + [j for row in rows for j, _ in row], default=-1)
+    names = ", ".join(f"x{j}" for j in range(top + 1))
+    steps = "".join(f"        x{i} = {_sum_source([f'-x{i}'] + [_term(g, j) for j, g in pairs])}\n"
+                    for i, pairs in word)
     values = ", ".join(_sum_source([_term(g, j) for j, g in row]) for row in readout)
+    source = (f"def orbit(v):\n    [{names}] = v[:{top + 1}]\n"
+              f"    while True:\n{steps}        yield [{values}]\n")
     namespace = {}
-    exec(compile(f"def word(v):\n{''.join(lines)}    return [{values}]\n", "<compile_word>", "exec"),
-         namespace)
-    return namespace.pop("word")  # no cycle through its globals: freed with its last use
+    exec(compile(source, "<compile_word>", "exec"), namespace)
+    return namespace.pop("orbit")  # no cycle through its globals: freed with its last use
 
 
 def word_columns(word, n: int) -> list:

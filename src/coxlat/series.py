@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from itertools import chain, islice
 
 from .errors import CoxlatError, NegativeDimension, RouteMismatch, TooLarge
 from .exact import PowerSeries
@@ -74,8 +75,8 @@ def hilbert_P(lat: Lattice, root: int, order: int) -> PowerSeries:
 
     Every coefficient is checked against the triangular form value
     (e, tau^k e).  tau acts as the reflection word of the whole basis,
-    compiled once for the walk together with both functionals, read off
-    Gram row root, g_j = <e, e_j>:
+    compiled once into the generator of the orbit of e together with both
+    functionals, read off Gram row root, g_j = <e, e_j>:
 
         (e, x) = x_root - sum_{j > root} g_j x_j     (row root of A)
         <e, x> = sum_j g_j x_j
@@ -83,8 +84,9 @@ def hilbert_P(lat: Lattice, root: int, order: int) -> PowerSeries:
     The word requires every basis vector, e too, to be a root; it is built
     before the functionals, so of several basis vectors that are not roots
     the one with the highest index is named.  On an indefinite Gram the
-    coefficients grow exponentially; the first too long to print raises
-    TooLarge at once, without walking on.
+    coefficients grow exponentially; the walk draws one application per
+    coefficient, so the first too long to print raises TooLarge at once,
+    without walking on.
     """
     if not 0 <= root < lat.rank:
         raise CoxlatError(f"root index {root} out of range for rank {lat.rank}")
@@ -92,22 +94,21 @@ def hilbert_P(lat: Lattice, root: int, order: int) -> PowerSeries:
     row = lat.gram[root]
     form = [(root, 1)] + [(j, -g) for j, g in enumerate(row[root + 1:], root + 1) if g]
     pairing = [(j, g) for j, g in enumerate(row) if g]
-    step = compile_word(word, [form, pairing])
+    e = [0] * lat.rank
+    e[root] = 1
+    # (e, e) and <e, e>, then both functionals at tau^k e for k = 1, 2, ...
+    values = chain([(1, row[root])], compile_word(word, [form, pairing])(e))
     digits = sys.get_int_max_str_digits()  # 0: no limit
     bound = 10 ** digits if digits else None
     coeffs = []
-    v = [0] * lat.rank
-    v[root] = 1
     acc = 1
-    form_value, paired = 1, row[root]  # (e, e) and <e, e>
-    for k in range(order + 1):
+    for k, (form_value, paired) in enumerate(islice(values, order + 1)):
         if form_value != acc:
             raise RouteMismatch(f"P coefficient {k}: orbit sum {acc} vs form value {form_value}")
         if bound and not -bound < acc < bound:
             raise TooLarge(f"P coefficient {k} has more than {digits} digits, Python's limit to print")
         coeffs.append(acc)
         acc += paired
-        form_value, paired = step(v)
     return PowerSeries(tuple(coeffs))
 
 

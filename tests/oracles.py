@@ -310,3 +310,21 @@ def decode_star_pairwise(gram):
                 if gram[i][j] != expected:
                     return "not a star", f"unexpected pairing <{i},{j}> = {gram[i][j]}", i
     return "star", [stop - start + 1 for start, stop in arms], tuple(arms)
+
+
+def pair_run_witness(lats):
+    """The first failure of pi s_E s_{E-u} iota == id over every column of
+    V_minus, named as orbit-formulas names it, or None.  s_{E-u} and then
+    s_E act by the reflection formula on V_zero's Gram, and pi adds the E-u
+    coordinate to E's."""
+    g, c, f = lats.zero.gram, lats.center, lats.f_index
+    for j in range(f):
+        v = [int(k == j) for k in range(f + 1)]
+        for i in (f, c):
+            v[i] = -v[i] + sum(g[i][k] * v[k] for k in range(f + 1) if k != i)
+        v[c] += v.pop()
+        for i in range(f):
+            if v[i] != (i == j):
+                return {"identity": "s_E s_{E-u} == id", "index": [i, j],
+                        "expected": int(i == j), "got": v[i]}
+    return None

@@ -57,6 +57,20 @@ def rand_root_lattice(rng, n, edge_values=(-1, 0, 0, 1, 1, 2)):
     return Lattice(tuple(f"e{i}" for i in range(n)), tuple(tuple(r) for r in gram))
 
 
+def test_gram_faults_name_the_first_in_row_order():
+    """The first asymmetric (i, j), j < i, in row order, though a later row
+    has one in an earlier column; a short row is named only after the rows
+    before it pass."""
+    asymmetric = ((-2, 1, 0, 0), (1, -2, 1, 0), (0, 3, -2, 0), (4, 0, 1, -2))
+    with pytest.raises(ValueError, match=r"^Gram matrix not symmetric at \(2,1\)$"):
+        Lattice("abcd", asymmetric)
+    with pytest.raises(ValueError, match=r"^Gram matrix not symmetric at \(1,0\)$"):
+        Lattice("abc", ((-2, 1, 0), (0, -2, 1), (0, 1)))
+    with pytest.raises(ValueError, match="^Gram matrix is not square$"):
+        Lattice("abc", ((-2, 1, 0), (1, -2, 1), (0, 1)))
+    assert Lattice((), ()).rank == 0
+
+
 class TestReflections:
     def test_rank_one(self):
         assert reflection_matrix(RANK1, 0) == [[-1]]
@@ -361,18 +375,25 @@ def unit(n, j):
 def test_word_matches_reflection_product(lat, data):
     """tau from the word in basis order, and tau^-1 from the reversed word,
     against the dense product of the reflection matrices: column by column,
-    interpreted and compiled, and on a random vector."""
+    interpreted and compiled, and on a random vector.  The compiled orbit's
+    k-th yield, k = 1..3, is the word applied k times, and v is never
+    written."""
     n = lat.rank
     v = data.draw(st.lists(DENSE, min_size=n, max_size=n))
+    whole = nonzeros(identity_matrix(n))  # readout rows of the whole vector
     for order in (range(n), range(n - 1, -1, -1)):
         word = reflection_word(lat, order)
         product = reflection_product_naive(lat.gram, order)
         assert reflection_product(lat, order) == product
         columns = mat_transpose(product)
         assert word_columns(word, n) == columns
-        step = compile_word(word, nonzeros(identity_matrix(n)))  # reads out the whole result
-        assert [step(unit(n, j)) for j in range(n)] == columns
-        assert step(list(v)) == apply_word(word, list(v)) == naive_mat_vec(mat_transpose(columns), v)
+        orbit = compile_word(word, whole)
+        assert [next(orbit(unit(n, j))) for j in range(n)] == columns
+        assert next(orbit(list(v))) == apply_word(word, list(v)) == naive_mat_vec(mat_transpose(columns), v)
+        w, x = list(v), list(v)
+        for k, rows in zip(range(1, 4), orbit(w)):
+            assert rows == apply_word(word, x), k
+        assert w == v
 
 
 def test_word_names_rightmost_non_root():
@@ -397,26 +418,26 @@ def test_word_steps_list_each_row_as_a_full_scan_does(lat, data):
 def test_compile_word_edge_cases():
     """A step and a readout row longer than any interpreter's chain limit
     (3.13 compiles 5,000 chained terms but not 10,000), a pairing longer
-    than the decimal digit limit, empty shapes, and entries that are not
-    ints."""
+    than the decimal digit limit, empty shapes, a readout past the word's
+    coordinates, and entries that are not ints."""
     rng = random.Random(5)
     n = 10001
     v = [rng.randint(-9, 9) for _ in range(n)]
     huge = 10 ** 4999 + 3  # 5,000 decimal digits
     long_row = tuple((j, rng.choice((1, -1, 2, -3, 7))) for j in range(1, n))
     word = ((0, long_row), (1, ((0, -huge), (n - 1, huge))), (2, ()))
-    expected = naive_word(word, v)
+    once = naive_word(word, v)
     readout = [long_row, [(1, -1), (2, huge)], []]
     w = list(v)
-    assert compile_word(word, readout)(w) == [
-        sum(g * expected[j] for j, g in row) for row in readout]
-    assert w == apply_word(word, list(v)) == expected
-    w = list(v)
-    assert compile_word((), ())(w) == [] and w == v
-    assert compile_word((), ())([]) == apply_word((), []) == []
-    w = [5]
-    compile_word(((0, ()),), ())(w)
-    assert w == [-5]
+    orbit = compile_word(word, readout)(w)
+    for expected in (once, naive_word(word, once)):
+        assert next(orbit) == [sum(g * expected[j] for j, g in row) for row in readout]
+    assert w == v and apply_word(word, list(v)) == once
+    assert next(compile_word((), ())(w)) == [] and w == v
+    assert next(compile_word((), ())([])) == apply_word((), []) == []
+    assert next(compile_word((), [[(3, 2)]])([1, 2, 3, 7])) == [14]
+    orbit = compile_word(((0, ()),), [[(0, 1)]])([5])
+    assert [next(orbit), next(orbit)] == [[-5], [5]]
     for bad in (True, False, 1.0, 0.5):
         with pytest.raises(TypeError):
             compile_word(((0, ((1, bad),)),), ())

@@ -109,6 +109,11 @@ def column_one_step_late(real):
     return lambda word, rank: [min(pos + 1, len(word)) for pos in real(word, rank)]
 
 
+def first_touched_column_dropped(real):
+    """(a) without the first column that s_E s_{E-u} reads or writes."""
+    return lambda word, rank: real(word, rank)[1:]
+
+
 def every_lattice_a_leading_block(real):
     """The guard on shared verdicts: every Gram taken for V_plus's leading block."""
     return lambda lat, plus: True
@@ -151,6 +156,9 @@ ROSTER = [
     Row("leading-block guard always true", verify, "_is_leading_block",
         every_lattice_a_leading_block, {},
         caught_by="test_minus_gram_not_a_prefix_of_plus_fails_coxeter_of_minus"),
+    # s_E s_{E-u} is the identity on every roster star; an edited V_zero moves e_j
+    Row("first touched column of (a) dropped", verify, "_touched", first_touched_column_dropped,
+        {}, caught_by="test_zero_gram_off_an_arm_end_fails_pair_run_at_its_column"),
 ]
 
 

@@ -46,8 +46,8 @@ from coxlat.verify import (
     verify_lattices,
 )
 
-from oracles import (conv, dense_coxeter_witness, mat_mul_naive, matrix_order, pairing,
-                     reflection_product_naive, series_by_dense_recurrence, star_deltas)
+from oracles import (conv, dense_coxeter_witness, mat_mul_naive, matrix_order, pair_run_witness,
+                     pairing, reflection_product_naive, series_by_dense_recurrence, star_deltas)
 from strategies import root_lattices, valid_stars
 
 E8 = kleinian_invariants((2, 3, 5))
@@ -370,6 +370,46 @@ def test_minus_gram_not_a_prefix_of_plus_fails_coxeter_of_minus():
     w = check_identities(subject).witness
     assert w == dense_coxeter_witness(lats, subject.word)
     assert w == {"identity": "coxeter(minus) == -A^-1 A^t", "index": [0, 0], "expected": 2, "got": 0}
+
+
+def with_e_minus_u_entry(lats, j, x):
+    """lats with the pairing of E-u and vertex j set to x in V_zero and
+    V_plus together, so that V_zero stays V_plus's leading block."""
+    f = lats.f_index
+    for which in ("zero", "plus"):
+        lat = getattr(lats, which)
+        g = lat.gram_rows()
+        g[f][j] = g[j][f] = x
+        lats = dataclasses.replace(lats, **{which: Lattice(lat.labels, g)})
+    return lats
+
+
+def test_zero_gram_off_an_arm_end_fails_pair_run_at_its_column():
+    """E-u of E8 no longer paired with e_0, the end of arm 1 and the first
+    column that s_E s_{E-u} touches: (a) names that column, as a scan of
+    every column does."""
+    lats = with_e_minus_u_entry(build(E8), 0, 0)
+    w = check_orbit_formulas(Subject(lats), 20).witness
+    assert w == pair_run_witness(lats)
+    assert w == {"identity": "s_E s_{E-u} == id", "index": [7, 0], "expected": 0, "got": 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pair_run_names_the_first_discrepancy_over_every_column(data):
+    """E-u's pairing with one V_minus vertex set to -1, 0 or 1, on a whole or
+    a flipped Gram: (a) compares only the columns its two steps touch, and
+    its witness is the first over every column of V_minus."""
+    inv = data.draw(st.sampled_from(FLIP_INPUTS))
+    lats = flipped_lattices(inv, *draw_entry(data, inv)) if data.draw(st.booleans()) else build(inv)
+    j = data.draw(st.integers(0, lats.f_index - 1))
+    lats = with_e_minus_u_entry(lats, j, data.draw(st.sampled_from((-1, 0, 1))))
+    expected = pair_run_witness(lats)
+    w = check_orbit_formulas(Subject(lats), 10).witness
+    if expected is None:
+        assert w is None or w["identity"] != "s_E s_{E-u} == id"
+    else:
+        assert w == expected
 
 
 TAU_IDENTITIES = ("coxeter(",)
