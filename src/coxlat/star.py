@@ -10,6 +10,7 @@ lattice and its two extensions
     V_zero  : V_minus extended by an orthogonal isotropic u, basis (..., E-u)
     V_plus  : V_minus extended by a hyperbolic plane <u, w>, basis (..., E-u, u-w)
 
+of which it builds V_plus alone: V_minus and V_zero are its leading blocks,
 and decodes Gram matrices back into invariants for the JSON interfaces.
 """
 
@@ -136,38 +137,46 @@ class StarLattices:
 
     ``arms`` holds the index span [start, stop) of each chain in the minus
     basis; ``center`` is the index of E (always last in the minus basis).
-    V_minus and V_zero are basis prefixes of V_plus: their labels and Grams
-    are the leading ones of V_plus.  star_char_polys and the word runs of
-    verify.Subject rely on it, and a V_zero that is not fails the identities.
+    Only V_plus is held: V_minus and V_zero are its leading blocks of ranks
+    center + 1 and center + 2, cut on first use, so they are basis prefixes
+    of V_plus on every route.  star_char_polys and the word runs of
+    verify.Subject rely on it.
     """
 
     invariants: OrbitInvariants
     kind: SingularityKind
-    minus: Lattice
-    zero: Lattice
     plus: Lattice
     center: int
     arms: tuple
 
+    def _leading(self, rank: int) -> Lattice:
+        return Lattice(self.plus.labels[:rank], [row[:rank] for row in self.plus.gram[:rank]])
+
+    @functools.cached_property
+    def minus(self) -> Lattice:
+        return self._leading(self.center + 1)
+
+    @functools.cached_property
+    def zero(self) -> Lattice:
+        return self._leading(self.center + 2)
+
     @property
     def f_index(self) -> int:
         """Index of E-u in the zero (and plus) basis."""
-        return self.minus.rank
+        return self.center + 1
 
     @property
     def u_zero(self) -> tuple:
         """Coordinates of the isotropic u = E - (E-u) in the zero basis."""
-        v = [0] * self.zero.rank
+        v = [0] * (self.center + 2)
         v[self.center] = 1
         v[self.f_index] = -1
         return tuple(v)
 
 
-def star_minus_lattice(alphas: Sequence[int]):
-    """Gram matrix of the bare star: chains of length alpha_i - 1, center E last.
-
-    Returns (lattice, arms, center).
-    """
+def _star_rows(alphas: Sequence[int]):
+    """Labels and Gram rows of the bare star: chains of length alpha_i - 1,
+    center E last.  Returns (labels, gram, arms, center)."""
     labels = []
     arms = []
     for i, a in enumerate(alphas, start=1):
@@ -184,38 +193,38 @@ def star_minus_lattice(alphas: Sequence[int]):
         for i in range(start, stop - 1):
             gram[i][i + 1] = gram[i + 1][i] = 1
         gram[stop - 1][center] = gram[center][stop - 1] = 1
-    return Lattice(labels, gram), tuple(arms), center
+    return labels, gram, tuple(arms), center
 
 
-def extend_star(minus: Lattice):
-    """Adjoin E-u and then u-w to a lattice whose last basis vector is E.
+def extend_star(labels, gram) -> Lattice:
+    """V_plus: the lattice of these labels and Gram rows, whose last basis
+    vector is E, with E-u and then u-w adjoined.
 
     E-u pairs with everything exactly as E does except <E-u, E-u> = -2 and
     <E-u, E> = -2 (u is isotropic and orthogonal to the star); u-w pairs
-    only with E-u, value 1.  V_zero is the leading block of V_plus, cut from
-    its rows.  Returns (zero, plus).
+    only with E-u, value 1.
     """
-    n = minus.rank
-    e_row = minus.gram[n - 1]
-    f_row = list(e_row) + [-2, 1]
+    n = len(gram)
+    e_row = gram[n - 1]
+    f_row = [*e_row, -2, 1]
     f_row[n - 1] = -2
-    gram = [list(row) + [e, 0] for row, e in zip(minus.gram, e_row)] + [f_row, [0] * n + [1, -2]]
-    labels = minus.labels + ("E-u", "u-w")
-    return Lattice(labels[:-1], [row[:-1] for row in gram[:-1]]), Lattice(labels, gram)
+    return Lattice((*labels, "E-u", "u-w"),
+                   [[*row, e, 0] for row, e in zip(gram, e_row)] + [f_row, [0] * n + [1, -2]])
 
 
 def build(inv: OrbitInvariants) -> StarLattices:
-    """Validate the invariants and construct V_minus, V_zero, V_plus."""
+    """Validate the invariants and construct V_plus from the star's rows."""
     kind = validate(inv)
-    minus, arms, center = star_minus_lattice(inv.alphas)
-    return lattices_from_minus(minus, inv, kind, arms, center)
+    labels, gram, arms, center = _star_rows(inv.alphas)
+    return StarLattices(inv, kind, extend_star(labels, gram), center, arms)
 
 
 def lattices_from_minus(minus: Lattice, inv: OrbitInvariants, kind: SingularityKind,
                         arms: tuple, center: int) -> StarLattices:
-    """Assemble StarLattices around a caller-supplied minus lattice."""
-    zero, plus = extend_star(minus)
-    return StarLattices(inv, kind, minus, zero, plus, center, arms)
+    """Assemble StarLattices around a caller-supplied minus lattice, E last."""
+    if center != minus.rank - 1:
+        raise ValueError(f"center {center} is not the last index {minus.rank - 1} of V_minus")
+    return StarLattices(inv, kind, extend_star(minus.labels, minus.gram), center, arms)
 
 
 def decode_star(lat: Lattice):

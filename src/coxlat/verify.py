@@ -117,13 +117,14 @@ class Subject:
     of the three tau, each Delta, the orbit walk of (V_zero, E) and each
     Delta quotient.
 
-    V_minus and V_zero are basis prefixes of V_plus.  So one star_char_polys
-    call on V_plus gives all three Deltas, with no tau; a Gram outside that
-    shape falls back, lattice by lattice, to Berkowitz on the columns of tau,
-    that is on tau^t, with the same characteristic polynomial.  And every
-    other word is a run of V_plus's word: on a vector that is zero from index
-    stop on, the steps for start..stop-1 read those coordinates as 0 and
-    never write them, so they act as the word of the prefix of rank stop."""
+    V_minus and V_zero are basis prefixes of V_plus, which StarLattices cuts
+    them from.  So one star_char_polys call on V_plus gives all three Deltas,
+    with no tau; a Gram outside that shape falls back, lattice by lattice, to
+    Berkowitz on the columns of tau, that is on tau^t, with the same
+    characteristic polynomial.  And every other word is a run of V_plus's
+    word: on a vector that is zero from index stop on, the steps for
+    start..stop-1 read those coordinates as 0 and never write them, so they
+    act as the word of the prefix of rank stop."""
 
     def __init__(self, lats: StarLattices, label: str | None = None):
         self.lats = lats
@@ -380,12 +381,6 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
     return run_check("orbit-formulas", subject.label, k_max, witnesses())
 
 
-def _is_leading_block(lat, plus) -> bool:
-    """Whether the Gram of lat is the leading block of the Gram of plus."""
-    rank = lat.rank
-    return rank <= plus.rank and all(row == full[:rank] for row, full in zip(lat.gram, plus.gram))
-
-
 def check_identities(subject: Subject) -> VerificationReport:
     """Structural identities of the three lattices and their Coxeter elements.
 
@@ -393,16 +388,16 @@ def check_identities(subject: Subject) -> VerificationReport:
     unitriangular, so tau == -A^-1 A^t exactly when A tau == -A^t, which is
     also (y,x) == -(x,tau y) for the form (x,y) = x^t A y: one residual
     decides all three, and -A^-1 A^t is solved only to name where tau
-    differs.  By the first-step lemma column j is zero past top, so its rows
-    of A tau e_j == -A^t e_j past top hold exactly when row j of the
-    lattice's Gram is zero there; the rows up to top combine the sparse
-    columns of A, read off V_plus's Gram for a lattice that is its leading
-    block and off its own Gram otherwise.  On a leading block, by the prefix
-    lemma, the verdict of rows 0..top is fixed by the column's (j, start)
-    and shared.  det tau == (-1)^rank multiplies the word's factors,
-    det s_i = 1 + <e_i, e_i>, so it checks only that the word has one root
-    reflection per basis vector; its value is pinned before it by
-    A tau = -A^t and Delta(0) = det(-tau) = 1.
+    differs.  V_minus and V_zero are leading blocks of V_plus, so one A, read
+    off V_plus's Gram, serves all three.  By the first-step lemma column j is
+    zero past top, so its rows of A tau e_j == -A^t e_j past top hold exactly
+    when row j of the Gram is zero from top + 1 to the lattice's rank; the
+    rows up to top combine the sparse columns of A, and by the prefix lemma
+    their verdict is fixed by the column's (j, start) and shared.
+    det tau == (-1)^rank multiplies the word's factors, det s_i = 1 +
+    <e_i, e_i>, so it checks only that the word has one root reflection per
+    basis vector; its value is pinned before it by A tau = -A^t and
+    Delta(0) = det(-tau) = 1.
 
     The radical of V_zero is Zu: G_zero u = 0, u is primitive (entries +-1),
     and its corank-1 leading block V_minus has Delta_minus(1) = det(A + A^t)
@@ -410,33 +405,27 @@ def check_identities(subject: Subject) -> VerificationReport:
     """
     def witnesses():
         lats = subject.lats
+        gram = lats.plus.gram
+        a_cols = [[(k, 1)] + [(i, -row[i]) for i in compress(range(k), row[:k])]
+                  for k, row in enumerate(gram)]  # the sparse columns of A
+        verdicts = {}
 
-        def residual(gram):
-            """holds(j, start, top, column) for the A of gram, memoised by
-            (j, start): A tau e_j == -A^t e_j in rows 0..top, combining the
-            columns of A at the column's nonzeros, and tau e_j zero past top."""
-            a_cols = [[(k, 1)] + [(i, -row[i]) for i in compress(range(k), row[:k])]
-                      for k, row in enumerate(gram)]  # the sparse columns of A
-            verdicts = {}
+        def holds(j, start, top, column):
+            """A tau e_j == -A^t e_j in rows 0..top, from the columns of A at
+            the column's nonzeros, and tau e_j zero past top."""
+            if (j, start) not in verdicts:
+                a_tau = [0] * (top + 1)
+                for k in compress(range(top + 1), column):
+                    x = column[k]
+                    for i, a in a_cols[k]:
+                        a_tau[i] += a * x
+                verdicts[j, start] = not any(column[top + 1:]) and (
+                    a_tau == [0] * j + [-1] + list(gram[j][j + 1:top + 1]))
+            return verdicts[j, start]
 
-            def holds(j, start, top, column):
-                if (j, start) not in verdicts:
-                    a_tau = [0] * (top + 1)
-                    for k in compress(range(top + 1), column):
-                        x = column[k]
-                        for i, a in a_cols[k]:
-                            a_tau[i] += a * x
-                    verdicts[j, start] = not any(column[top + 1:]) and (
-                        a_tau == [0] * j + [-1] + list(gram[j][j + 1:top + 1]))
-                return verdicts[j, start]
-
-            return holds
-
-        shared = residual(lats.plus.gram)
         for which in ("minus", "zero", "plus"):
             lat = getattr(lats, which)
-            holds = shared if _is_leading_block(lat, lats.plus) else residual(lat.gram)
-            if not all(not any(lat.gram[j][top + 1:]) and holds(j, start, top, column)
+            if not all(not any(gram[j][top + 1:lat.rank]) and holds(j, start, top, column)
                        for j, (start, top, column) in enumerate(subject.columns(which))):
                 yield _matrix_witness(f"coxeter({which}) == -A^-1 A^t", subject.coxeter(which),
                                       coxeter_columns_via_form(asym_form_matrix(lat)))

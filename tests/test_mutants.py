@@ -114,11 +114,6 @@ def first_touched_column_dropped(real):
     return lambda word, rank: real(word, rank)[1:]
 
 
-def every_lattice_a_leading_block(real):
-    """The guard on shared verdicts: every Gram taken for V_plus's leading block."""
-    return lambda lat, plus: True
-
-
 @dataclass(frozen=True)
 class Row:
     name: str
@@ -152,10 +147,6 @@ ROSTER = [
     Row("arm run one step long", Subject, "run", arm_run_one_step_long, {"orbit-formulas": 28}),
     Row("tau column one step late", verify, "_first_steps", column_one_step_late,
         {"identities": 29}),
-    # every roster lattice is a leading block; an edited V_minus is not
-    Row("leading-block guard always true", verify, "_is_leading_block",
-        every_lattice_a_leading_block, {},
-        caught_by="test_minus_gram_not_a_prefix_of_plus_fails_coxeter_of_minus"),
     # s_E s_{E-u} is the identity on every roster star; an edited V_zero moves e_j
     Row("first touched column of (a) dropped", verify, "_touched", first_touched_column_dropped,
         {}, caught_by="test_zero_gram_off_an_arm_end_fails_pair_run_at_its_column"),

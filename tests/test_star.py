@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import itertools
 import json
 import tempfile
@@ -138,11 +139,14 @@ class TestBuild:
     def test_restriction_of_extended_grams(self, inv, data):
         """V_minus and V_zero are basis prefixes of V_plus on every route to
         StarLattices: build, lattices_from_minus on an edited Gram, and the
-        decoding of a --gram input."""
+        decoding of a --gram input.  V_plus replaced after the cuts of build
+        are read gives the cuts of the edited Gram, not stale ones, and
+        lattices_from_minus refuses a center that is not V_minus's last index."""
         lats = build(inv)
+        n = lats.minus.rank
         g = lats.minus.gram_rows()
-        if lats.minus.rank > 1:
-            j = data.draw(st.integers(1, lats.minus.rank - 1))
+        if n > 1:
+            j = data.draw(st.integers(1, n - 1))
             i = data.draw(st.integers(0, j - 1))
             g[i][j] = g[j][i] = 1 - g[i][j]
         edited = Lattice(lats.minus.labels, tuple(map(tuple, g)))
@@ -157,6 +161,11 @@ class TestBuild:
                 k = lat.rank
                 assert route.plus.labels[:k] == lat.labels
                 assert tuple(row[:k] for row in route.plus.gram[:k]) == lat.gram
+        replaced = dataclasses.replace(lats, plus=routes[1].plus)
+        assert (replaced.minus, replaced.zero) == (edited, routes[1].zero)
+        center = data.draw(st.sampled_from([-1, n - 2, n, n + 1]))
+        with pytest.raises(ValueError, match="center"):
+            lattices_from_minus(edited, inv, lats.kind, lats.arms, center)
 
     def test_kleinian_minus_is_definite(self):
         # negative definite star: no radical
@@ -330,6 +339,4 @@ class TestDecode:
 
     def test_extend_star_matches_build(self):
         lats = build(kleinian_invariants((2, 2, 2)))
-        zero, plus = extend_star(lats.minus)
-        assert zero.gram == lats.zero.gram
-        assert plus.gram == lats.plus.gram
+        assert extend_star(lats.minus.labels, lats.minus.gram) == lats.plus
