@@ -47,9 +47,9 @@ from .series import hilbert_Q  # noqa: F401
 # takes 0.8 to 1.0 s on D898 and 1.5 to 1.7 s on the Fuchsian star of 299
 # arms with alpha = 3 and one with alpha = 300, whose 301 border columns of
 # tau_minus each run the whole word of V_minus.  `poincare` at order 10000
-# takes 1.0 to 1.4 s on that star, 0.4 to 0.5 s on D898 and 0.8 to 1.3 s on
-# the star of 440 arms with alpha = 2 (rank 443), where the 441 terms of
-# prod (1 - t^2) are as many as Delta_zero has; `hilbert` at order 10000
+# takes 0.75 to 0.9 s on that star, 0.3 to 0.35 s on D898 and about 0.6 s
+# on the star of 440 arms with alpha = 2 (rank 443), whose quotient
+# divides out the 440 factors 1 - t^2 in turn; `hilbert` at order 10000
 # takes 0.6 to 0.7 s on D898 and 0.9 to 1.0 s on the 300-arm star.  Every
 # step on a star grows about as rank^2: the rank + r + 2 columns of the
 # three tau, each a suffix of V_plus's reflection word, their residual

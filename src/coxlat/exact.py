@@ -108,8 +108,7 @@ def series_from_rational(num: Sequence[int], den: Sequence[int], order: int) -> 
 
     Uses the linear recurrence den[0]*c[k] = num[k] - sum_j den[j]*c[k-j],
     summed over the nonzero den[j] only, so each coefficient costs one
-    product per nonzero term of den, not one per degree: a denominator
-    such as prod (1 - t^a_i) has a few terms spread over a high degree.
+    product per nonzero term of den, not one per degree.
     Raises ZeroConstantTerm if den(0) = 0 and NonIntegralCoefficient as
     soon as a coefficient fails to divide exactly.
     """

@@ -158,6 +158,15 @@ class Lattice:
     def rank(self) -> int:
         return len(self.gram)
 
+    def _leading(self, rank: int) -> "Lattice":
+        """The leading block of this rank: the first rank labels and the
+        principal block of the Gram.  A principal block of a symmetric Gram
+        is symmetric, so it skips the check of __post_init__."""
+        block = object.__new__(Lattice)
+        object.__setattr__(block, "labels", self.labels[:rank])
+        object.__setattr__(block, "gram", tuple([row[:rank] for row in self.gram[:rank]]))
+        return block
+
     def is_root(self, i: int) -> bool:
         return self.gram[i][i] == -2
 

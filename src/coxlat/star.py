@@ -140,7 +140,8 @@ class StarLattices:
     Only V_plus is held: V_minus and V_zero are its leading blocks of ranks
     center + 1 and center + 2, cut on first use, so they are basis prefixes
     of V_plus on every route.  star_char_polys and the word runs of
-    verify.Subject rely on it.
+    verify.Subject rely on it.  A cut is not checked again: V_plus's Gram
+    was, and its principal blocks are symmetric too.
     """
 
     invariants: OrbitInvariants
@@ -149,16 +150,13 @@ class StarLattices:
     center: int
     arms: tuple
 
-    def _leading(self, rank: int) -> Lattice:
-        return Lattice(self.plus.labels[:rank], [row[:rank] for row in self.plus.gram[:rank]])
-
     @functools.cached_property
     def minus(self) -> Lattice:
-        return self._leading(self.center + 1)
+        return self.plus._leading(self.center + 1)
 
     @functools.cached_property
     def zero(self) -> Lattice:
-        return self._leading(self.center + 2)
+        return self.plus._leading(self.center + 2)
 
     @property
     def f_index(self) -> int:

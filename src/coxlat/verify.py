@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, zip_longest
+from itertools import accumulate, compress, zip_longest
 from math import prod
 
 from .errors import NotAStarLattice
@@ -195,17 +195,41 @@ class Subject:
     def quotient(self, which: str, order: int) -> PowerSeries:
         """Delta_which / Delta_zero expanded to order.
 
-        Both are first multiplied by m = (1-t)^max(r-2, 0), for r arms.  On
-        the star Delta_zero = (1-t)^2 prod [a_i], and (1-t)[a] = 1 - t^a, so
+        Both are first multiplied by m = (1-t)^max(r-2, 0), for r arms.
+        m(0) = 1, so the series is exactly Delta_which / Delta_zero on every
+        input.  On the star Delta_zero = (1-t)^2 prod [a_i], and
+        (1-t)[a] = 1 - t^a, so
 
-            m Delta_zero = prod (1 - t^a_i)   (r >= 2),
+            m Delta_zero = (1-t)^max(r, 2) prod [a_i]
+                         = prod (1 - t^a_i) (1-t)^max(2-r, 0),
 
-        at most 2^r nonzero terms where Delta_zero has about rank of them,
-        and the expansion costs one product per nonzero term.  m(0) = 1,
-        so the series is exactly Delta_which / Delta_zero on every input,
-        an edited Gram's too, whose Delta_zero is not of that form."""
-        return self._once(("quotient", which, order), lambda: series_from_rational(
-            self._scaled_delta(which), self._scaled_delta("zero"), order))
+        one factor per arm and, below two arms, 1 - t = 1 - t^1 for each
+        missing one.  Dividing by 1 - t^a is c[k] += c[k-a], a prefix sum
+        over each residue class mod a, so the series costs additions only
+        and is integral by construction.  The factors are read off the
+        invariants, but their product is compared exactly with m Delta_zero
+        of the Gram first: where they are equal the two divisions give the
+        same series, so the route still reads only the Gram.  Where they
+        differ (an edited Gram) the series is the recurrence of
+        series_from_rational over the nonzero terms of m Delta_zero."""
+        def arm_factors():
+            inv = self.lats.invariants
+            factors, product = [1] * (2 - inv.r) + list(inv.alphas), [1]
+            for a in factors:
+                product = poly_add(product, product, -1, a)
+            return factors if product == self._scaled_delta("zero") else None
+
+        def compute():
+            num, factors = self._scaled_delta(which), self._once("factors", arm_factors)
+            if factors is None:
+                return series_from_rational(num, self._scaled_delta("zero"), order)
+            c = num[:order + 1] + [0] * (order + 1 - len(num))
+            for a in factors:
+                for s in range(min(a, order + 1)):
+                    c[s::a] = accumulate(c[s::a])
+            return PowerSeries(tuple(c))
+
+        return self._once(("quotient", which, order), compute)
 
     def _scaled_delta(self, which: str):
         """(1-t)^max(r-2, 0) Delta_which, as r - 2 first differences

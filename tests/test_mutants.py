@@ -90,6 +90,21 @@ def scaled_delta_one_short(real):
     return mutant
 
 
+def zero_delta_taken_from_arms(real):
+    """m Delta_zero read as the arm product prod (1 - t^a_i), as a quotient
+    that divides out the arm factors without comparing them with the Gram's
+    own Delta_zero does."""
+    def mutant(subject, which):
+        if which != "zero":
+            return real(subject, which)
+        inv = subject.lats.invariants
+        product = [1]
+        for a in [1] * (2 - inv.r) + list(inv.alphas):
+            product = poly_add(product, product, -1, a)
+        return product
+    return mutant
+
+
 def prefix_word_one_step_short(real):
     """Each lattice's word as the run 0..rank-2 of V_plus's word, without the
     step of its last index."""
@@ -123,7 +138,7 @@ class Row:
     fails: dict         # check -> number of inputs it fails on
     raises: type = None
     why_equivalent: str = ""
-    caught_by: str = ""  # a test in test_verify that fails under the mutant
+    caught_by: tuple = ()  # tests in test_verify that fail under the mutant
 
 
 ROSTER = [
@@ -139,8 +154,15 @@ ROSTER = [
     Row("walk pairing without its -2 diagonal", series, "compile_word",
         walk_pairing_without_diagonal, {}, raises=RouteMismatch),
     Row("_scaled_delta one difference short", Subject, "_scaled_delta", scaled_delta_one_short, {},
-        why_equivalent="a common factor m of both Deltas with m(0) = 1 leaves their quotient "
+        why_equivalent="from three arms on the scaled Delta_zero is prod (1 - t^a_i) / (1-t), "
+                       "not the arm product, so the quotient falls back to the recurrence, "
+                       "where a common factor m of both Deltas with m(0) = 1 leaves it "
                        "unchanged: (1-t)^(r-3) serves as well as (1-t)^(r-2)"),
+    # every roster star passes the comparison; an edited Gram does not
+    Row("quotient takes the arm factors without comparing Delta_zero", Subject, "_scaled_delta",
+        zero_delta_taken_from_arms, {},
+        caught_by=("test_quotient_matches_dense_recurrence_on_edited_grams",
+                   "test_negative_controls_fail_the_theorem_at_the_dense_quotient")),
     Row("prefix word one step short", Subject, "word", prefix_word_one_step_short,
         {"identities": 29}),
     # A1 has no arms
@@ -149,7 +171,7 @@ ROSTER = [
         {"identities": 29}),
     # s_E s_{E-u} is the identity on every roster star; an edited V_zero moves e_j
     Row("first touched column of (a) dropped", verify, "_touched", first_touched_column_dropped,
-        {}, caught_by="test_zero_gram_off_an_arm_end_fails_pair_run_at_its_column"),
+        {}, caught_by=("test_zero_gram_off_an_arm_end_fails_pair_run_at_its_column",)),
 ]
 
 
@@ -183,9 +205,9 @@ def test_named_checks_catch_mutant(monkeypatch, row):
                 failed[report.check] += 1
     assert calls
     assert {check: n for check, n in failed.items() if n} == row.fails
-    if row.caught_by:
+    for test in row.caught_by:
         with pytest.raises(AssertionError):
-            getattr(test_verify, row.caught_by)()
+            getattr(test_verify, test)()
     assert bool(row.fails or row.raises or row.caught_by) != bool(row.why_equivalent)
 
 

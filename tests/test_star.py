@@ -138,10 +138,13 @@ class TestBuild:
     @given(valid_stars(max_zero_rank=20), st.data())
     def test_restriction_of_extended_grams(self, inv, data):
         """V_minus and V_zero are basis prefixes of V_plus on every route to
-        StarLattices: build, lattices_from_minus on an edited Gram, and the
-        decoding of a --gram input.  V_plus replaced after the cuts of build
-        are read gives the cuts of the edited Gram, not stale ones, and
-        lattices_from_minus refuses a center that is not V_minus's last index."""
+        StarLattices: build, lattices_from_minus on an edited Gram, the
+        decoding of a --gram input, and a V_plus with any one entry edited
+        symmetrically.  The cuts skip Lattice's symmetry check, so each must
+        equal the Lattice built, and checked, from the same labels and block.
+        V_plus replaced after the cuts of build are read gives the cuts of the
+        edited Gram, not stale ones, and lattices_from_minus refuses a center
+        that is not V_minus's last index."""
         lats = build(inv)
         n = lats.minus.rank
         g = lats.minus.gram_rows()
@@ -154,13 +157,18 @@ class TestBuild:
             path = Path(tmp) / "minus.json"
             path.write_text(json.dumps(lats.minus.to_json()))
             decoded = cli._star_lattices(argparse.Namespace(gram=str(path)))
+        plus = lats.plus.gram_rows()
+        j = data.draw(st.integers(0, lats.plus.rank - 1))
+        i = data.draw(st.integers(0, j))
+        plus[i][j] = plus[j][i] = data.draw(st.integers(-3, 3))
         routes = (lats, lattices_from_minus(edited, inv, lats.kind, lats.arms, lats.center),
-                  decoded)
+                  decoded, dataclasses.replace(lats, plus=Lattice(lats.plus.labels, plus)))
         for route in routes:
             for lat in (route.minus, route.zero):
                 k = lat.rank
-                assert route.plus.labels[:k] == lat.labels
-                assert tuple(row[:k] for row in route.plus.gram[:k]) == lat.gram
+                assert lat == Lattice(route.plus.labels[:k], [row[:k] for row in route.plus.gram[:k]])
+                assert type(lat.labels) is type(lat.gram) is tuple
+                assert all(type(row) is tuple for row in lat.gram)
         replaced = dataclasses.replace(lats, plus=routes[1].plus)
         assert (replaced.minus, replaced.zero) == (edited, routes[1].zero)
         center = data.draw(st.sampled_from([-1, n - 2, n, n + 1]))

@@ -3,11 +3,13 @@ import random
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coxlat import series, verify
 from coxlat.cli import main
+from coxlat.errors import NeitherKind
+from coxlat.exact import series_from_rational
 from coxlat.lattice import (
     Lattice,
     apply_word,
@@ -27,6 +29,7 @@ from coxlat.star import (
     build,
     catalog,
     catalog_names,
+    classify_alphas,
     fuchsian_invariants,
     kleinian_invariants,
     lattices_from_minus,
@@ -155,6 +158,83 @@ def test_quotient_matches_dense_recurrence_on_edited_grams(data):
     if data.draw(st.booleans()):
         i = j - 1
     assert_quotients_are_dense_recurrence(flipped_lattices(inv, i, j), 60)
+
+
+@st.composite
+def equal_arm_stars(draw):
+    """Up to twelve arms of one alpha, and now and then one other arm."""
+    alphas = [draw(st.integers(2, 8))] * draw(st.integers(0, 12))
+    alphas = sorted(alphas + draw(st.lists(st.integers(2, 20), max_size=1)))
+    try:
+        kind = classify_alphas(alphas)
+    except NeitherKind:
+        assume(False)
+    return (kleinian_invariants if kind is SingularityKind.KLEINIAN else fuchsian_invariants)(alphas)
+
+
+@settings(max_examples=40, deadline=None)
+@given(equal_arm_stars())
+def test_quotient_matches_dense_recurrence_on_equal_arms(inv):
+    """Many equal factors 1 - t^a divided out in turn, against the dense
+    recurrence on the bare Deltas."""
+    assert_quotients_are_dense_recurrence(build(inv), 300)
+
+
+def test_quotient_of_440_equal_arms_is_the_direct_series():
+    """The star of 440 arms with alpha = 2 (rank 443): 440 factors 1 - t^2."""
+    inv = fuchsian_invariants([2] * 440)
+    assert (Subject(build(inv)).quotient("plus", 2000)
+            == poincare_direct(inv, SingularityKind.FUCHSIAN, 2000))
+
+
+def count_rational_calls(monkeypatch) -> list:
+    calls = []
+
+    def counted(num, den, order):
+        calls.append(den)
+        return series_from_rational(num, den, order)
+
+    monkeypatch.setattr(verify, "series_from_rational", counted)
+    return calls
+
+
+# r = 0 (A1) through 8 arms
+@pytest.mark.parametrize("inv", [catalog("A1"), kleinian_invariants((4,)), kleinian_invariants((3, 3)),
+                                 E8, fuchsian_invariants((2, 2, 2, 3)),
+                                 *(fuchsian_invariants((2,) * r + (5,)) for r in range(4, 8))],
+                         ids=lambda inv: str(inv.alphas))
+def test_valid_stars_divide_out_the_arm_factors(monkeypatch, inv):
+    """No valid star expands its quotients by the recurrence."""
+    calls = count_rational_calls(monkeypatch)
+    assert all(report.passed for report in verify_lattices(build(inv), 60))
+    assert calls == []
+
+
+def test_edited_gram_expands_by_the_recurrence(monkeypatch):
+    calls = count_rational_calls(monkeypatch)
+    lats = broken_e8_lattices()
+    assert not verify_lattices(lats, 60)[0].passed
+    assert calls and all(den == Subject(lats)._scaled_delta("zero") for den in calls)
+
+
+def test_negative_controls_fail_the_theorem_at_the_dense_quotient():
+    """A catalog Gram with an arm edge deleted, as in the benchmark's
+    negative controls, fails the theorem where its own Delta_top /
+    Delta_zero, by the dense recurrence, first leaves the direct series,
+    and the witness gives both values."""
+    edges = [(name, e) for name in catalog_names()
+             for start, stop in build(catalog(name)).arms for e in range(start, stop - 1)]
+    for name, edge in edges:
+        lats = flipped_lattices(catalog(name), edge, edge + 1)
+        subject = Subject(lats)
+        quotient, bad = series_by_dense_recurrence(
+            subject.delta(lats.kind.top), subject.delta("zero"), 60)
+        direct = poincare_direct(lats.invariants, lats.kind, 60)
+        assert bad is None
+        k = next(k for k, (x, y) in enumerate(zip(quotient, direct)) if x != y)
+        assert check_theorem(subject, 60).witness == {
+            "identity": f"{lats.kind.top}/zero == direct", "index": k,
+            "expected": direct[k], "got": quotient[k]}
 
 
 # E8's V_minus basis: arms {0}, {1, 2}, {3, 4, 5, 6}, then E at 7
