@@ -50,13 +50,15 @@ from .series import hilbert_Q  # noqa: F401
 # takes 0.75 to 0.9 s on that star, 0.3 to 0.35 s on D898 and about 0.6 s
 # on the star of 440 arms with alpha = 2 (rank 443), whose quotient
 # divides out the 440 factors 1 - t^2 in turn; `hilbert` at order 10000
-# takes 0.6 to 0.7 s on D898 and 0.9 to 1.0 s on the 300-arm star.  Every
-# step on a star grows about as rank^2: the rank + r + 2 columns of the
-# three tau, each a suffix of V_plus's reflection word, their residual
-# A tau + A^t and the chain elimination; the one orbit walk grows linearly
-# in the order.  A --gram input may be any root lattice; compiling the walk
-# of a dense Gram, a term per entry, takes about 75 MB and 0.4 to 0.5 s at
-# rank 298, the largest Gram MAX_GRAM_RANK admits.  `charpoly --gram`
+# takes 0.25 to 0.3 s on D898 and on the 300-arm star, whose walks run each
+# arm as a delay line, and 0.25 to 0.3 s on D297's V_zero given as --gram,
+# which walks the reflection word of rank 298.  Every step on a star grows
+# about as rank^2: the rank + r + 2 columns of the three tau, each a suffix
+# of V_plus's reflection word, their residual A tau + A^t and the chain
+# elimination; the one orbit walk grows as the order times the number of
+# distinct arm lengths.  A --gram input may be any root lattice; compiling
+# the walk of a dense Gram, a term per entry, takes about 75 MB and 0.4 to
+# 0.5 s at rank 298, the largest Gram MAX_GRAM_RANK admits.  `charpoly --gram`
 # eliminates a star Gram in 0.15 to 0.25 s at ranks 296 to 298, but
 # Berkowitz on a tau that fills in takes 2.3 s on a dense +-1 Gram of rank
 # 80, 5.4 s at rank 100 and 24 s at rank 120, hence MAX_BERKOWITZ_RANK for

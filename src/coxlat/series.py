@@ -15,20 +15,27 @@ row i of A, so they come off one Gram row in O(rank).  One walk of e under
 tau gives both series: Q to order n is read off P to order n + 1 (the proof
 is in hilbert_Q).  The walk compares the orbit sum with the form value on
 every coefficient; a disagreement raises RouteMismatch.
+
+The orbit comes from one of two generators.  On a Gram of V_zero's star
+shape rooted at E, each arm runs as a delay line (_delay_lines), at a cost
+per coefficient of O(distinct arm lengths); on any other Gram or root the
+whole reflection word runs, compiled by compile_word, at O(nnz(Gram)).
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from collections import Counter
-from itertools import chain, islice
+from itertools import accumulate, chain, cycle, islice, repeat
+from operator import add
 
-from .errors import CoxlatError, NegativeDimension, RouteMismatch, TooLarge
+from .errors import CoxlatError, NegativeDimension, NotAStarLattice, RouteMismatch, TooLarge
 from .exact import PowerSeries
 from .lattice import Lattice, compile_word, reflection_word
 # Not called here; perfbench/spans.py wraps these bindings by attribute.
 from .lattice import asym_form_matrix, coxeter_inverse_matrix, coxeter_matrix  # noqa: F401
-from .star import OrbitInvariants, SingularityKind
+from .star import OrbitInvariants, SingularityKind, decode_star
 
 
 def divisor_degree(inv: OrbitInvariants, kind: SingularityKind, k: int) -> int:
@@ -42,31 +49,102 @@ def divisor_degree(inv: OrbitInvariants, kind: SingularityKind, k: int) -> int:
     return -2 * k + sum((k * (a - 1)) // a for a in inv.alphas)
 
 
+def divisor_counts(inv: OrbitInvariants, kind: SingularityKind, order: int) -> list:
+    """1 + deg D^(k) for k = 0..order, the formulas of divisor_degree.
+
+    With b = 1 (Kleinian) or alpha - 1 (Fuchsian), the increment
+    floor(kb/alpha) - floor((k-1)b/alpha) has period alpha in k, since
+    floor((k + alpha)b/alpha) = floor(kb/alpha) + b.  So the increments of
+    1 + deg D^(k) are the slope plus, for each distinct alpha, one period
+    of them weighted by its arm count and repeated; one prefix sum from 1
+    gives the column, and a star of many equal arms costs one period.
+    """
+    fuchsian = kind is SingularityKind.FUCHSIAN
+    steps = repeat(-2 if fuchsian else 2 - inv.r, order)
+    for a, count in Counter(inv.alphas).items():
+        b = a - 1 if fuchsian else 1
+        period = [count * (k * b // a - (k - 1) * b // a) for k in range(1, a + 1)]
+        steps = map(add, steps, cycle(period))
+    return list(accumulate(steps, initial=1))
+
+
 def poincare_direct(inv: OrbitInvariants, kind: SingularityKind, order: int) -> PowerSeries:
     """Series of graded dimensions dim L(D^(k)) for k = 0..order.
 
-    dim L(D^(k)) = 1 + deg D^(k), except the Fuchsian k = 1 coefficient
-    which is dim L(D_0) = g = 0.  A negative 1 + deg anywhere else means
-    the genus-0 vanishing hypothesis fails for this input; the error names
-    the first such k.
-
-    The degrees of divisor_degree are summed arm by arm: one column of
-    floors for k = 0..order per distinct alpha, weighted by the number of
-    arms that carry it, is added to the running sum, so a star of many
-    equal arms costs one column and memory stays O(order).
+    dim L(D^(k)) = 1 + deg D^(k) (divisor_counts), except the Fuchsian
+    k = 1 coefficient which is dim L(D_0) = g = 0.  A negative 1 + deg
+    anywhere else means the genus-0 vanishing hypothesis fails for this
+    input; the error names the first such k.
     """
-    fuchsian = kind is SingularityKind.FUCHSIAN
-    slope = -2 if fuchsian else 2 - inv.r
-    coeffs = [1 + slope * k for k in range(order + 1)]
-    for a, count in Counter(inv.alphas).items():
-        b = a - 1 if fuchsian else 1
-        coeffs = [c + count * (k * b // a) for k, c in enumerate(coeffs)]
-    if fuchsian and order >= 1:
+    coeffs = divisor_counts(inv, kind, order)
+    if kind is SingularityKind.FUCHSIAN and order >= 1:
         coeffs[1] = 0
-    for k, dim in enumerate(coeffs):
-        if dim < 0:
-            raise NegativeDimension(f"1 + deg D^({k}) = {dim} < 0")
+    if min(coeffs) < 0:
+        k = next(k for k, dim in enumerate(coeffs) if dim < 0)
+        raise NegativeDimension(f"1 + deg D^({k}) = {coeffs[k]} < 0")
     return PowerSeries(tuple(coeffs))
+
+
+def _star_arms(lat: Lattice, root: int):
+    """The arms of lat as (count, length) pairs by length, where lat has the
+    shape of V_zero rooted at E; None otherwise.  The shape is read off the
+    Gram alone: rank root + 2; a leading block of rank root + 1 that
+    decode_star reads as a star, with its center at root; and row root + 1,
+    E-u, equal to row root below root, with (-2, -2) at root and root + 1."""
+    if lat.rank != root + 2:
+        return None
+    e_row, f_row = lat.gram[root], lat.gram[root + 1]
+    if f_row[:root] != e_row[:root] or f_row[root:] != (-2, -2):
+        return None
+    try:
+        arms = decode_star(lat._leading(root + 1))[1]
+    except NotAStarLattice:
+        return None
+    lengths = Counter(stop - start for start, stop in arms)
+    return [(count, m) for m, count in sorted(lengths.items())]
+
+
+@functools.cache
+def _delay_lines(groups: int):
+    """The orbit generator of E on a V_zero star with this many distinct arm
+    lengths: orbit(n_0, m_0, ..., n_{g-1}, m_{g-1}) for n_i arms of m_i
+    vertices each, yielding ((e, x), <e, x>) after each application of tau.
+
+    The word rewrites E-u, then E, then each arm from its top (the vertex
+    next to E) to its leaf.  E-u pairs as E does, so with T the sum of the
+    arm tops, x_F = T - 2 x_E - x_F and then x_E = T - 2 x_F - x_E.  Let C
+    be the new x_E + x_F and K = C - (old top).  On an arm x_1 (the leaf)
+    .. x_m (the top), the top pairs with E, E-u and x_{m-1}, so it becomes
+    -x_m + x_{m-1} + C = K + x_{m-1}; then x_{m-1} reads the new top and
+    becomes -x_{m-1} + x_{m-2} + K + x_{m-1} = K + x_{m-2}, and so on down
+    to the leaf: x_j <- K + x_{j-1}, with x_0 := 0.
+
+    Number the applications k = 0, 1, ..., with top(k) the top before
+    application k and C(k), K(k) = C(k) - top(k) computed in it.  From a
+    zero arm, as e = E starts, the coordinate x_j before application k is
+    K(k-1) + ... + K(k-j), with K(i) = 0 for i < 0, so
+
+        top(k+1) = K(k) + top(k) - K(k-m) = C(k) - K(k-m):
+
+    one append and one index per arm length and coefficient.  Arms of equal
+    length hold equal coordinates, so they share one line, weighted by their
+    count in T.  The readouts of row E are (e, x) = x_E + 2 x_F and
+    <e, x> = T - 2 x_E - 2 x_F."""
+    lines = range(groups)
+    source = (f"def orbit({', '.join(f'n{i}, m{i}' for i in lines)}):\n"
+              "    e, f, t, k = 1, 0, 0, 0\n"
+              + "".join(f"    t{i}, h{i} = 0, [0] * m{i}\n" for i in lines)
+              + "    while True:\n"
+              "        f = t - 2 * e - f\n"
+              "        e = t - 2 * f - e\n"
+              "        c = e + f\n"
+              + "".join(f"        h{i}.append(c - t{i})\n        t{i} = c - h{i}[k]\n"
+                        for i in lines)
+              + f"        k += 1\n        t = {' + '.join(f'n{i} * t{i}' for i in lines) or 0}\n"
+              "        yield c + f, t - 2 * c\n")
+    namespace = {}
+    exec(compile(source, "<_delay_lines>", "exec"), namespace)
+    return namespace.pop("orbit")
 
 
 def hilbert_P(lat: Lattice, root: int, order: int) -> PowerSeries:
@@ -74,30 +152,37 @@ def hilbert_P(lat: Lattice, root: int, order: int) -> PowerSeries:
     is 1 + sum_{l<k} <e, tau^l e>.
 
     Every coefficient is checked against the triangular form value
-    (e, tau^k e).  tau acts as the reflection word of the whole basis,
-    compiled once into the generator of the orbit of e together with both
-    functionals, read off Gram row root, g_j = <e, e_j>:
+    (e, tau^k e), read off Gram row root, g_j = <e, e_j>:
 
         (e, x) = x_root - sum_{j > root} g_j x_j     (row root of A)
         <e, x> = sum_j g_j x_j
 
-    The word requires every basis vector, e too, to be a root; it is built
-    before the functionals, so of several basis vectors that are not roots
-    the one with the highest index is named.  On an indefinite Gram the
-    coefficients grow exponentially; the walk draws one application per
-    coefficient, so the first too long to print raises TooLarge at once,
-    without walking on.
+    Where the Gram has the shape of V_zero and root is E (_star_arms), the
+    orbit is that of _delay_lines, O(distinct arm lengths) per
+    coefficient.  Elsewhere tau acts as the reflection word of the whole
+    basis, compiled once into the generator of the orbit of e together with
+    both functionals.  The word requires every basis vector, e too, to be a
+    root; it is built before the functionals, so of several basis vectors
+    that are not roots the one with the highest index is named.  On an
+    indefinite Gram the coefficients grow exponentially; the walk draws one
+    application per coefficient, so the first too long to print raises
+    TooLarge at once, without walking on.
     """
     if not 0 <= root < lat.rank:
         raise CoxlatError(f"root index {root} out of range for rank {lat.rank}")
-    word = reflection_word(lat, range(lat.rank))
     row = lat.gram[root]
-    form = [(root, 1)] + [(j, -g) for j, g in enumerate(row[root + 1:], root + 1) if g]
-    pairing = [(j, g) for j, g in enumerate(row) if g]
-    e = [0] * lat.rank
-    e[root] = 1
+    arms = _star_arms(lat, root)
+    if arms is None:
+        word = reflection_word(lat, range(lat.rank))
+        form = [(root, 1)] + [(j, -g) for j, g in enumerate(row[root + 1:], root + 1) if g]
+        pairing = [(j, g) for j, g in enumerate(row) if g]
+        e = [0] * lat.rank
+        e[root] = 1
+        orbit = compile_word(word, [form, pairing])(e)
+    else:
+        orbit = _delay_lines(len(arms))(*chain.from_iterable(arms))
     # (e, e) and <e, e>, then both functionals at tau^k e for k = 1, 2, ...
-    values = chain([(1, row[root])], compile_word(word, [form, pairing])(e))
+    values = chain([(1, row[root])], orbit)
     digits = sys.get_int_max_str_digits()  # 0: no limit
     bound = 10 ** digits if digits else None
     coeffs = []

@@ -3,13 +3,12 @@ named checks that catch it.
 
 A row names a mutant, the binding it patches (module or class, attribute)
 and what must follow on the catalog plus 10 seeded random inputs at order
-60: the count of inputs on which each check fails, or the exception that
-every input raises.  A mutant inside a function wraps that function's
-output, or its input at a binding the function calls, such as the readout
-rows the walk hands to compile_word.  A row that fails nowhere is an
-equivalent mutant and says why, unless a unit test catches it on an
-edited input, which the row then names.  A shortcut added later adds its
-row here.
+60: the count of inputs on which each check fails.  A mutant inside a
+function wraps that function's output, or its input at a binding the
+function calls, such as the readout rows the walk hands to compile_word.
+A row that fails nowhere is an equivalent mutant and says why, unless a
+unit test catches it on an edited input or a Gram off the star shape,
+which the row then names.  A shortcut added later adds its row here.
 """
 
 from dataclasses import dataclass
@@ -20,8 +19,8 @@ import pytest
 import test_verify
 from coxlat import lattice, series, verify
 from coxlat.cli import main
-from coxlat.errors import RouteMismatch
 from coxlat.exact import PowerSeries, poly_add
+from coxlat.lattice import Lattice
 from coxlat.star import SingularityKind, build
 from coxlat.verify import Subject, suite_inputs, verify_lattices
 
@@ -74,6 +73,24 @@ def walk_pairing_without_diagonal(real):
     def mutant(word, readout):
         form, pairing = readout
         return real(word, [form, [(j, x) for j, x in pairing if j != form[0][0]]])
+    return mutant
+
+
+def delay_line_one_step_long(real):
+    """Each arm's delay line one step long: top(k+1) = C(k) - K(k-m-1)."""
+    return lambda groups: lambda *args: real(groups)(*[x + i % 2 for i, x in enumerate(args)])
+
+
+def e_minus_u_row_unchecked(real):
+    """The star shape read with row root + 1 taken as E-u's, whatever it holds."""
+    def mutant(lat, root):
+        if lat.rank != root + 2:
+            return real(lat, root)
+        g = lat.gram_rows()
+        for j in range(root):
+            g[root + 1][j] = g[j][root + 1] = g[root][j]
+        g[root][root + 1] = g[root + 1][root] = g[root + 1][root + 1] = -2
+        return real(Lattice(lat.labels, g), root)
     return mutant
 
 
@@ -136,7 +153,6 @@ class Row:
     attribute: str
     mutant: object      # the real binding -> its mutant
     fails: dict         # check -> number of inputs it fails on
-    raises: type = None
     why_equivalent: str = ""
     caught_by: tuple = ()  # tests in test_verify that fail under the mutant
 
@@ -149,10 +165,19 @@ ROSTER = [
     Row("Q = -P_k in p_and_q", verify, "p_and_q", q_is_minus_p_k, {"orbit-series": 29}),
     Row("Fuchsian k = 1 slot of poincare_direct set to 1", verify, "poincare_direct",
         fuchsian_k1_slot_one, {"theorem": 11}),
+    # every roster input is a star, whose walk runs as delay lines; a Gram
+    # off the star shape compiles the word
     Row("walk form functional with +g", series, "compile_word", walk_form_plus_g, {},
-        raises=RouteMismatch),
+        caught_by=("test_hilbert_gram_off_the_star_shape_prints_the_naive_orbit",)),
     Row("walk pairing without its -2 diagonal", series, "compile_word",
-        walk_pairing_without_diagonal, {}, raises=RouteMismatch),
+        walk_pairing_without_diagonal, {},
+        caught_by=("test_hilbert_gram_off_the_star_shape_prints_the_naive_orbit",)),
+    # A1 has no arms
+    Row("delay line one step long", series, "_delay_lines", delay_line_one_step_long,
+        {"orbit-series": 28, "orbit-formulas": 28}),
+    # every roster V_zero has the E-u row of its star; an edited one does not
+    Row("E-u row check skipped", series, "_star_arms", e_minus_u_row_unchecked, {},
+        caught_by=("test_off_shape_zero_grams_walk_the_word",)),
     Row("_scaled_delta one difference short", Subject, "_scaled_delta", scaled_delta_one_short, {},
         why_equivalent="from three arms on the scaled Delta_zero is prod (1 - t^a_i) / (1-t), "
                        "not the arm product, so the quotient falls back to the recurrence, "
@@ -177,7 +202,8 @@ ROSTER = [
 
 def apply(monkeypatch, row) -> list:
     """Patch the row's binding with its mutant; the returned list counts the
-    mutant's calls, so a row whose binding nothing calls cannot pass."""
+    mutant's calls, on the inputs and in the row's caught_by tests, so a row
+    whose binding nothing calls cannot pass."""
     calls = []
     mutant = row.mutant(getattr(row.owner, row.attribute))
 
@@ -194,21 +220,17 @@ def test_named_checks_catch_mutant(monkeypatch, row):
     calls = apply(monkeypatch, row)
     failed = dict.fromkeys(CHECKS, 0)
     for subject, inv in INPUTS:
-        if row.raises:
-            with pytest.raises(row.raises):
-                verify_lattices(build(inv), ORDER, subject)
-            continue
         for report in verify_lattices(build(inv), ORDER, subject):
             assert report.passed == (report.witness is None)
             if not report.passed:
                 assert set(report.witness) == WITNESS_KEYS
                 failed[report.check] += 1
-    assert calls
     assert {check: n for check, n in failed.items() if n} == row.fails
     for test in row.caught_by:
         with pytest.raises(AssertionError):
             getattr(test_verify, test)()
-    assert bool(row.fails or row.raises or row.caught_by) != bool(row.why_equivalent)
+    assert calls
+    assert bool(row.fails or row.caught_by) != bool(row.why_equivalent)
 
 
 def test_mutant_fails_verify_all(monkeypatch, capsys):

@@ -8,6 +8,7 @@ from coxlat.errors import CoxlatError, NegativeDimension, NeitherKind, NotARoot
 from coxlat.exact import series_equal, series_from_rational
 from coxlat.lattice import Lattice, char_poly, coxeter_matrix
 from coxlat.series import (
+    divisor_counts,
     divisor_degree,
     hilbert_P,
     hilbert_Q,
@@ -101,8 +102,8 @@ def first_negative_dimension(inv, kind, order):
 
 
 class TestDirectColumns:
-    """poincare_direct sums one column per distinct alpha; divisor_degree
-    evaluates the formula one k at a time."""
+    """poincare_direct reads divisor_counts, one period of increments per
+    distinct alpha; divisor_degree evaluates the formula one k at a time."""
 
     @settings(max_examples=80, deadline=None)
     @given(stars_with_repeated_alphas(), st.integers(0, 90))
@@ -112,6 +113,14 @@ class TestDirectColumns:
         if kind is SingularityKind.FUCHSIAN and order >= 1:
             expected[1] = 0
         assert poincare_direct(inv, kind, order).coeffs == tuple(expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(stars_with_repeated_alphas(), st.integers(0, 90), st.sampled_from(SingularityKind))
+    def test_counts_by_period_match_divisor_degree(self, inv, order, kind):
+        """divisor_counts repeats one period of increments per distinct
+        alpha: both divisor patterns, on either kind of star."""
+        expected = [1 + divisor_degree(inv, kind, k) for k in range(order + 1)]
+        assert divisor_counts(inv, kind, order) == expected
 
     @pytest.mark.parametrize("pairs, kind, k", [
         (((2, 1),) * 4, SingularityKind.KLEINIAN, 1),    # the fake of test_negative_dimension_guard

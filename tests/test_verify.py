@@ -1,6 +1,11 @@
+import contextlib
 import dataclasses
+import io
+import json
 import random
+import tempfile
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -560,19 +565,105 @@ def test_runs_of_plus_word_act_as_each_lattice_word(data):
                 == word_columns(reflection_word(lats.minus, range(start, stop)), f))
 
 
-def test_one_word_for_the_checks_and_one_for_the_walk(monkeypatch):
-    """verify_lattices builds V_plus's word in Subject and V_zero's in the
-    orbit walk, and no other."""
-    calls = []
+def count_word_calls(monkeypatch) -> tuple:
+    """Record each reflection_word call of verify and series as (module,
+    rank), and each compile_word call of series as its word's length."""
+    words, compiled = [], []
     for module in (verify, series):
         real = module.reflection_word
         monkeypatch.setattr(module, "reflection_word", lambda lat, indices, module=module, real=real:
-                            calls.append((module.__name__, lat.rank)) or real(lat, indices))
+                            words.append((module.__name__, lat.rank)) or real(lat, indices))
+    real_compile = series.compile_word
+    monkeypatch.setattr(series, "compile_word", lambda word, readout:
+                        compiled.append(len(word)) or real_compile(word, readout))
+    return words, compiled
+
+
+def test_stars_build_one_word_and_compile_none(monkeypatch):
+    """verify_lattices builds V_plus's word in Subject and no other on every
+    catalog star, whose walk runs its arms as delay lines and compiles no
+    word.  A roster control, E8 with an arm edge deleted, is off the star
+    shape: its walk compiles V_zero's word, once."""
+    words, compiled = count_word_calls(monkeypatch)
     for name in catalog_names():
         lats = build(catalog(name))
-        calls.clear()
+        words.clear()
         assert all(report.passed for report in verify_lattices(lats, 30))
-        assert sorted(calls) == [("coxlat.series", lats.zero.rank), ("coxlat.verify", lats.plus.rank)]
+        assert words == [("coxlat.verify", lats.plus.rank)]
+        assert compiled == []
+    lats = broken_e8_lattices()
+    words.clear()
+    assert not verify_lattices(lats, 30)[0].passed
+    assert sorted(words) == [("coxlat.series", lats.zero.rank), ("coxlat.verify", lats.plus.rank)]
+    assert compiled == [lats.zero.rank]
+
+
+@st.composite
+def stars_of_equal_arms(draw):
+    """Zero to eight arms whose alphas take one to three values, so that
+    most arms share their length with others."""
+    values = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3, unique=True))
+    alphas = sorted(draw(st.lists(st.sampled_from(values), max_size=8)))
+    try:
+        kind = classify_alphas(alphas)
+    except NeitherKind:
+        assume(False)
+    return (kleinian_invariants if kind is SingularityKind.KLEINIAN else fuchsian_invariants)(alphas)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stars_of_equal_arms())
+def test_delay_lines_give_the_word_walk_of_e_minus_u(inv):
+    """P of (V_zero, E) by the delay lines equals P of (V_zero, E-u) by the
+    compiled reflection word, to order 300.  Every reflection fixes the
+    radical vector u: s_i(u) = u + <u, e_i> e_i = u.  So tau^l (E-u) =
+    tau^l E - u, and <E-u, tau^l (E-u)> = <E, tau^l E>, since <u, -> = 0:
+    P(E-u) = P(E)."""
+    lats = build(inv)
+    with pytest.MonkeyPatch.context() as patch:
+        compiled = count_word_calls(patch)[1]
+        by_lines = hilbert_P(lats.zero, lats.center, 300)
+        assert compiled == []
+        by_word = hilbert_P(lats.zero, lats.f_index, 300)
+        assert compiled == [lats.zero.rank]
+    assert by_lines == by_word
+
+
+def test_off_shape_zero_grams_walk_the_word():
+    """E8's V_zero rooted at E, off the star shape in three ways: E-u not
+    paired with e_0, the end of arm 1 (an edited E-u row); the arm edge
+    (4, 5) deleted; and that edge set to -1.  Each walk compiles the
+    reflection word and gives P of the naive orbit."""
+    lats = build(E8)
+    for zero in (with_e_minus_u_entry(lats, 0, 0).zero, flipped_lattices(E8, 4, 5).zero,
+                 with_plus_entry(lats, 4, 5, -1).zero):
+        with pytest.MonkeyPatch.context() as patch:
+            compiled = count_word_calls(patch)[1]
+            walk = hilbert_P(zero, lats.center, 60)
+        assert compiled == [zero.rank]
+        tau = reflection_product_naive(zero.gram, range(zero.rank))
+        assert walk.coeffs == tuple(accumulate(naive_orbit_pairings(zero, tau, lats.center, 60),
+                                               initial=1))
+
+
+def test_hilbert_gram_off_the_star_shape_prints_the_naive_orbit():
+    """hilbert --gram on two Grams whose walks take the reflection word, off
+    the V_zero star shape at E: E8's V_zero at its default root E-u, and its
+    V_plus at --root E.  Each exits 0 and prints P of the naive orbit."""
+    lats = build(E8)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gram.json"
+        for lat, root, extra in ((lats.zero, lats.f_index, []),
+                                 (lats.plus, lats.center, ["--root", str(lats.center)])):
+            path.write_text(json.dumps(lat.to_json()))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["hilbert", "--gram", str(path), "--series", "P", "--order", "30",
+                             "--format", "json", *extra])
+            assert code == 0
+            tau = reflection_product_naive(lat.gram, range(lat.rank))
+            forward = naive_orbit_pairings(lat, tau, root, 30)
+            assert json.loads(out.getvalue())["P"]["coeffs"] == list(accumulate(forward, initial=1))
 
 
 @pytest.mark.parametrize("inv", [catalog("D250"), fuchsian_invariants((3,) * 60 + (100,))],
