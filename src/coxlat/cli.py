@@ -51,15 +51,16 @@ from .series import hilbert_Q  # noqa: F401
 # on the star of 440 arms with alpha = 2 (rank 443), whose quotient
 # divides out the 440 factors 1 - t^2 in turn; `hilbert` at order 10000
 # takes 0.25 to 0.3 s on D898 and on the 300-arm star, whose walks run each
-# arm as a delay line, and 0.25 to 0.3 s on D297's V_zero given as --gram,
-# which walks the reflection word of rank 298.  Every step on a star grows
-# about as rank^2: the rank + r + 2 columns of the three tau, each a suffix
-# of V_plus's reflection word, their residual A tau + A^t and the chain
-# elimination; the one orbit walk grows as the order times the number of
-# distinct arm lengths.  A --gram input may be any root lattice; compiling
-# the walk of a dense Gram, a term per entry, takes about 75 MB and 0.4 to
-# 0.5 s at rank 298, the largest Gram MAX_GRAM_RANK admits.  `charpoly --gram`
-# eliminates a star Gram in 0.15 to 0.25 s at ranks 296 to 298, but
+# arm as a delay line, and 0.45 to 0.6 s on D297's V_zero given as --gram,
+# which steps the reflection word of rank 298 with apply_word.  Every step
+# on a star grows about as rank^2: the rank + r + 2 columns of the three
+# tau, each a suffix of V_plus's reflection word, their residual
+# A tau + A^t and the chain elimination; the one orbit walk grows as the
+# order times the number of distinct arm lengths.  A --gram input may be
+# any root lattice; the word of a dense Gram has a term per entry, and
+# `hilbert` at order 5 takes about 0.2 s and 23 MB at rank 298, the largest
+# Gram MAX_GRAM_RANK admits.  `charpoly --gram` eliminates a star Gram in
+# 0.15 to 0.25 s at ranks 296 to 298, but
 # Berkowitz on a tau that fills in takes 2.3 s on a dense +-1 Gram of rank
 # 80, 5.4 s at rank 100 and 24 s at rank 120, hence MAX_BERKOWITZ_RANK for
 # any other Gram.  `verify --all --random 500` at order 200 takes 2.2 to
@@ -116,26 +117,25 @@ def _load_invariants(args):
     return None
 
 
-def _refuse_rank(rank_plus: int, limit: int):
-    if rank_plus > limit:
-        raise TooLarge(f"V_plus would have rank {rank_plus}, above the limit {limit}")
-
-
 def _load_input(args):
     """The input of any route: (invariants, None), or (None, lattice) for --gram.
 
-    The rank of V_plus is read off the ramification indices or the Gram row
-    count and refused over MAX_RANK, or MAX_GRAM_RANK for a Gram, before any
-    matrix is built.
+    Before any matrix is built, the rank of V_plus, read off the
+    ramification indices, is refused over MAX_RANK, and the rank of a Gram,
+    its row count, over MAX_GRAM_RANK - 2.
     """
     inv = _load_invariants(args)
     if inv is not None:
-        _refuse_rank(sum(a - 1 for a in inv.alphas) + 3, MAX_RANK)
+        rank = sum(a - 1 for a in inv.alphas) + 3
+        if rank > MAX_RANK:
+            raise TooLarge(f"V_plus would have rank {rank}, above the limit {MAX_RANK}")
         return inv, None
     with open(args.gram, encoding="utf-8") as handle:
         obj = json.load(handle)
     if isinstance(obj, dict) and isinstance(obj.get("gram"), list):
-        _refuse_rank(len(obj["gram"]) + 2, MAX_GRAM_RANK)
+        rank = len(obj["gram"])
+        if rank > MAX_GRAM_RANK - 2:
+            raise TooLarge(f"a --gram input has rank {rank}, above the limit {MAX_GRAM_RANK - 2}")
     return None, Lattice.from_json(obj)
 
 

@@ -18,12 +18,8 @@ A Coxeter element acts matrix-free, as its reflection word:
 ``reflection_word`` lists the factors, rightmost first, and each rewrites
 one coordinate in place, v[i] = -v[i] + sum_{j != i} g_ij v[j], so one
 application costs O(nnz(Gram)) even where the product tau fills in.
-``apply_word`` interprets a word, for the few applications of an arm
-period or the rank-many columns of tau; ``compile_word`` turns it once
-into the generator of an orbit walk, which applies it once per coefficient
-to the coordinates held in local variables: a step reads and writes locals
-only, with no list indexing, and runs about twice as fast as a compiled
-statement over the list would.
+``apply_word`` interprets a word in place, for an arm period, the
+rank-many columns of tau and the orbit walk off the star shape.
 
 Characteristic polynomials come two ways.  ``star_char_polys`` reads
 det(t*I - tau) = det(t*A + A^t) off a star Gram for each basis prefix from
@@ -234,18 +230,6 @@ def coxeter_inverse_matrix(lat: Lattice) -> Matrix:
     return reflection_product(lat, range(lat.rank - 1, -1, -1))
 
 
-_CHUNK = 64  # terms per parenthesised sum; long chains overflow the compiler
-
-
-def _sum_source(terms: list) -> str:
-    """One expression for the sum of terms that each begin with + or -,
-    nested so that no chain has more than _CHUNK terms."""
-    while len(terms) > _CHUNK:
-        terms = ["+(" + "".join(terms[i:i + _CHUNK]).removeprefix("+") + ")"
-                 for i in range(0, len(terms), _CHUNK)]
-    return "".join(terms).removeprefix("+") or "0"
-
-
 def reflection_word(lat: Lattice, indices: Sequence[int]) -> tuple:
     """The word s_{e_{i1}} ... s_{e_{ik}} as its steps, rightmost first.
 
@@ -270,40 +254,6 @@ def apply_word(word, v: Vector) -> Vector:
             total += g * v[j]
         v[i] = total
     return v
-
-
-def _term(g, j: int) -> str:
-    """+g*x_j as source text.  Values other than +-1 are hex literals, which
-    have no digit limit; a value whose type is not int raises TypeError, so
-    only integers reach the source text."""
-    if type(g) is not int:
-        raise TypeError(f"compile_word needs int entries, got {type(g).__name__} {g!r}")
-    return f"+x{j}" if g == 1 else f"-x{j}" if g == -1 else f"{g:+#x}*x{j}"
-
-
-def compile_word(word, readout):
-    """The orbit of a vector under the word, compiled once: a generator
-    function orbit(v) that loads v[0..top] into the locals x0..x_top, top
-    the highest coordinate the word or the readout names, and then applies
-    the word to them without end, one local assignment per step, yielding
-    after each application the list of readout rows (as nonzeros) applied
-    to the result.  v itself is never written.  The generator is lazy: a
-    walk that stops pulling applies the word no further.
-
-    The load is one unpacking into a list display, which has no cap on its
-    targets (a starred one has 256); it is [] = v[:0] when the word and the
-    readout name no coordinate."""
-    rows = [pairs for _, pairs in word] + list(readout)
-    top = max([i for i, _ in word] + [j for row in rows for j, _ in row], default=-1)
-    names = ", ".join(f"x{j}" for j in range(top + 1))
-    steps = "".join(f"        x{i} = {_sum_source([f'-x{i}'] + [_term(g, j) for j, g in pairs])}\n"
-                    for i, pairs in word)
-    values = ", ".join(_sum_source([_term(g, j) for j, g in row]) for row in readout)
-    source = (f"def orbit(v):\n    [{names}] = v[:{top + 1}]\n"
-              f"    while True:\n{steps}        yield [{values}]\n")
-    namespace = {}
-    exec(compile(source, "<compile_word>", "exec"), namespace)
-    return namespace.pop("orbit")  # no cycle through its globals: freed with its last use
 
 
 def word_columns(word, n: int) -> list:

@@ -18,8 +18,8 @@ every coefficient; a disagreement raises RouteMismatch.
 
 The orbit comes from one of two generators.  On a Gram of V_zero's star
 shape rooted at E, each arm runs as a delay line (_delay_lines), at a cost
-per coefficient of O(distinct arm lengths); on any other Gram or root the
-whole reflection word runs, compiled by compile_word, at O(nnz(Gram)).
+per coefficient of O(distinct arm lengths); on any other Gram or root
+apply_word steps the whole reflection word, at O(nnz(Gram)).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from operator import add
 
 from .errors import CoxlatError, NegativeDimension, NotAStarLattice, RouteMismatch, TooLarge
 from .exact import PowerSeries
-from .lattice import Lattice, compile_word, reflection_word
+from .lattice import Lattice, apply_word, reflection_word, rows_vec
 # Not called here; perfbench/spans.py wraps these bindings by attribute.
 from .lattice import asym_form_matrix, coxeter_inverse_matrix, coxeter_matrix  # noqa: F401
 from .star import OrbitInvariants, SingularityKind, decode_star
@@ -160,13 +160,13 @@ def hilbert_P(lat: Lattice, root: int, order: int) -> PowerSeries:
     Where the Gram has the shape of V_zero and root is E (_star_arms), the
     orbit is that of _delay_lines, O(distinct arm lengths) per
     coefficient.  Elsewhere tau acts as the reflection word of the whole
-    basis, compiled once into the generator of the orbit of e together with
-    both functionals.  The word requires every basis vector, e too, to be a
-    root; it is built before the functionals, so of several basis vectors
-    that are not roots the one with the highest index is named.  On an
-    indefinite Gram the coefficients grow exponentially; the walk draws one
-    application per coefficient, so the first too long to print raises
-    TooLarge at once, without walking on.
+    basis: apply_word steps one vector in place, once per coefficient, and
+    rows_vec reads both functionals off it.  The word requires every basis
+    vector, e too, to be a root; it is built before the functionals, so of
+    several basis vectors that are not roots the one with the highest index
+    is named.  On an indefinite Gram the coefficients grow exponentially;
+    the walk draws one application per coefficient, so the first too long
+    to print raises TooLarge at once, without walking on.
     """
     if not 0 <= root < lat.rank:
         raise CoxlatError(f"root index {root} out of range for rank {lat.rank}")
@@ -178,7 +178,7 @@ def hilbert_P(lat: Lattice, root: int, order: int) -> PowerSeries:
         pairing = [(j, g) for j, g in enumerate(row) if g]
         e = [0] * lat.rank
         e[root] = 1
-        orbit = compile_word(word, [form, pairing])(e)
+        orbit = (rows_vec([form, pairing], apply_word(word, e)) for _ in repeat(None))
     else:
         orbit = _delay_lines(len(arms))(*chain.from_iterable(arms))
     # (e, e) and <e, e>, then both functionals at tau^k e for k = 1, 2, ...

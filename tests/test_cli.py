@@ -336,6 +336,23 @@ def test_over_size_limit_exits_2(capsys, tmp_path, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["hilbert", "charpoly", "poincare", "verify"])
+def test_gram_limit_names_the_gram_rank(capsys, tmp_path, command):
+    """A Gram of rank MAX_GRAM_RANK - 2 is the largest accepted: one row more
+    is refused by its own rank, whatever lattice the command builds."""
+    rank = MAX_GRAM_RANK - 2
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"gram": [[0]] * (rank + 1)}))
+    code, out, err = run_cli(capsys, command, "--gram", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: TooLarge: a --gram input has rank {rank + 1}, above the limit {rank}")
+    if command == "hilbert":
+        path.write_text(json.dumps({"gram": [[-2 * (i == j) for j in range(rank)] for i in range(rank)]}))
+        code, out, _ = run_cli(capsys, command, "--gram", str(path), "--order", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["P"]["coeffs"] == [1, -1]
+
+
 def test_berkowitz_limit_refuses_only_non_star_grams(capsys, tmp_path):
     """A star Gram above MAX_BERKOWITZ_RANK is still eliminated; the same Gram
     with an interior arm vertex joined to E takes Berkowitz, and is refused

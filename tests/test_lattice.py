@@ -10,7 +10,6 @@ from coxlat.lattice import (
     apply_word,
     asym_form_matrix,
     char_poly,
-    compile_word,
     coxeter_inverse_matrix,
     coxeter_matrix,
     coxeter_via_form,
@@ -359,41 +358,21 @@ def test_rows_vec_matches_matrix_vector(case):
 # the reflection-word kernel against the reflection products
 
 
-def naive_word(word, v):
-    """The word applied one step at a time, each step building a new vector."""
-    for i, pairs in word:
-        v = [-x + sum(g * v[j] for j, g in pairs) if k == i else x for k, x in enumerate(v)]
-    return v
-
-
-def unit(n, j):
-    return [int(k == j) for k in range(n)]
-
-
 @settings(max_examples=100, deadline=None)
 @given(root_lattices(), st.data())
 def test_word_matches_reflection_product(lat, data):
     """tau from the word in basis order, and tau^-1 from the reversed word,
-    against the dense product of the reflection matrices: column by column,
-    interpreted and compiled, and on a random vector.  The compiled orbit's
-    k-th yield, k = 1..3, is the word applied k times, and v is never
-    written."""
+    against the dense product of the reflection matrices: column by column
+    and on a random vector."""
     n = lat.rank
     v = data.draw(st.lists(DENSE, min_size=n, max_size=n))
-    whole = nonzeros(identity_matrix(n))  # readout rows of the whole vector
     for order in (range(n), range(n - 1, -1, -1)):
         word = reflection_word(lat, order)
         product = reflection_product_naive(lat.gram, order)
         assert reflection_product(lat, order) == product
         columns = mat_transpose(product)
         assert word_columns(word, n) == columns
-        orbit = compile_word(word, whole)
-        assert [next(orbit(unit(n, j))) for j in range(n)] == columns
-        assert next(orbit(list(v))) == apply_word(word, list(v)) == naive_mat_vec(mat_transpose(columns), v)
-        w, x = list(v), list(v)
-        for k, rows in zip(range(1, 4), orbit(w)):
-            assert rows == apply_word(word, x), k
-        assert w == v
+        assert apply_word(word, list(v)) == naive_mat_vec(mat_transpose(columns), v)
 
 
 def test_word_names_rightmost_non_root():
@@ -413,36 +392,6 @@ def test_word_steps_list_each_row_as_a_full_scan_does(lat, data):
     assert reflection_word(lat, order) == tuple(
         (i, tuple([(j, g) for j, g in enumerate(lat.gram[i]) if g and j != i]))
         for i in reversed(order))
-
-
-def test_compile_word_edge_cases():
-    """A step and a readout row longer than any interpreter's chain limit
-    (3.13 compiles 5,000 chained terms but not 10,000), a pairing longer
-    than the decimal digit limit, empty shapes, a readout past the word's
-    coordinates, and entries that are not ints."""
-    rng = random.Random(5)
-    n = 10001
-    v = [rng.randint(-9, 9) for _ in range(n)]
-    huge = 10 ** 4999 + 3  # 5,000 decimal digits
-    long_row = tuple((j, rng.choice((1, -1, 2, -3, 7))) for j in range(1, n))
-    word = ((0, long_row), (1, ((0, -huge), (n - 1, huge))), (2, ()))
-    once = naive_word(word, v)
-    readout = [long_row, [(1, -1), (2, huge)], []]
-    w = list(v)
-    orbit = compile_word(word, readout)(w)
-    for expected in (once, naive_word(word, once)):
-        assert next(orbit) == [sum(g * expected[j] for j, g in row) for row in readout]
-    assert w == v and apply_word(word, list(v)) == once
-    assert next(compile_word((), ())(w)) == [] and w == v
-    assert next(compile_word((), ())([])) == apply_word((), []) == []
-    assert next(compile_word((), [[(3, 2)]])([1, 2, 3, 7])) == [14]
-    orbit = compile_word(((0, ()),), [[(0, 1)]])([5])
-    assert [next(orbit), next(orbit)] == [[-5], [5]]
-    for bad in (True, False, 1.0, 0.5):
-        with pytest.raises(TypeError):
-            compile_word(((0, ((1, bad),)),), ())
-        with pytest.raises(TypeError):
-            compile_word((), [[(0, bad)]])
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ A row names a mutant, the binding it patches (module or class, attribute)
 and what must follow on the catalog plus 10 seeded random inputs at order
 60: the count of inputs on which each check fails.  A mutant inside a
 function wraps that function's output, or its input at a binding the
-function calls, such as the readout rows the walk hands to compile_word.
+function calls, such as the readout rows the walk hands to rows_vec.
 A row that fails nowhere is an equivalent mutant and says why, unless a
 unit test catches it on an edited input or a Gram off the star shape,
 which the row then names.  A shortcut added later adds its row here.
@@ -64,15 +64,15 @@ def fuchsian_k1_slot_one(real):
 
 def walk_form_plus_g(real):
     """The walk's form functional (e, x) = x_e + sum_{j > e} g_j x_j."""
-    return lambda word, readout: real(
-        word, [readout[0][:1] + [(j, -x) for j, x in readout[0][1:]], readout[1]])
+    return lambda readout, v: real(
+        [readout[0][:1] + [(j, -x) for j, x in readout[0][1:]], readout[1]], v)
 
 
 def walk_pairing_without_diagonal(real):
     """The walk's pairing <e, x> without its -2 x_e term."""
-    def mutant(word, readout):
+    def mutant(readout, v):
         form, pairing = readout
-        return real(word, [form, [(j, x) for j, x in pairing if j != form[0][0]]])
+        return real([form, [(j, x) for j, x in pairing if j != form[0][0]]], v)
     return mutant
 
 
@@ -166,10 +166,10 @@ ROSTER = [
     Row("Fuchsian k = 1 slot of poincare_direct set to 1", verify, "poincare_direct",
         fuchsian_k1_slot_one, {"theorem": 11}),
     # every roster input is a star, whose walk runs as delay lines; a Gram
-    # off the star shape compiles the word
-    Row("walk form functional with +g", series, "compile_word", walk_form_plus_g, {},
+    # off the star shape walks the word
+    Row("walk form functional with +g", series, "rows_vec", walk_form_plus_g, {},
         caught_by=("test_hilbert_gram_off_the_star_shape_prints_the_naive_orbit",)),
-    Row("walk pairing without its -2 diagonal", series, "compile_word",
+    Row("walk pairing without its -2 diagonal", series, "rows_vec",
         walk_pairing_without_diagonal, {},
         caught_by=("test_hilbert_gram_off_the_star_shape_prints_the_naive_orbit",)),
     # A1 has no arms

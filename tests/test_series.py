@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coxlat.errors import CoxlatError, NegativeDimension, NeitherKind, NotARoot
+from coxlat import series
+from coxlat.errors import CoxlatError, NegativeDimension, NeitherKind, NotARoot, TooLarge
 from coxlat.exact import series_equal, series_from_rational
 from coxlat.lattice import Lattice, char_poly, coxeter_matrix
 from coxlat.series import (
@@ -156,6 +157,25 @@ class TestHilbertSeries:
         # orbit e1 -> e2 -> -e1-e2 -> e1 gives period-3 pairing sequences
         assert hilbert_P(A2, 0, 8).coeffs == (1, -1, 0, 1, -1, 0, 1, -1, 0)
         assert hilbert_Q(A2, 0, 8).coeffs == (1, 0, -1, 1, 0, -1, 1, 0, -1)
+
+    def test_a1_alternates(self):
+        # tau = s_e sends e to -e, so <e, tau^l e> = -2 (-1)^l
+        lat = Lattice(("e",), ((-2,),))
+        assert hilbert_P(lat, 0, 7).coeffs == (1, -1, 1, -1, 1, -1, 1, -1)
+
+    def test_entry_past_the_print_limit_stops_at_the_first_long_coefficient(self, monkeypatch):
+        """A Gram entry h of 5,000 digits, past Python's default limit of
+        4,300 to print, is multiplied but never printed: P = 1, -1, 1 - h^2,
+        and the walk raises TooLarge at coefficient 2 with one application
+        of the word per coefficient drawn."""
+        h = 10 ** 4999 + 3
+        lat = Lattice(("a", "b"), ((-2, h), (h, -2)))
+        calls = []
+        real = series.apply_word
+        monkeypatch.setattr(series, "apply_word", lambda word, v: calls.append(None) or real(word, v))
+        with pytest.raises(TooLarge, match="P coefficient 2 has more than"):
+            hilbert_P(lat, 0, 50)
+        assert len(calls) == 2
 
     def test_e8_Q_is_poincare_series(self):
         lats = build(E8)

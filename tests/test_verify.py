@@ -565,37 +565,32 @@ def test_runs_of_plus_word_act_as_each_lattice_word(data):
                 == word_columns(reflection_word(lats.minus, range(start, stop)), f))
 
 
-def count_word_calls(monkeypatch) -> tuple:
+def count_word_calls(monkeypatch) -> list:
     """Record each reflection_word call of verify and series as (module,
-    rank), and each compile_word call of series as its word's length."""
-    words, compiled = [], []
+    rank); one of series is the word of a walk."""
+    words = []
     for module in (verify, series):
         real = module.reflection_word
         monkeypatch.setattr(module, "reflection_word", lambda lat, indices, module=module, real=real:
                             words.append((module.__name__, lat.rank)) or real(lat, indices))
-    real_compile = series.compile_word
-    monkeypatch.setattr(series, "compile_word", lambda word, readout:
-                        compiled.append(len(word)) or real_compile(word, readout))
-    return words, compiled
+    return words
 
 
-def test_stars_build_one_word_and_compile_none(monkeypatch):
+def test_stars_build_one_word_and_walk_none(monkeypatch):
     """verify_lattices builds V_plus's word in Subject and no other on every
-    catalog star, whose walk runs its arms as delay lines and compiles no
+    catalog star, whose walk runs its arms as delay lines and walks no
     word.  A roster control, E8 with an arm edge deleted, is off the star
-    shape: its walk compiles V_zero's word, once."""
-    words, compiled = count_word_calls(monkeypatch)
+    shape: its walk builds V_zero's word, once."""
+    words = count_word_calls(monkeypatch)
     for name in catalog_names():
         lats = build(catalog(name))
         words.clear()
         assert all(report.passed for report in verify_lattices(lats, 30))
         assert words == [("coxlat.verify", lats.plus.rank)]
-        assert compiled == []
     lats = broken_e8_lattices()
     words.clear()
     assert not verify_lattices(lats, 30)[0].passed
     assert sorted(words) == [("coxlat.series", lats.zero.rank), ("coxlat.verify", lats.plus.rank)]
-    assert compiled == [lats.zero.rank]
 
 
 @st.composite
@@ -615,32 +610,32 @@ def stars_of_equal_arms(draw):
 @given(stars_of_equal_arms())
 def test_delay_lines_give_the_word_walk_of_e_minus_u(inv):
     """P of (V_zero, E) by the delay lines equals P of (V_zero, E-u) by the
-    compiled reflection word, to order 300.  Every reflection fixes the
+    reflection word, to order 300.  Every reflection fixes the
     radical vector u: s_i(u) = u + <u, e_i> e_i = u.  So tau^l (E-u) =
     tau^l E - u, and <E-u, tau^l (E-u)> = <E, tau^l E>, since <u, -> = 0:
     P(E-u) = P(E)."""
     lats = build(inv)
     with pytest.MonkeyPatch.context() as patch:
-        compiled = count_word_calls(patch)[1]
+        words = count_word_calls(patch)
         by_lines = hilbert_P(lats.zero, lats.center, 300)
-        assert compiled == []
+        assert words == []
         by_word = hilbert_P(lats.zero, lats.f_index, 300)
-        assert compiled == [lats.zero.rank]
+        assert words == [("coxlat.series", lats.zero.rank)]
     assert by_lines == by_word
 
 
 def test_off_shape_zero_grams_walk_the_word():
     """E8's V_zero rooted at E, off the star shape in three ways: E-u not
     paired with e_0, the end of arm 1 (an edited E-u row); the arm edge
-    (4, 5) deleted; and that edge set to -1.  Each walk compiles the
+    (4, 5) deleted; and that edge set to -1.  Each walk builds the
     reflection word and gives P of the naive orbit."""
     lats = build(E8)
     for zero in (with_e_minus_u_entry(lats, 0, 0).zero, flipped_lattices(E8, 4, 5).zero,
                  with_plus_entry(lats, 4, 5, -1).zero):
         with pytest.MonkeyPatch.context() as patch:
-            compiled = count_word_calls(patch)[1]
+            words = count_word_calls(patch)
             walk = hilbert_P(zero, lats.center, 60)
-        assert compiled == [zero.rank]
+        assert words == [("coxlat.series", zero.rank)]
         tau = reflection_product_naive(zero.gram, range(zero.rank))
         assert walk.coeffs == tuple(accumulate(naive_orbit_pairings(zero, tau, lats.center, 60),
                                                initial=1))
