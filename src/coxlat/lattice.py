@@ -18,8 +18,9 @@ A Coxeter element acts matrix-free, as its reflection word:
 ``reflection_word`` lists the factors, rightmost first, and each rewrites
 one coordinate in place, v[i] = -v[i] + sum_{j != i} g_ij v[j], so one
 application costs O(nnz(Gram)) even where the product tau fills in.
-``apply_word`` interprets a word in place, for an arm period, the
-rank-many columns of tau and the orbit walk off the star shape.
+``apply_word`` interprets a word in place, for an arm period, the rest of
+a column of tau once no later step can be skipped, and the orbit walk off
+the star shape.
 
 Characteristic polynomials come two ways.  ``star_char_polys`` reads
 det(t*I - tau) = det(t*A + A^t) off a star Gram for each basis prefix from

@@ -19,7 +19,8 @@ every coefficient; a disagreement raises RouteMismatch.
 The orbit comes from one of two generators.  On a Gram of V_zero's star
 shape rooted at E, each arm runs as a delay line (_delay_lines), at a cost
 per coefficient of O(distinct arm lengths); on any other Gram or root
-apply_word steps the whole reflection word, at O(nnz(Gram)).
+apply_word steps the whole reflection word, at O(nnz(Gram)).  A Gram of
+that shape given without a root is rooted at E (default_root).
 """
 
 from __future__ import annotations
@@ -102,6 +103,16 @@ def _star_arms(lat: Lattice, root: int):
         return None
     lengths = Counter(stop - start for start, stop in arms)
     return [(count, m) for m, count in sorted(lengths.items())]
+
+
+def default_root(lat: Lattice) -> int:
+    """The root of a Gram given without one: E, where the Gram has the shape
+    of V_zero rooted at E (_star_arms) and the walk runs as delay lines; the
+    last vertex otherwise.  On V_zero's shape the last vertex is E-u, and
+    every reflection fixes the radical vector u, so P(E-u) = P(E): the
+    series is the one the last vertex gives."""
+    root = lat.rank - 2
+    return root if root >= 0 and _star_arms(lat, root) is not None else lat.rank - 1
 
 
 @functools.cache

@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, zip_longest
+from itertools import accumulate, compress, islice, zip_longest
 from math import prod
 
 from .errors import NotAStarLattice
@@ -111,6 +111,44 @@ def _touched(word, rank: int) -> list:
     return [j for j, pos in enumerate(_first_steps(word, rank)) if pos < len(word)]
 
 
+def _reach(word) -> list:
+    """reach[k] for each coordinate k: the least of k and the indices k pairs
+    with, read off word, which has one step per index, as V_plus's has.
+    Pairing is symmetric, so no step below reach[k] reads k."""
+    reach = [0] * len(word)
+    for i, pairs in word:
+        reach[i] = min([i] + [j for j, _ in pairs])
+    return reach
+
+
+def _run_to_floor(word, pos: int, reach, v, low: int) -> int:
+    """Apply the steps of word from position pos on to v in place, stopping
+    at the first step whose index is below low, and return low.  Each
+    nonzero the run writes to v[i] lowers low to reach[i].
+
+    Last-step lemma: low starts at most the reach of every nonzero of v, as
+    reach[j] is for e_j, and each nonzero written lowers it to its own reach,
+    so no nonzero v[k] ever pairs with an index below low.  The steps run in
+    decreasing index order.  A step of index i below low finds v[i] = 0,
+    since reach[i] <= i, and reads only zeros, so it writes 0 again: no step
+    below low changes v, and the result is the whole run's.  Once low is 0
+    no step lies below it, and the rest of the run goes to apply_word."""
+    steps = islice(word, pos, None)
+    for i, pairs in steps:
+        if i < low:
+            return low
+        total = -v[i]
+        for k, g in pairs:
+            total += g * v[k]
+        v[i] = total
+        if total and reach[i] < low:
+            low = reach[i]
+            if not low:
+                break
+    apply_word(steps, v)
+    return low
+
+
 class Subject:
     """One input's star lattices and label, and what the checks and commands
     share, each computed at most once: V_plus's reflection word, the columns
@@ -146,20 +184,26 @@ class Subject:
         return self.run(0, getattr(self.lats, which).rank)
 
     def columns(self, which: str) -> list:
-        """(start, top, tau e_j) for each e_j of ``which``, by the two lemmas
+        """(start, low, top, tau e_j) for each e_j of ``which``, by the lemmas
         of coxeter: start is the position in V_plus's word of the first step
         that touches j (the word's end where none does), top the larger of j
-        and that step's index, and the column is padded with zeros to the
-        rank of V_plus.  The columns are shared: read them, never write."""
+        and that step's index, and low the floor where the column's run
+        stopped, so that the column is zero outside rows low..top.  It is
+        padded with zeros to the rank of V_plus.  The columns are shared:
+        read them, never write."""
         def compute():
             word = self.word(which)
-            n, size = self.lats.plus.rank, len(word)
+            n, size, memo = self.lats.plus.rank, len(word), self._memo
+            reach = self._once("reach", lambda: _reach(self.run(0, n)))
             out = []
             for j, pos in enumerate(_first_steps(word, getattr(self.lats, which).rank)):
                 start = n - size + pos
-                column = self._once(("column", j, start), lambda: apply_word(
-                    word[pos:], [0] * j + [1] + [0] * (n - j - 1)))
-                out.append((start, max(j, word[pos][0]) if pos < size else j, column))
+                key = ("column", j, start)
+                if key not in memo:
+                    column = [0] * j + [1] + [0] * (n - j - 1)
+                    memo[key] = _run_to_floor(word, pos, reach, column, reach[j]), column
+                low, column = memo[key]
+                out.append((start, low, max(j, word[pos][0]) if pos < size else j, column))
             return out
 
         return self._once(("columns", which), compute)
@@ -177,9 +221,13 @@ class Subject:
         each is computed once for all three lattices.  On the star they
         differ only in r + 2 border columns: E and the arm ends of V_minus,
         which pair with E-u in V_zero, and E-u of V_zero, which pairs with
-        u-w in V_plus; rank(V_plus) + r + 2 columns in all."""
+        u-w in V_plus; rank(V_plus) + r + 2 columns in all.
+        Last-step lemma (_run_to_floor): the suffix writes no coordinate
+        below low, the least reach of j and of every coordinate it has made
+        nonzero, where reach[k] is the least of k and the indices k pairs
+        with; so a column stops at the first step below low."""
         rank = getattr(self.lats, which).rank
-        return [column[:rank] for _, _, column in self.columns(which)]
+        return [column[:rank] for *_, column in self.columns(which)]
 
     def delta(self, which: str):
         deltas = self._once("deltas", lambda: star_char_polys(self.lats.plus, self.lats.center))
@@ -415,9 +463,14 @@ def check_identities(subject: Subject) -> VerificationReport:
     differs.  V_minus and V_zero are leading blocks of V_plus, so one A, read
     off V_plus's Gram, serves all three.  By the first-step lemma column j is
     zero past top, so its rows of A tau e_j == -A^t e_j past top hold exactly
-    when row j of the Gram is zero from top + 1 to the lattice's rank; the
-    rows up to top combine the sparse columns of A, and by the prefix lemma
-    their verdict is fixed by the column's (j, start) and shared.
+    when row j of the Gram is zero from top + 1 to the lattice's rank.  By
+    the last-step lemma it is zero below low too, which the residual checks
+    as it checks zero past top, so it reads the column only in rows
+    low..top.  Rows 0..top of A tau e_j combine the sparse columns of A at
+    those nonzeros.  The rows below low are compared as well: a column of A
+    at a nonzero k reaches the rows below k that k pairs with, and a column
+    run that stopped too early leaves A tau e_j nonzero there.  By the
+    prefix lemma the verdict is fixed by the column's (j, start) and shared.
     det tau == (-1)^rank multiplies the word's factors, det s_i = 1 +
     <e_i, e_i>, so it checks only that the word has one root reflection per
     basis vector; its value is pinned before it by A tau = -A^t and
@@ -434,23 +487,24 @@ def check_identities(subject: Subject) -> VerificationReport:
                   for k, row in enumerate(gram)]  # the sparse columns of A
         verdicts = {}
 
-        def holds(j, start, top, column):
+        def holds(j, start, low, top, column):
             """A tau e_j == -A^t e_j in rows 0..top, from the columns of A at
-            the column's nonzeros, and tau e_j zero past top."""
+            the nonzeros of tau e_j in rows low..top, and tau e_j zero
+            outside those rows."""
             if (j, start) not in verdicts:
                 a_tau = [0] * (top + 1)
-                for k in compress(range(top + 1), column):
+                for k in compress(range(low, top + 1), islice(column, low, top + 1)):
                     x = column[k]
                     for i, a in a_cols[k]:
                         a_tau[i] += a * x
-                verdicts[j, start] = not any(column[top + 1:]) and (
+                verdicts[j, start] = not any(column[:low]) and not any(column[top + 1:]) and (
                     a_tau == [0] * j + [-1] + list(gram[j][j + 1:top + 1]))
             return verdicts[j, start]
 
         for which in ("minus", "zero", "plus"):
             lat = getattr(lats, which)
-            if not all(not any(gram[j][top + 1:lat.rank]) and holds(j, start, top, column)
-                       for j, (start, top, column) in enumerate(subject.columns(which))):
+            if not all(not any(gram[j][top + 1:lat.rank]) and holds(j, start, low, top, column)
+                       for j, (start, low, top, column) in enumerate(subject.columns(which))):
                 yield _matrix_witness(f"coxeter({which}) == -A^-1 A^t", subject.coxeter(which),
                                       coxeter_columns_via_form(asym_form_matrix(lat)))
             delta = subject.delta(which)

@@ -146,6 +146,18 @@ def first_touched_column_dropped(real):
     return lambda word, rank: real(word, rank)[1:]
 
 
+def column_floor_never_lowered(real):
+    """Each tau column stopped at the reach of its own coordinate: no nonzero
+    the run writes lowers the floor."""
+    return lambda word, pos, reach, v, low: real(word, pos, [len(reach)] * len(reach), v, low)
+
+
+def reach_ignores_lower_neighbours(real):
+    """reach[k] as the least of k and the indices above k that it pairs
+    with, which is k."""
+    return lambda word: real(tuple((i, tuple(p for p in pairs if p[0] > i)) for i, pairs in word))
+
+
 @dataclass(frozen=True)
 class Row:
     name: str
@@ -194,6 +206,13 @@ ROSTER = [
     Row("arm run one step long", Subject, "run", arm_run_one_step_long, {"orbit-formulas": 28}),
     Row("tau column one step late", verify, "_first_steps", column_one_step_late,
         {"identities": 29}),
+    # a column stopped too early is zero below its floor where tau e_j is
+    # not: identities sees A tau e_j nonzero below the floor, and (b) a
+    # tau_0 that differs from tau_1 ... tau_r; A1 has no arms
+    Row("column floor never lowered", verify, "_run_to_floor", column_floor_never_lowered,
+        {"orbit-formulas": 28, "identities": 29}),
+    Row("reach ignores lower neighbours", verify, "_reach", reach_ignores_lower_neighbours,
+        {"orbit-formulas": 28, "identities": 29}),
     # s_E s_{E-u} is the identity on every roster star; an edited V_zero moves e_j
     Row("first touched column of (a) dropped", verify, "_touched", first_touched_column_dropped,
         {}, caught_by=("test_zero_gram_off_an_arm_end_fails_pair_run_at_its_column",)),

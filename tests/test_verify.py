@@ -303,6 +303,31 @@ def test_coxeter_descends_to_arm_words(inv):
         assert [k for k in range(1, 2 * alpha + 1) if apply_word(arm, v) == e] == [alpha, 2 * alpha]
 
 
+
+@pytest.mark.parametrize("inv", [E8, E12, fuchsian_invariants((2, 2, 3, 5))], ids=["E8", "E12", "2235"])
+def test_arm_periods_walk_from_e(monkeypatch, inv):
+    """(c) walks each arm's run of V_plus's word from E's unit vector, the
+    class of E in V_minus padded to the rank of V_plus, and returns to that
+    vector first after alpha_i applications."""
+    lats = build(inv)
+    subject = Subject(lats)
+    walks = {subject.run(start, stop): [] for start, stop in lats.arms}
+    real = verify.apply_word
+
+    def apply_word(word, v):
+        if word in walks:
+            walks[word].append(list(v))
+        return real(word, v)
+
+    monkeypatch.setattr(verify, "apply_word", apply_word)
+    assert check_orbit_formulas(subject, 10).passed
+    e = [int(k == lats.center) for k in range(lats.plus.rank)]
+    for (start, stop), alpha in zip(lats.arms, inv.alphas):
+        walk = walks[subject.run(start, stop)]
+        assert walk[0] == e
+        assert len(walk) == alpha
+
+
 class CorruptedMinusWord(Subject):
     """A subject whose V_minus word, or the word of ``lattice`` where that is
     set, has a spurious pairing with e_k in its first step, which acts only
@@ -508,27 +533,13 @@ def test_identities_give_the_dense_route_witness(data):
 
 
 def test_one_application_per_shared_tau_column(monkeypatch):
-    """verify_lattices applies a suffix of V_plus's word once per distinct
+    """verify_lattices runs a suffix of V_plus's word once per distinct
     column of the three tau: rank(V_plus) + r + 2 times, where V_minus adds
     the columns of E and its r arm ends and V_zero the column of E-u.  No
     column fails, so the dense form is never built."""
-    inside, applied, dense = [], [], []
-    real_columns, real_apply = Subject.columns, verify.apply_word
-
-    def columns(subject, which):
-        inside.append(which)
-        try:
-            return real_columns(subject, which)
-        finally:
-            inside.pop()
-
-    def apply_word(word, v):
-        if inside:
-            applied.append(len(word))
-        return real_apply(word, v)
-
-    monkeypatch.setattr(Subject, "columns", columns)
-    monkeypatch.setattr(verify, "apply_word", apply_word)
+    applied, dense = [], []
+    real_run = verify._run_to_floor
+    monkeypatch.setattr(verify, "_run_to_floor", lambda *args: applied.append(None) or real_run(*args))
     real_form = verify.asym_form_matrix
     monkeypatch.setattr(verify, "asym_form_matrix", lambda lat: dense.append(lat) or real_form(lat))
     for name in catalog_names():
@@ -543,6 +554,56 @@ def padded_columns(word, rank, n):
     """The word applied to each e_j of rank ``rank``, padded with zeros to n
     and cut back to rank."""
     return [apply_word(word, col + [0] * (n - rank))[:rank] for col in identity_matrix(rank)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stopped_columns_are_the_whole_run(data):
+    """Last-step lemma: on valid stars and on flipped Grams, each column of
+    the three tau, stopped at its floor low, is the lattice's whole word
+    applied to e_j, and it is zero outside rows low..top, with low <= j <=
+    top."""
+    if data.draw(st.booleans()):
+        lats = build(data.draw(valid_stars()))
+    else:
+        inv = data.draw(st.sampled_from(FLIP_INPUTS))
+        lats = flipped_lattices(inv, *draw_entry(data, inv))
+    subject = Subject(lats)
+    n = lats.plus.rank
+    for which in ("minus", "zero", "plus"):
+        rank = getattr(lats, which).rank
+        whole = padded_columns(subject.word(which), rank, n)
+        for j, (start, low, top, column) in enumerate(subject.columns(which)):
+            assert column[:rank] == whole[j]
+            assert low <= j <= top
+            assert not any(column[:low]) and not any(column[top + 1:])
+
+
+@pytest.mark.parametrize("name, applied, whole", [("D80", 1116, 4043), ("D898", 12568, 412634)])
+def test_tau_columns_stop_at_their_floor(monkeypatch, name, applied, whole):
+    """The word steps the distinct columns of the three tau apply: 1,116 on
+    D80 and 12,568 on D898, where runs to index 0 would take 4,043 and
+    412,634."""
+    steps, suffixes, counted = [], [], {}
+
+    class CountedPairs(tuple):
+        def __iter__(self):
+            steps.append(None)
+            return super().__iter__()
+
+    real = verify._run_to_floor
+
+    def run_to_floor(word, pos, *args):
+        suffixes.append(len(word) - pos)
+        if id(word) not in counted:
+            counted[id(word)] = word, tuple((i, CountedPairs(pairs)) for i, pairs in word)
+        return real(counted[id(word)][1], pos, *args)
+
+    monkeypatch.setattr(verify, "_run_to_floor", run_to_floor)
+    subject = Subject(build(catalog(name)))
+    for which in ("minus", "zero", "plus"):
+        subject.columns(which)
+    assert (len(steps), sum(suffixes)) == (applied, whole)
 
 
 @settings(max_examples=50, deadline=None)
@@ -643,13 +704,13 @@ def test_off_shape_zero_grams_walk_the_word():
 
 def test_hilbert_gram_off_the_star_shape_prints_the_naive_orbit():
     """hilbert --gram on two Grams whose walks take the reflection word, off
-    the V_zero star shape at E: E8's V_zero at its default root E-u, and its
-    V_plus at --root E.  Each exits 0 and prints P of the naive orbit."""
+    the V_zero star shape at E: E8's V_zero at --root E-u, and its V_plus at
+    --root E.  Each exits 0 and prints P of the naive orbit."""
     lats = build(E8)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "gram.json"
-        for lat, root, extra in ((lats.zero, lats.f_index, []),
-                                 (lats.plus, lats.center, ["--root", str(lats.center)])):
+        for lat, root in ((lats.zero, lats.f_index), (lats.plus, lats.center)):
+            extra = ["--root", str(root)]
             path.write_text(json.dumps(lat.to_json()))
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
@@ -659,6 +720,30 @@ def test_hilbert_gram_off_the_star_shape_prints_the_naive_orbit():
             tau = reflection_product_naive(lat.gram, range(lat.rank))
             forward = naive_orbit_pairings(lat, tau, root, 30)
             assert json.loads(out.getvalue())["P"]["coeffs"] == list(accumulate(forward, initial=1))
+
+
+@pytest.mark.parametrize("name", ["A1", "D4", "E8", "E12"])
+def test_hilbert_gram_without_root_walks_a_zero_star_at_e(monkeypatch, capsys, name):
+    """hilbert --gram with no --root roots a Gram of V_zero's star shape at
+    E, whose walk runs as delay lines and builds no word, and prints what
+    --root E-u prints by the word, since P(E-u) = P(E).  Any other Gram
+    keeps its last vertex: V_plus of the same star, rooted at u-w, walks
+    its word."""
+    lats = build(catalog(name))
+    words = count_word_calls(monkeypatch)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gram.json"
+        outputs = []
+        for lat, extra in ((lats.zero, []), (lats.zero, ["--root", str(lats.f_index)]),
+                           (lats.plus, []), (lats.plus, ["--root", str(lats.plus.rank - 1)])):
+            path.write_text(json.dumps(lat.to_json()))
+            words.clear()
+            assert main(["hilbert", "--gram", str(path), "--order", "40", "--format", "json",
+                         *extra]) == 0
+            outputs.append((capsys.readouterr().out, words[:]))
+    assert outputs[0] == (outputs[1][0], [])
+    assert outputs[1][1] == [("coxlat.series", lats.zero.rank)]
+    assert outputs[2] == outputs[3] and outputs[2][1] == [("coxlat.series", lats.plus.rank)]
 
 
 @pytest.mark.parametrize("inv", [catalog("D250"), fuchsian_invariants((3,) * 60 + (100,))],
@@ -785,6 +870,22 @@ class TestSuite:
         assert [(s, inv) for s, inv in a] == [(s, inv) for s, inv in b]
         c = suite_inputs(n_random=5, seed=100)
         assert [inv for _, inv in a] != [inv for _, inv in c]
+
+    def test_default_roster_is_pinned(self):
+        """suite_inputs() at the default seed and count: the catalog, then
+        these 50 Fuchsian tuples, which the golden roster and the benchmark
+        also assume."""
+        roster = """
+            2,3,4,8,12 2,4,5 5,6,10 4,7,8,11,11 3,4,9,11 6,7,7,12 2,4,11 3,6,10,12
+            3,5,10,11,11 2,5,7,11 5,7,8 3,7,11,12 6,6,7,9,10 3,6,11 3,11,11 6,6,7
+            3,4,7,10 6,7,11 4,9,11,12 4,7,10 12,12,12 3,3,4,10,10 4,5,9,9,11
+            7,7,11,12 2,2,4,9 2,2,5,6,11 3,6,8,9,11 2,3,10,11 7,10,12 6,11,12
+            8,8,10,10,10 6,11,11,12 2,5,8,9,12 4,6,7,10,12 9,10,10,10 4,7,11,12
+            3,3,6,7,11 4,5,8,11 2,6,9,12 2,3,5,8 4,4,6,9,12 3,7,7,11 2,3,6,9,9
+            4,6,7,8,10 2,5,8,8,8 3,6,7,11,12 4,5,6,8,9 3,8,11 7,8,9,11 2,2,10,10,12
+        """.split()
+        assert [label for label, _ in suite_inputs()] == list(catalog_names()) + [
+            f"random#{i}:fuchsian({alphas})" for i, alphas in enumerate(roster, start=1)]
 
     def test_random_generator_produces_valid_fuchsians(self):
         rng = random.Random(42)
