@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import CoxlatError, NotAStarLattice, TooLarge
 from .exact import poly_to_string
 from .lattice import Lattice, char_poly, coxeter_matrix, star_char_polys
-from .series import default_root, hilbert_P, p_and_q, poincare_direct
+from .series import hilbert_P, p_and_q, poincare_direct
 from .star import (
     build,
     catalog,
@@ -44,10 +44,10 @@ from .series import hilbert_Q  # noqa: F401
 
 # Largest accepted rank of V_plus, series order and count of random inputs.
 # On a shared 2-vCPU Intel Xeon host at rank 900, `verify` at order 200
-# takes 0.45 to 0.65 s on D898 and 1.0 to 1.5 s on the Fuchsian star of 299
+# takes 0.4 to 0.55 s on D898 and 0.65 to 0.9 s on the Fuchsian star of 299
 # arms with alpha = 3 and one with alpha = 300, whose 301 border columns of
 # tau_minus each run the whole word of V_minus.  `poincare` at order 10000
-# takes 0.55 to 0.65 s on that star, 0.2 to 0.25 s on D898 and 0.35 to 0.4 s
+# takes 0.35 to 0.45 s on that star, about 0.2 s on D898 and 0.26 to 0.3 s
 # on the star of 440 arms with alpha = 2 (rank 443), whose quotient
 # divides out the 440 factors 1 - t^2 in turn; `hilbert` at order 10000
 # takes 0.2 to 0.25 s on D898 and on the 300-arm star, whose walks run each
@@ -63,11 +63,11 @@ from .series import hilbert_Q  # noqa: F401
 # any root lattice; the word of a dense Gram has a term per entry, and
 # `hilbert` at order 5 takes about 0.2 s and 23 MB at rank 298, the largest
 # Gram MAX_GRAM_RANK admits.  `charpoly --gram` eliminates a star Gram in
-# 0.15 to 0.25 s at ranks 296 to 298, but
+# about 0.15 s at ranks 296 to 298, but
 # Berkowitz on a tau that fills in takes 2.3 s on a dense +-1 Gram of rank
 # 80, 5.4 s at rank 100 and 24 s at rank 120, hence MAX_BERKOWITZ_RANK for
-# any other Gram.  `verify --all --random 500` at order 200 takes about
-# 1.1 s.
+# any other Gram.  `verify --all --random 500` at order 200 takes 1.0 to
+# 1.6 s.
 MAX_RANK = 900
 MAX_GRAM_RANK = 300
 MAX_BERKOWITZ_RANK = 100
@@ -223,7 +223,7 @@ def cmd_hilbert(args) -> int:
         raise CoxlatError("--root needs a --gram input; the other inputs root the series at E")
     inv, lat = _load_input(args)
     if lat is not None:
-        root = default_root(lat) if args.root is None else args.root
+        root = args.root  # None: E on V_zero's star shape, else the last vertex
     else:
         lats = build(inv)
         lat, root = lats.zero, lats.center

@@ -31,6 +31,7 @@ over V_plus gives the Delta of its prefixes V_minus and V_zero too.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from operator import eq
@@ -345,6 +346,58 @@ def char_poly(m: Matrix) -> list:
     return p
 
 
+def _continuant(links) -> tuple:
+    """f_R and h_R of a chain whose vertex k pairs with vertex k + 1 by
+    links[k]: f_R is the continuant f_k = (1+t) f_{k-1} - t g^2 f_{k-2} of the
+    whole chain, g the link into vertex k, from f_0 = 1 and f_{-1} = 0, and
+    h_R that of the chain without its last vertex.
+
+    f is carried with its last difference d = f_k - f_{k-1} = t (d_{k-1} +
+    (1 - g^2) f_{k-2}), held as t^s times a list.  Where g^2 = 1 that is d
+    shifted by one, and the vertex adds the list to f at a new offset: one
+    addition per vertex on a chain of unit links.  Any other link
+    recomputes d from f and h.  The first vertex has f_{-1} = 0 and shifts
+    whatever its link."""
+    f, d, s = [1, 1], [1], 1
+    for g in links:
+        if g * g == 1:
+            s += 1
+            f.append(0)
+            for k, c in enumerate(d, s):
+                f[k] += c
+        else:
+            h = poly_add(f, d, -1, s)
+            d, s = poly_add(f, h, -g * g), 1
+            f = poly_add(f, d, 1, 1)
+    return f, poly_add(f, d, -1, s)
+
+
+def _power(p, e: int) -> list:
+    """p^e by repeated squaring."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = poly_mul(out, p)
+        e >>= 1
+        if e:
+            p = poly_mul(p, p)
+    return out
+
+
+def _join_chains(groups) -> tuple:
+    """prod_R f_R and sum_R g_R^2 h_R prod_{R' != R} f_R' over chains given
+    as ((f_R, h_R, g_R^2), count) groups of equal chains: a group of c
+    chains multiplies the product by f^c and adds c g^2 h f^(c-1) times the
+    product of the other groups to the sum."""
+    prod, acc = [1], []
+    for (f, h, g2), count in groups:
+        power = _power(f, count - 1)
+        f_count = poly_mul(f, power)
+        acc = poly_add(poly_mul(acc, f_count), poly_mul(poly_mul(h, power), prod), count * g2)
+        prod = poly_mul(prod, f_count)
+    return prod, acc
+
+
 def star_char_polys(lat: Lattice, center: int):
     """Delta of each basis prefix ending at ``center`` or later; None off this shape.
 
@@ -362,25 +415,33 @@ def star_char_polys(lat: Lattice, center: int):
     earlier vertex, and -2 with k - 1), so D_{k+1} = (1-t)^2 D_{k-1}; or a
     leaf on k - 1 (no earlier pairing), so D_{k+1} = (1+t) D_k - t g^2 D_{k-1},
     g = <k, k-1>.  E-u is a twin of E and u-w a leaf on E-u, so on V_plus one
-    pass of O(rank * sum of chain lengths) steps gives all three Deltas.
+    pass gives all three Deltas.
+
+    Cost: the shape is read in one scan of the rows before the center, a C
+    loop over O(rank^2) entries.  A chain of unit links costs one addition
+    per vertex (_continuant), and chains with equal (f_R, h_R, g_R^2), read
+    off the continuants and never off the arm lengths, are joined once per
+    group, the power by squaring (_join_chains).  So the chains take a few
+    products of full degree per distinct chain, not per chain, and each
+    vertex from the center on one pass of O(rank) additions.
     """
     n = lat.rank
     gram = lat.gram
     if not 0 <= center < n or any(gram[i][i] != -2 for i in range(n)):
         return None  # for a non-root lattice the reflection product says where
-    prod, acc = [1], []  # prod f_R and sum g_R^2 h_R prod_{R' != R} f_R' over closed chains
-    h, f, g = [], [1], 0  # the open chain's continuants and its link into vertex i
+    chains, links = Counter(), []  # (f_R, h_R, g_R^2) -> count; the open chain's links
     for i in range(center):
         row = gram[i]
         link = row[i + 1] if i + 1 < center else 0
         if any(row[i + 2:center]) or (link and row[center]):
             return None
-        h, f = f, poly_add(poly_mul([1, 1], f), h, -g * g, 1)
-        g = link
-        if not link:  # i ends its chain
-            acc = poly_add(poly_mul(acc, f), poly_mul(h, prod), row[center] ** 2)
-            prod = poly_mul(prod, f)
-            h, f = [], [1]
+        if link:
+            links.append(link)
+        else:  # i ends its chain
+            f, h = _continuant(links)
+            chains[tuple(f), tuple(h), row[center] ** 2] += 1
+            links = []
+    prod, acc = _join_chains(chains.items())
     d = [prod, poly_add(poly_mul([1, 1], prod), acc, -1, 1)]
     for k in range(center + 1, n):
         row = gram[k]

@@ -20,7 +20,7 @@ The orbit comes from one of two generators.  On a Gram of V_zero's star
 shape rooted at E, each arm runs as a delay line (_delay_lines), at a cost
 per coefficient of O(distinct arm lengths); on any other Gram or root
 apply_word steps the whole reflection word, at O(nnz(Gram)).  A Gram of
-that shape given without a root is rooted at E (default_root).
+that shape given without a root is rooted at E (hilbert_P).
 """
 
 from __future__ import annotations
@@ -105,16 +105,6 @@ def _star_arms(lat: Lattice, root: int):
     return [(count, m) for m, count in sorted(lengths.items())]
 
 
-def default_root(lat: Lattice) -> int:
-    """The root of a Gram given without one: E, where the Gram has the shape
-    of V_zero rooted at E (_star_arms) and the walk runs as delay lines; the
-    last vertex otherwise.  On V_zero's shape the last vertex is E-u, and
-    every reflection fixes the radical vector u, so P(E-u) = P(E): the
-    series is the one the last vertex gives."""
-    root = lat.rank - 2
-    return root if root >= 0 and _star_arms(lat, root) is not None else lat.rank - 1
-
-
 @functools.cache
 def _delay_lines(groups: int):
     """The orbit generator of E on a V_zero star with this many distinct arm
@@ -158,9 +148,15 @@ def _delay_lines(groups: int):
     return namespace.pop("orbit")
 
 
-def hilbert_P(lat: Lattice, root: int, order: int) -> PowerSeries:
+def hilbert_P(lat: Lattice, root: int | None, order: int) -> PowerSeries:
     """P series of (V, e) for e the basis vector at index root: coefficient k
     is 1 + sum_{l<k} <e, tau^l e>.
+
+    A root of None is E where the Gram has the shape of V_zero rooted at E
+    (_star_arms), and the last vertex otherwise.  On V_zero's shape the last
+    vertex is E-u, and every reflection fixes the radical vector u, so
+    P(E-u) = P(E): the series is the one the last vertex gives, and the
+    shape is read once, for the root and the walk alike.
 
     Every coefficient is checked against the triangular form value
     (e, tau^k e), read off Gram row root, g_j = <e, e_j>:
@@ -179,10 +175,14 @@ def hilbert_P(lat: Lattice, root: int, order: int) -> PowerSeries:
     the walk draws one application per coefficient, so the first too long
     to print raises TooLarge at once, without walking on.
     """
-    if not 0 <= root < lat.rank:
+    if root is None:
+        arms = _star_arms(lat, lat.rank - 2) if lat.rank > 1 else None
+        root = lat.rank - (1 if arms is None else 2)
+    elif not 0 <= root < lat.rank:
         raise CoxlatError(f"root index {root} out of range for rank {lat.rank}")
+    else:
+        arms = _star_arms(lat, root)
     row = lat.gram[root]
-    arms = _star_arms(lat, root)
     if arms is None:
         word = reflection_word(lat, range(lat.rank))
         form = [(root, 1)] + [(j, -g) for j, g in enumerate(row[root + 1:], root + 1) if g]

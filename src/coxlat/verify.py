@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, islice, zip_longest
 from math import prod
+from operator import sub
 
 from .errors import NotAStarLattice
 from .exact import PowerSeries, poly_add, poly_mul, series_equal, series_from_rational
@@ -152,8 +154,8 @@ def _run_to_floor(word, pos: int, reach, v, low: int) -> int:
 class Subject:
     """One input's star lattices and label, and what the checks and commands
     share, each computed at most once: V_plus's reflection word, the columns
-    of the three tau, each Delta, the orbit walk of (V_zero, E) and each
-    Delta quotient.
+    of the three tau, each Delta, the closed forms of the Deltas, the orbit
+    walk of (V_zero, E) and each Delta quotient.
 
     V_minus and V_zero are basis prefixes of V_plus, which StarLattices cuts
     them from.  So one star_char_polys call on V_plus gives all three Deltas,
@@ -255,20 +257,17 @@ class Subject:
         missing one.  Dividing by 1 - t^a is c[k] += c[k-a], a prefix sum
         over each residue class mod a, so the series costs additions only
         and is integral by construction.  The factors are read off the
-        invariants, but their product is compared exactly with m Delta_zero
-        of the Gram first: where they are equal the two divisions give the
-        same series, so the route still reads only the Gram.  Where they
-        differ (an edited Gram) the series is the recurrence of
-        series_from_rational over the nonzero terms of m Delta_zero."""
-        def arm_factors():
-            inv = self.lats.invariants
-            factors, product = [1] * (2 - inv.r) + list(inv.alphas), [1]
-            for a in factors:
-                product = poly_add(product, product, -1, a)
-            return factors if product == self._scaled_delta("zero") else None
-
+        invariants, so they are taken only where the Gram's own Delta_zero
+        equals the closed form (1-t)^2 prod [a_i] of those invariants
+        (_arm_factors); m is a nonzero factor of both sides, so that is
+        m Delta_zero = prod (1 - t^a_i) (1-t)^max(2-r, 0), and the two
+        divisions give the same series: the route still reads only the
+        Gram.  Where they differ (an edited Gram) the series is the
+        recurrence of series_from_rational over the nonzero terms of
+        m Delta_zero.  Only that fallback scales Delta_zero, once; on a star
+        only the numerator is scaled, by r - 2 first differences."""
         def compute():
-            num, factors = self._scaled_delta(which), self._once("factors", arm_factors)
+            num, factors = self._scaled_delta(which), self._once("factors", self._arm_factors)
             if factors is None:
                 return series_from_rational(num, self._scaled_delta("zero"), order)
             c = num[:order + 1] + [0] * (order + 1 - len(num))
@@ -278,6 +277,19 @@ class Subject:
             return PowerSeries(tuple(c))
 
         return self._once(("quotient", which, order), compute)
+
+    def _arm_factors(self):
+        """The exponents a of the factors 1 - t^a of m Delta_zero, where the
+        Gram's Delta_zero is the closed form of the invariants; else None."""
+        inv = self.lats.invariants
+        if self.delta("zero") != self.closed_forms()["zero"]:
+            return None
+        return [1] * (2 - inv.r) + list(inv.alphas)
+
+    def closed_forms(self) -> dict:
+        """_closed_form_deltas of the invariants' arms, which read nothing
+        of the Gram."""
+        return self._once("closed", lambda: _closed_form_deltas(self.lats.invariants.alphas))
 
     def _scaled_delta(self, which: str):
         """(1-t)^max(r-2, 0) Delta_which, as r - 2 first differences
@@ -327,10 +339,22 @@ def _value_witness(identity: str, index, got, expected):
 
 
 def _poly_witness(identity: str, got, expected):
+    if got == expected:
+        return None
     for k, (x, y) in enumerate(zip_longest(got, expected, fillvalue=0)):
         if x != y:
             return {"identity": identity, "index": k, "expected": y, "got": x}
     return None
+
+
+def _window_product(p, a: int) -> list:
+    """p [a], with [a] = 1 + t + ... + t^(a-1), as window sums: coefficient k
+    is the sum of p over k-a+1..k, the difference of two prefix sums of p.
+    O(len(p) + a) additions, whatever a is."""
+    if not p:
+        return []
+    sums = list(accumulate(p, initial=0))
+    return list(map(sub, sums[1:] + [sums[-1]] * (a - 1), [0] * (a - 1) + sums[:-1]))
 
 
 def _closed_form_deltas(alphas) -> dict:
@@ -341,13 +365,19 @@ def _closed_form_deltas(alphas) -> dict:
         Delta_zero  = (1-t)^2 prod [a_i]
         Delta_plus  = (1+t) Delta_zero - t Delta_minus
 
-    The sum is built in one pass over the arms, as in star_char_polys, whose
-    twin and leaf rules (g = 1) give Delta_zero and Delta_plus here too.
+    The c arms of one length a add [a]^c to the product and c [a - 1]
+    [a]^(c-1) times the product of the other lengths to the sum, and every
+    factor [m] is a window product (_window_product).  So the whole costs
+    O(len) additions per arm and a few per distinct length: linear in the
+    arms, where a product per arm is quadratic.  star_char_polys's twin and
+    leaf rules (g = 1) give Delta_zero and Delta_plus here too.
     """
     prod, acc = [1], []
-    for a in alphas:
-        acc = poly_add(poly_mul(acc, [1] * a), poly_mul([1] * (a - 1), prod))
-        prod = poly_mul(prod, [1] * a)
+    for a, count in Counter(alphas).items():
+        for _ in range(count - 1):
+            acc, prod = _window_product(acc, a), _window_product(prod, a)
+        acc = poly_add(_window_product(acc, a), _window_product(prod, a - 1), count)
+        prod = _window_product(prod, a)
     minus = poly_add(poly_mul([1, 1], prod), acc, -1, 1)
     zero = poly_mul([1, -2, 1], prod)
     return {"minus": minus, "zero": zero,
@@ -515,7 +545,8 @@ def check_identities(subject: Subject) -> VerificationReport:
             yield _value_witness(f"det tau == (-1)^rank on {which}", lat.rank, det, (-1) ** lat.rank)
         radical = "radical of V_zero is rank 1 spanned by u"
         u = [(j, x) for j, x in enumerate(lats.u_zero) if x]
-        yield _poly_witness(radical, [sum(row[j] * x for j, x in u) for row in lats.zero.gram], [])
+        yield _poly_witness(radical, [sum(row[j] * x for j, x in u) for row in lats.zero.gram],
+                            [0] * lats.zero.rank)
         if not sum(subject.delta("minus")):
             yield {"identity": radical, "index": "Delta_minus(1)", "expected": "nonzero", "got": 0}
 
@@ -526,7 +557,7 @@ def check_identities(subject: Subject) -> VerificationReport:
         except NotAStarLattice:
             star_arms = None
         if star_arms == list(lats.invariants.alphas):
-            for which, closed in _closed_form_deltas(star_arms).items():
+            for which, closed in subject.closed_forms().items():
                 yield _poly_witness(f"char poly of {which} == closed form",
                                     subject.delta(which), closed)
 

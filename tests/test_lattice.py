@@ -454,3 +454,32 @@ def test_chain_elimination_on_chain_grams(case):
     if deltas is not None:
         assert deltas == [char_poly(coxeter_matrix(prefix(lat, k)))
                           for k in range(center + 1, lat.rank + 1)]
+
+
+def chain_lattice(chains):
+    """(lattice, center): chains, each given as (links, g), its consecutive
+    vertices paired by links and its last vertex paired with the center,
+    the last basis vector, by g."""
+    n = sum(len(links) + 1 for links, _ in chains) + 1
+    gram = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+    i = 0
+    for links, g in chains:
+        for x in links:
+            gram[i][i + 1] = gram[i + 1][i] = x
+            i += 1
+        gram[i][n - 1] = gram[n - 1][i] = g
+        i += 1
+    return Lattice(tuple(f"e{k + 1}" for k in range(n)), tuple(map(tuple, gram))), n - 1
+
+
+def test_chains_group_by_their_whole_triple():
+    """Chains join in one group only where f_R, h_R and g_R^2 all agree:
+    links (1, 2) and (2, 1) give the same f_R and different h_R, and two
+    single vertices paired with the center by 1 and 2 differ only in g_R^2.
+    The last Grams hold one group of three and one of two."""
+    for chains in ([((1, 2), 1), ((2, 1), 1)],
+                   [((), 1), ((), 2)],
+                   [((1, 2), 1), ((2, 1), 1), ((), 1), ((), -2), ((), 2)],
+                   [((2,), 1), ((-2,), -1), ((2,), 1), ((3, 1), 1), ((3, -1), -1)]):
+        lat, center = chain_lattice(chains)
+        assert star_char_polys(lat, center) == [char_poly(coxeter_matrix(lat))]

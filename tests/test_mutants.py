@@ -16,6 +16,7 @@ from itertools import accumulate
 
 import pytest
 
+import test_lattice
 import test_verify
 from coxlat import lattice, series, verify
 from coxlat.cli import main
@@ -28,6 +29,7 @@ ORDER = 60
 INPUTS = suite_inputs(n_random=10)
 CHECKS = ("theorem", "orbit-series", "orbit-formulas", "identities")
 WITNESS_KEYS = {"identity", "index", "expected", "got"}
+TEST_MODULES = (test_verify, test_lattice)  # where a row's caught_by tests live
 
 
 def leaf_sign_flipped(real):
@@ -107,19 +109,38 @@ def scaled_delta_one_short(real):
     return mutant
 
 
-def zero_delta_taken_from_arms(real):
-    """m Delta_zero read as the arm product prod (1 - t^a_i), as a quotient
-    that divides out the arm factors without comparing them with the Gram's
-    own Delta_zero does."""
-    def mutant(subject, which):
-        if which != "zero":
-            return real(subject, which)
+def arm_factors_uncompared(real):
+    """The arm factors 1 - t^a_i taken from the invariants without comparing
+    the Gram's Delta_zero with their closed form."""
+    def mutant(subject):
         inv = subject.lats.invariants
-        product = [1]
-        for a in [1] * (2 - inv.r) + list(inv.alphas):
-            product = poly_add(product, product, -1, a)
-        return product
+        return [1] * (2 - inv.r) + list(inv.alphas)
     return mutant
+
+
+def continuant_shifts_at_every_link(real):
+    """Each chain's last difference shifted at every link, as if g^2 = 1."""
+    return lambda links: real([1] * len(links))
+
+
+def group_key_without(index):
+    """Chains grouped by their (f_R, h_R, g_R^2) without the entry at index:
+    each coarser group keeps its first chain's triple and adds the counts."""
+    def wrap(real):
+        def mutant(groups):
+            merged = {}
+            for key, count in groups:
+                coarse = key[:index] + key[index + 1:]
+                first, total = merged.get(coarse, (key, 0))
+                merged[coarse] = first, total + count
+            return real(list(merged.values()))
+        return mutant
+    return wrap
+
+
+def window_product_one_wider(real):
+    """p [a] by windows one coefficient wider, cut to the length of p [a]."""
+    return lambda p, a: real(p, a + 1)[:len(p) + a - 1]
 
 
 def prefix_word_one_step_short(real):
@@ -166,7 +187,7 @@ class Row:
     mutant: object      # the real binding -> its mutant
     fails: dict         # check -> number of inputs it fails on
     why_equivalent: str = ""
-    caught_by: tuple = ()  # tests in test_verify that fail under the mutant
+    caught_by: tuple = ()  # tests in TEST_MODULES that fail under the mutant
 
 
 ROSTER = [
@@ -190,16 +211,28 @@ ROSTER = [
     # every roster V_zero has the E-u row of its star; an edited one does not
     Row("E-u row check skipped", series, "_star_arms", e_minus_u_row_unchecked, {},
         caught_by=("test_off_shape_zero_grams_walk_the_word",)),
-    Row("_scaled_delta one difference short", Subject, "_scaled_delta", scaled_delta_one_short, {},
-        why_equivalent="from three arms on the scaled Delta_zero is prod (1 - t^a_i) / (1-t), "
-                       "not the arm product, so the quotient falls back to the recurrence, "
-                       "where a common factor m of both Deltas with m(0) = 1 leaves it "
-                       "unchanged: (1-t)^(r-3) serves as well as (1-t)^(r-2)"),
+    # from three arms the numerator keeps a factor 1 - t too few for the arm
+    # factors the quotient divides out
+    Row("_scaled_delta one difference short", Subject, "_scaled_delta", scaled_delta_one_short,
+        {"theorem": 23, "orbit-series": 23}),
     # every roster star passes the comparison; an edited Gram does not
-    Row("quotient takes the arm factors without comparing Delta_zero", Subject, "_scaled_delta",
-        zero_delta_taken_from_arms, {},
+    Row("quotient takes the arm factors without comparing Delta_zero", Subject, "_arm_factors",
+        arm_factors_uncompared, {},
         caught_by=("test_quotient_matches_dense_recurrence_on_edited_grams",
                    "test_negative_controls_fail_the_theorem_at_the_dense_quotient")),
+    # every roster link is 1; chain Grams draw links in -3..3
+    Row("continuant shifts d at every link", lattice, "_continuant",
+        continuant_shifts_at_every_link, {},
+        caught_by=("test_chain_elimination_on_chain_grams",)),
+    # on the roster every link and every g_R is 1, so f_R fixes h_R and g_R^2
+    Row("chain group key without h_R", lattice, "_join_chains", group_key_without(1), {},
+        caught_by=("test_chains_group_by_their_whole_triple",)),
+    Row("chain group key without g_R^2", lattice, "_join_chains", group_key_without(2),
+        {}, caught_by=("test_chains_group_by_their_whole_triple",)),
+    # the guard of the quotient rejects the wrong closed Delta_zero and falls
+    # back to the recurrence, so only the closed-form comparison fails
+    Row("window product one coefficient wider", verify, "_window_product",
+        window_product_one_wider, {"identities": 28}),
     Row("prefix word one step short", Subject, "word", prefix_word_one_step_short,
         {"identities": 29}),
     # A1 has no arms
@@ -247,7 +280,7 @@ def test_named_checks_catch_mutant(monkeypatch, row):
     assert {check: n for check, n in failed.items() if n} == row.fails
     for test in row.caught_by:
         with pytest.raises(AssertionError):
-            getattr(test_verify, test)()
+            next(getattr(module, test) for module in TEST_MODULES if hasattr(module, test))()
     assert calls
     assert bool(row.fails or row.caught_by) != bool(row.why_equivalent)
 

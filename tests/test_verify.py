@@ -272,6 +272,39 @@ def test_subject_eliminates_once_for_all_three_deltas(monkeypatch):
     assert calls == [lats.plus]
 
 
+@st.composite
+def many_equal_arms(draw):
+    """20 to 60 arms whose alphas take two to four values, each at least once."""
+    values = draw(st.lists(st.integers(2, 6), min_size=2, max_size=4, unique=True))
+    more = draw(st.lists(st.sampled_from(values), min_size=20 - len(values),
+                         max_size=60 - len(values)))
+    return sorted(values + more)
+
+
+@settings(max_examples=20, deadline=None)
+@given(many_equal_arms())
+def test_both_delta_routes_group_many_equal_arms(alphas):
+    """Elimination, which groups equal chains by their continuants, and the
+    closed form, which groups equal arms by alpha, each give the Deltas of
+    star_deltas; up to rank 40 elimination is Berkowitz on tau too."""
+    expected = star_deltas(alphas)
+    lats = build(fuchsian_invariants(alphas))
+    subject = Subject(lats)
+    assert {which: subject.delta(which) for which in expected} == expected
+    assert verify._closed_form_deltas(alphas) == expected
+    if lats.plus.rank <= 40:
+        assert [subject.delta(which) for which in ("minus", "zero", "plus")] == [
+            char_poly(coxeter_matrix(lat)) for lat in (lats.minus, lats.zero, lats.plus)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=30), st.integers(1, 40))
+def test_window_product_is_the_product_by_ones(p, a):
+    while p and not p[-1]:
+        p.pop()
+    assert verify._window_product(p, a) == conv(p, [1] * a)
+
+
 def test_many_arm_star_minus_delta_is_closed_form():
     """Sixty short arms fill tau_minus in; elimination never builds it."""
     alphas = (3,) * 60 + (100,)
@@ -744,6 +777,24 @@ def test_hilbert_gram_without_root_walks_a_zero_star_at_e(monkeypatch, capsys, n
     assert outputs[0] == (outputs[1][0], [])
     assert outputs[1][1] == [("coxlat.series", lats.zero.rank)]
     assert outputs[2] == outputs[3] and outputs[2][1] == [("coxlat.series", lats.plus.rank)]
+
+
+def test_hilbert_gram_without_root_reads_the_star_shape_once(monkeypatch, capsys):
+    """hilbert --gram with no --root reads the star shape once, at rank - 2,
+    for the root and the walk alike: E8's V_zero is rooted at E there, and
+    its V_plus, off that shape, at its last vertex."""
+    calls = []
+    real = series._star_arms
+    monkeypatch.setattr(series, "_star_arms", lambda lat, root: calls.append(root) or real(lat, root))
+    lats = build(E8)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gram.json"
+        for lat in (lats.zero, lats.plus):
+            path.write_text(json.dumps(lat.to_json()))
+            calls.clear()
+            assert main(["hilbert", "--gram", str(path), "--order", "10"]) == 0
+            assert calls == [lat.rank - 2]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("inv", [catalog("D250"), fuchsian_invariants((3,) * 60 + (100,))],
