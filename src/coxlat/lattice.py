@@ -8,11 +8,10 @@ factor acting first.  All matrices act on column coordinate vectors and
 everything is exact integer arithmetic on plain lists.
 
 The Grams of star lattices have two to four nonzero entries per row, so
-the kernels work on nonzero rows: ``nonzeros(m)`` lists each row of m as
-its (column, entry) pairs with entry != 0, and a product visits only
-those pairs.  ``rows_vec`` applies such rows to a vector, ``mat_mul``
-combines the nonzero rows of its right factor, and Berkowitz reads its
-blocks from them.
+the kernels visit nonzeros only: a Lattice lists each Gram row's nonzero
+columns once, for the reflection word and the star shapes, and
+``nonzeros(m)`` lists each row of a matrix as its (column, entry) pairs
+with entry != 0, for ``rows_vec``, ``mat_mul`` and Berkowitz.
 
 A Coxeter element acts matrix-free, as its reflection word:
 ``reflection_word`` lists the factors, rightmost first, and each rewrites
@@ -31,10 +30,11 @@ over V_plus gives the Delta of its prefixes V_minus and V_zero too.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
-from operator import eq
+from itertools import accumulate, compress
+from operator import sub
 from typing import Sequence
 
 from .errors import CoxlatError, NotARoot, NotUnitriangular
@@ -142,9 +142,10 @@ class Lattice:
         gram, n = self.gram, len(self.gram)
         if len(self.labels) != n:
             raise ValueError("label count does not match Gram size")
-        # Each row against its column, one column alive at a time; zip stops at
-        # the shortest row, so the rows' lengths are checked first.
-        if any(len(row) != n for row in gram) or not all(map(eq, gram, zip(*gram))):
+        cols = tuple([tuple(list(compress(range(n), row))) for row in gram])  # see _frozen_rows
+        object.__setattr__(self, "nonzero_cols", cols)  # the j with gram[i][j] != 0; no field
+        if any(len(row) != n for row in gram) or not all(  # each nonzero matched, so each zero
+                gram[j][i] == row[j] for i, row in enumerate(gram) for j in cols[i]):
             for i, row in enumerate(gram):  # name the first fault, row by row
                 if len(row) != n:
                     raise ValueError("Gram matrix is not square")
@@ -163,6 +164,8 @@ class Lattice:
         block = object.__new__(Lattice)
         object.__setattr__(block, "labels", self.labels[:rank])
         object.__setattr__(block, "gram", tuple([row[:rank] for row in self.gram[:rank]]))
+        object.__setattr__(block, "nonzero_cols", tuple([
+            cols[:bisect_left(cols, rank)] for cols in self.nonzero_cols[:rank]]))
         return block
 
     def is_root(self, i: int) -> bool:
@@ -240,11 +243,11 @@ def reflection_word(lat: Lattice, indices: Sequence[int]) -> tuple:
     nonzero g_ij, j != i.  Roots are checked in the order the steps act, so
     of several factors that are not roots the rightmost one is named.
     """
-    steps, basis = [], range(lat.rank)
+    steps = []
     for i in reversed(indices):
         lat.require_root(i)
         row = lat.gram[i]
-        steps.append((i, tuple([(j, row[j]) for j in compress(basis, row) if j != i])))
+        steps.append((i, tuple([(j, row[j]) for j in lat.nonzero_cols[i] if j != i])))
     return tuple(steps)
 
 
@@ -372,16 +375,13 @@ def _continuant(links) -> tuple:
     return f, poly_add(f, d, -1, s)
 
 
-def _power(p, e: int) -> list:
-    """p^e by repeated squaring."""
-    out = [1]
-    while e:
-        if e & 1:
-            out = poly_mul(out, p)
-        e >>= 1
-        if e:
-            p = poly_mul(p, p)
-    return out
+def _times(p, f) -> list:
+    """p f: where f = 1 + t + ... + t^m, coefficient k is the sum of p over
+    k-m..k, a difference of prefix sums, O(len + m) additions; else poly_mul."""
+    if f.count(1) != len(f) or not p:
+        return poly_mul(p, f)
+    sums, m = list(accumulate(p, initial=0)), len(f) - 1
+    return list(map(sub, sums[1:] + [sums[-1]] * m, [0] * m + sums[:-1]))
 
 
 def _join_chains(groups) -> tuple:
@@ -391,10 +391,10 @@ def _join_chains(groups) -> tuple:
     product of the other groups to the sum."""
     prod, acc = [1], []
     for (f, h, g2), count in groups:
-        power = _power(f, count - 1)
-        f_count = poly_mul(f, power)
-        acc = poly_add(poly_mul(acc, f_count), poly_mul(poly_mul(h, power), prod), count * g2)
-        prod = poly_mul(prod, f_count)
+        for _ in range(count - 1):
+            acc, prod = _times(acc, f), _times(prod, f)
+        acc = poly_add(_times(acc, f), _times(prod, h), count * g2)
+        prod = _times(prod, f)
     return prod, acc
 
 
@@ -417,23 +417,21 @@ def star_char_polys(lat: Lattice, center: int):
     g = <k, k-1>.  E-u is a twin of E and u-w a leaf on E-u, so on V_plus one
     pass gives all three Deltas.
 
-    Cost: the shape is read in one scan of the rows before the center, a C
-    loop over O(rank^2) entries.  A chain of unit links costs one addition
-    per vertex (_continuant), and chains with equal (f_R, h_R, g_R^2), read
-    off the continuants and never off the arm lengths, are joined once per
-    group, the power by squaring (_join_chains).  So the chains take a few
-    products of full degree per distinct chain, not per chain, and each
-    vertex from the center on one pass of O(rank) additions.
+    Cost: the shape is read off the rows' nonzero columns, O(nnz).  A chain
+    of unit links costs one addition per vertex (_continuant) and joins by
+    window sums (_times); chains with equal (f_R, h_R, g_R^2), read off the
+    continuants and never off the arm lengths, join once per group
+    (_join_chains).  Each vertex from the center on costs O(rank) additions.
     """
     n = lat.rank
-    gram = lat.gram
+    gram, cols = lat.gram, lat.nonzero_cols
     if not 0 <= center < n or any(gram[i][i] != -2 for i in range(n)):
         return None  # for a non-root lattice the reflection product says where
     chains, links = Counter(), []  # (f_R, h_R, g_R^2) -> count; the open chain's links
     for i in range(center):
         row = gram[i]
         link = row[i + 1] if i + 1 < center else 0
-        if any(row[i + 2:center]) or (link and row[center]):
+        if any(i + 1 < j < center for j in cols[i]) or (link and row[center]):
             return None
         if link:
             links.append(link)
@@ -444,10 +442,11 @@ def star_char_polys(lat: Lattice, center: int):
     prod, acc = _join_chains(chains.items())
     d = [prod, poly_add(poly_mul([1, 1], prod), acc, -1, 1)]
     for k in range(center + 1, n):
-        row = gram[k]
-        if row[k - 1] == -2 and row[:k - 1] == gram[k - 1][:k - 1]:  # a twin of k - 1
+        row, prev = gram[k], gram[k - 1]
+        below = [(j, row[j]) for j in cols[k] if j < k - 1]
+        if row[k - 1] == -2 and below == [(j, prev[j]) for j in cols[k - 1] if j < k - 1]:  # a twin
             d.append(poly_mul([1, -2, 1], d[-2]))
-        elif not any(row[:k - 1]):  # a leaf on k - 1
+        elif not below:  # a leaf on k - 1
             d.append(poly_add(poly_mul([1, 1], d[-1]), d[-2], -row[k - 1] ** 2, 1))
         else:
             return None

@@ -89,13 +89,13 @@ def poincare_direct(inv: OrbitInvariants, kind: SingularityKind, order: int) -> 
 def _star_arms(lat: Lattice, root: int):
     """The arms of lat as (count, length) pairs by length, where lat has the
     shape of V_zero rooted at E; None otherwise.  The shape is read off the
-    Gram alone: rank root + 2; a leading block of rank root + 1 that
-    decode_star reads as a star, with its center at root; and row root + 1,
-    E-u, equal to row root below root, with (-2, -2) at root and root + 1."""
+    Gram's nonzeros alone, in O(nnz): rank root + 2; a leading block of rank
+    root + 1 that decode_star reads as a star centered at root; and row
+    root + 1, E-u, equal to row root, E, so <E-u, E-u> = <E-u, E> = -2."""
     if lat.rank != root + 2:
         return None
-    e_row, f_row = lat.gram[root], lat.gram[root + 1]
-    if f_row[:root] != e_row[:root] or f_row[root:] != (-2, -2):
+    rows, cols = lat.gram, lat.nonzero_cols
+    if [(j, rows[root][j]) for j in cols[root]] != [(j, rows[root + 1][j]) for j in cols[root + 1]]:
         return None
     try:
         arms = decode_star(lat._leading(root + 1))[1]
@@ -185,8 +185,8 @@ def hilbert_P(lat: Lattice, root: int | None, order: int) -> PowerSeries:
     row = lat.gram[root]
     if arms is None:
         word = reflection_word(lat, range(lat.rank))
-        form = [(root, 1)] + [(j, -g) for j, g in enumerate(row[root + 1:], root + 1) if g]
-        pairing = [(j, g) for j, g in enumerate(row) if g]
+        pairing = [(j, row[j]) for j in lat.nonzero_cols[root]]
+        form = [(root, 1)] + [(j, -g) for j, g in pairing if j > root]
         e = [0] * lat.rank
         e[root] = 1
         orbit = (rows_vec([form, pairing], apply_word(word, e)) for _ in repeat(None))

@@ -22,7 +22,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Sequence
 
 from .errors import CoxlatError, NeitherKind, NotAStarLattice, UnknownName
@@ -231,30 +230,31 @@ def decode_star(lat: Lattice):
     Expects the central vertex last, each arm a contiguous chain ordered
     from its free end toward the center, self-pairings -2 and off-diagonal
     pairings 0 or 1.  Returns (alphas, arms) in basis order; raises
-    NotAStarLattice (with the offending index) otherwise.
+    NotAStarLattice (with the offending index) otherwise, all in O(nnz).
     """
     n = lat.rank
     if n == 0:
         raise NotAStarLattice("empty Gram matrix", index=0)
     center = n - 1
-    for i, row in enumerate(lat.gram):
+    gram, cols = lat.gram, lat.nonzero_cols
+    for i, row in enumerate(gram):
         if row[i] != -2:
             raise NotAStarLattice(f"vertex {i} has self-pairing {row[i]}", index=i)
-        for j in compress(range(i + 1, n), row[i + 1:]):
-            if row[j] != 1:
+        for j in cols[i]:
+            if j > i and row[j] != 1:
                 raise NotAStarLattice(f"pairing <{i},{j}> = {row[j]} not in {{0,1}}", index=i)
     arms = []
     i = 0
     while i < center:
         j = i
-        while j + 1 < center and lat.gram[j][j + 1] == 1:
+        while j + 1 < center and gram[j][j + 1] == 1:
             j += 1
-        if lat.gram[j][center] != 1:
+        if gram[j][center] != 1:
             raise NotAStarLattice(
                 f"chain ending at vertex {j} is not attached to the center", index=j
             )
         for k in range(i, j):
-            if lat.gram[k][center] != 0:
+            if gram[k][center] != 0:
                 raise NotAStarLattice(
                     f"interior chain vertex {k} touches the center", index=k
                 )
@@ -264,10 +264,9 @@ def decode_star(lat: Lattice):
     # the arms cover 0..center-1, and a pairing of i with i + 1 is a link
     # (a chain stops where there is none), so any other nonzero is wrong
     for i in range(center):
-        row = lat.gram[i]
-        j = next(compress(range(i + 2, center), row[i + 2:center]), None)
+        j = next((j for j in cols[i] if i + 1 < j < center), None)
         if j is not None:
-            raise NotAStarLattice(f"unexpected pairing <{i},{j}> = {row[j]}", index=i)
+            raise NotAStarLattice(f"unexpected pairing <{i},{j}> = {gram[i][j]}", index=i)
     alphas = [stop - start + 1 for start, stop in arms]
     return alphas, tuple(arms)
 

@@ -493,7 +493,7 @@ def check_identities(subject: Subject) -> VerificationReport:
     differs.  V_minus and V_zero are leading blocks of V_plus, so one A, read
     off V_plus's Gram, serves all three.  By the first-step lemma column j is
     zero past top, so its rows of A tau e_j == -A^t e_j past top hold exactly
-    when row j of the Gram is zero from top + 1 to the lattice's rank.  By
+    when the last nonzero of row j in the lattice's Gram is at most top.  By
     the last-step lemma it is zero below low too, which the residual checks
     as it checks zero past top, so it reads the column only in rows
     low..top.  Rows 0..top of A tau e_j combine the sparse columns of A at
@@ -512,9 +512,8 @@ def check_identities(subject: Subject) -> VerificationReport:
     """
     def witnesses():
         lats = subject.lats
-        gram = lats.plus.gram
-        a_cols = [[(k, 1)] + [(i, -row[i]) for i in compress(range(k), row[:k])]
-                  for k, row in enumerate(gram)]  # the sparse columns of A
+        gram, cols = lats.plus.gram, lats.plus.nonzero_cols
+        a_cols = [[(k, 1)] + [(i, -gram[k][i]) for i in row if i < k] for k, row in enumerate(cols)]
         verdicts = {}
 
         def holds(j, start, low, top, column):
@@ -527,13 +526,16 @@ def check_identities(subject: Subject) -> VerificationReport:
                     x = column[k]
                     for i, a in a_cols[k]:
                         a_tau[i] += a * x
-                verdicts[j, start] = not any(column[:low]) and not any(column[top + 1:]) and (
-                    a_tau == [0] * j + [-1] + list(gram[j][j + 1:top + 1]))
+                a_tau[j] += 1  # plus A^t e_j: 1 at j and -g_ji past j
+                for i in cols[j]:
+                    if j < i <= top:
+                        a_tau[i] -= gram[j][i]
+                verdicts[j, start] = not (any(a_tau) or any(column[:low]) or any(column[top + 1:]))
             return verdicts[j, start]
 
         for which in ("minus", "zero", "plus"):
             lat = getattr(lats, which)
-            if not all(not any(gram[j][top + 1:lat.rank]) and holds(j, start, low, top, column)
+            if not all(lat.nonzero_cols[j][-1] <= top and holds(j, start, low, top, column)
                        for j, (start, low, top, column) in enumerate(subject.columns(which))):
                 yield _matrix_witness(f"coxeter({which}) == -A^-1 A^t", subject.coxeter(which),
                                       coxeter_columns_via_form(asym_form_matrix(lat)))

@@ -27,7 +27,7 @@ from coxlat.lattice import (
     star_char_polys,
     word_columns,
 )
-from coxlat.star import build, catalog, catalog_names, kleinian_invariants
+from coxlat.star import build, catalog, catalog_names, kleinian_invariants, lattices_from_minus
 
 from oracles import (
     charpoly_minor_expansion,
@@ -428,12 +428,30 @@ def test_quotient_gram_matches_pairings_on_degenerate_grams(gram):
 
 
 @settings(max_examples=60, deadline=None)
-@given(valid_stars())
-def test_chain_elimination_matches_berkowitz_on_stars(inv):
-    """One pass over V_plus gives the Delta of all three lattices."""
+@given(valid_stars(), st.data())
+def test_nonzero_rows_and_chain_elimination_on_stars_and_edits(inv, data):
+    """On a built star, and on the lattices that lattices_from_minus makes of
+    its V_minus with one arm edge deleted or set to 2: the nonzero columns of
+    V_plus and of its cuts V_minus and V_zero are the nonzero pattern of
+    each Gram, and one pass over V_plus gives the Delta of all three.  A link
+    of 2 makes a continuant that is not all ones, which joins by poly_mul."""
     lats = build(inv)
-    assert star_char_polys(lats.plus, lats.center) == [
-        char_poly(coxeter_matrix(lat)) for lat in (lats.minus, lats.zero, lats.plus)]
+    routes = [lats]
+    edges = [(i, i + 1) for start, stop in lats.arms for i in range(start, stop - 1)]
+    edges += [(stop - 1, lats.center) for _, stop in lats.arms]
+    if edges:
+        i, j = data.draw(st.sampled_from(edges))
+        g = lats.minus.gram_rows()
+        g[i][j] = g[j][i] = data.draw(st.sampled_from([0, 2]))
+        edited = Lattice(lats.minus.labels, g)
+        routes.append(lattices_from_minus(edited, inv, lats.kind, lats.arms, lats.center))
+    for route in routes:
+        lattices = (route.minus, route.zero, route.plus)
+        for lat in lattices:
+            assert lat.nonzero_cols == tuple(
+                tuple(j for j, x in enumerate(row) if x) for row in lat.gram)
+        assert star_char_polys(route.plus, route.center) == [
+            char_poly(coxeter_matrix(lat)) for lat in lattices]
 
 
 def prefix(lat, k):

@@ -8,9 +8,12 @@ function wraps that function's output, or its input at a binding the
 function calls, such as the readout rows the walk hands to rows_vec.
 A row that fails nowhere is an equivalent mutant and says why, unless a
 unit test catches it on an edited input or a Gram off the star shape,
-which the row then names.  A shortcut added later adds its row here.
+which the row then names.  A mutant that crashes the checks names the
+exception they raise on the inputs instead of counts.  A shortcut added
+later adds its row here.
 """
 
+import contextlib
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -138,6 +141,35 @@ def group_key_without(index):
     return wrap
 
 
+def window_join_on_any_continuant(real):
+    """The window join for every continuant, as if each were all ones."""
+    return lambda p, f: real(p, (1,) * len(f))
+
+
+def window_join_one_wider(real):
+    """Each window join one coefficient wider, cut to the length of p f."""
+    return lambda p, f: (real(p, (1,) * (len(f) + 1))[:len(p) + len(f) - 1]
+                         if f.count(1) == len(f) else real(p, f))
+
+
+def cut_keeps_every_index(real):
+    """A leading block whose rows keep their nonzero columns at rank and past it."""
+    def mutant(lat, rank):
+        block = real(lat, rank)
+        object.__setattr__(block, "nonzero_cols", lat.nonzero_cols[:rank])
+        return block
+    return mutant
+
+
+def cut_drops_last_nonzero(real):
+    """A leading block whose rows each lose their last nonzero column."""
+    def mutant(lat, rank):
+        block = real(lat, rank)
+        object.__setattr__(block, "nonzero_cols", tuple([cols[:-1] for cols in block.nonzero_cols]))
+        return block
+    return mutant
+
+
 def window_product_one_wider(real):
     """p [a] by windows one coefficient wider, cut to the length of p [a]."""
     return lambda p, a: real(p, a + 1)[:len(p) + a - 1]
@@ -188,6 +220,7 @@ class Row:
     fails: dict         # check -> number of inputs it fails on
     why_equivalent: str = ""
     caught_by: tuple = ()  # tests in TEST_MODULES that fail under the mutant
+    raises: type = None    # the exception the checks raise on the inputs, if they crash
 
 
 ROSTER = [
@@ -229,6 +262,23 @@ ROSTER = [
         caught_by=("test_chains_group_by_their_whole_triple",)),
     Row("chain group key without g_R^2", lattice, "_join_chains", group_key_without(2),
         {}, caught_by=("test_chains_group_by_their_whole_triple",)),
+    # every roster continuant is all ones; chain Grams and a link of 2 are not
+    Row("window join on a continuant that is not all ones", lattice, "_times",
+        window_join_on_any_continuant, {},
+        caught_by=("test_chain_elimination_on_chain_grams",
+                   "test_nonzero_rows_and_chain_elimination_on_stars_and_edits")),
+    # every Delta is wrong, and the quotient's guard falls back to the
+    # recurrence on the wrong Deltas; A1 has no arms
+    Row("window join one coefficient wider", lattice, "_times", window_join_one_wider,
+        {"theorem": 28, "orbit-series": 28, "identities": 28}),
+    # the walk reads a pairing past V_zero's last index, that of E-u with u-w
+    Row("leading block keeps its columns past the rank", Lattice, "_leading",
+        cut_keeps_every_index, {}, raises=IndexError,
+        caught_by=("test_nonzero_rows_and_chain_elimination_on_stars_and_edits",)),
+    # A1's V_minus is E alone, whose row is left with no nonzero
+    Row("leading block drops each row's last nonzero", Lattice, "_leading",
+        cut_drops_last_nonzero, {}, raises=IndexError,
+        caught_by=("test_nonzero_rows_and_chain_elimination_on_stars_and_edits",)),
     # the guard of the quotient rejects the wrong closed Delta_zero and falls
     # back to the recurrence, so only the closed-form comparison fails
     Row("window product one coefficient wider", verify, "_window_product",
@@ -271,12 +321,13 @@ def apply(monkeypatch, row) -> list:
 def test_named_checks_catch_mutant(monkeypatch, row):
     calls = apply(monkeypatch, row)
     failed = dict.fromkeys(CHECKS, 0)
-    for subject, inv in INPUTS:
-        for report in verify_lattices(build(inv), ORDER, subject):
-            assert report.passed == (report.witness is None)
-            if not report.passed:
-                assert set(report.witness) == WITNESS_KEYS
-                failed[report.check] += 1
+    with pytest.raises(row.raises) if row.raises else contextlib.nullcontext():
+        for subject, inv in INPUTS:
+            for report in verify_lattices(build(inv), ORDER, subject):
+                assert report.passed == (report.witness is None)
+                if not report.passed:
+                    assert set(report.witness) == WITNESS_KEYS
+                    failed[report.check] += 1
     assert {check: n for check, n in failed.items() if n} == row.fails
     for test in row.caught_by:
         with pytest.raises(AssertionError):
