@@ -44,9 +44,10 @@ from .series import hilbert_Q  # noqa: F401
 
 # Largest accepted rank of V_plus, series order and count of random inputs.
 # On a shared 2-vCPU Intel Xeon host at rank 900, `verify` at order 200
-# takes 0.33 to 0.55 s on D898 and 0.47 to 0.8 s on the Fuchsian star of 299
-# arms with alpha = 3 and one with alpha = 300, whose 301 border columns of
-# tau_minus each run the whole word of V_minus.  `poincare` at order 10000
+# takes 0.34 to 0.5 s on D898, 0.46 to 0.49 s on the Fuchsian star (2, 3, 895)
+# and 0.76 to 0.94 s on the Fuchsian star of 299 arms with alpha = 3 and one
+# with alpha = 300, whose 301 border columns of tau_minus each run the whole
+# word of V_minus.  `poincare` at order 10000
 # takes 0.23 to 0.4 s on that star, about 0.2 s on D898 and 0.21 to 0.39 s
 # on the star of 440 arms with alpha = 2 (rank 443), whose quotient
 # divides out the 440 factors 1 - t^2 in turn; `hilbert` at order 10000
@@ -57,8 +58,9 @@ from .series import hilbert_Q  # noqa: F401
 # 0.16 s.  Every step on a star grows at most about as rank^2: the
 # rank + r + 2 columns of the three tau, each a suffix of V_plus's
 # reflection word that stops at its last active step (all of it for the
-# border columns of a many-arm star), their residual A tau + A^t and the
-# chain elimination; the one orbit walk grows as the
+# border columns of a many-arm star), their residual A tau + A^t, the
+# chain elimination and the arm periods, O(alpha) word steps per arm;
+# the one orbit walk grows as the
 # order times the number of distinct arm lengths.  A --gram input may be
 # any root lattice; the word of a dense Gram has a term per entry, and
 # `hilbert` at order 5 takes about 0.25 s and 24 MB at rank 298, the largest

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,6 +152,52 @@ def _run_to_floor(word, pos: int, reach, v, low: int) -> int:
     return low
 
 
+def _arm_period(arm, start: int, e, alpha: int, cols, reach):
+    """The least k <= alpha with c^k e = e for the arm word c, or None.
+
+    arm is the run of V_plus's word for the indices start..stop-1: it writes
+    only those, and the step of index i is at position stop-1-i.  With
+    d_1 = ce - e and d_k = c d_(k-1), c^k e = c^(k-1) e + d_k.  d_1 takes one
+    application of the arm, and each later d_k a run of it on d_(k-1) in
+    place, to its floor as in _run_to_floor, from the step of top, the
+    largest index below stop that a nonzero of d_(k-1) pairs with (read off
+    cols, V_plus's nonzero columns; no step above it touches d_(k-1)), or
+    from the first step for d_2.  The run rewrites every coordinate from top
+    down to its floor, where the nonzeros of d_(k-1) lie, so those it writes
+    are d_k's: each is added into c^k e and sets the next top and floor.  On
+    the chain of A_(alpha-1) d_k = -e_(start+k-2) from k = 2 on, so the runs
+    of d_3 on take at most three steps each: O(alpha) steps for the arm,
+    where alpha applications take alpha (alpha - 1)."""
+    stop = start + len(arm)
+    v = apply_word(arm, list(e))
+    if v == e:
+        return 1
+    d = [0] * len(e)
+    d[start:stop] = map(sub, v[start:stop], e[start:stop])
+    top, low = stop - 1, 0
+    for k in range(2, alpha + 1):
+        if top < 0:
+            return None  # d_(k-1) = 0, so every later c^k e is c^(k-2) e, not e
+        steps, floor, top, low = islice(arm, stop - 1 - top, None), low, -1, len(reach)
+        for i, pairs in steps:
+            if i < floor:
+                break
+            total = -d[i]
+            for j, g in pairs:
+                total += g * d[j]
+            d[i] = total
+            if total:
+                v[i] += total
+                row = cols[i]
+                top = max(top, row[bisect_left(row, stop) - 1])
+                if reach[i] < low:
+                    low = reach[i]
+                    floor = min(floor, low)
+        if v == e:
+            return k
+    return None
+
+
 class Subject:
     """One input's star lattices and label, and what the checks and commands
     share, each computed at most once: V_plus's reflection word, the columns
@@ -185,6 +232,10 @@ class Subject:
     def word(self, which: str) -> tuple:
         return self.run(0, getattr(self.lats, which).rank)
 
+    def reach(self) -> list:
+        """_reach of V_plus's word."""
+        return self._once("reach", lambda: _reach(self.run(0, self.lats.plus.rank)))
+
     def columns(self, which: str) -> list:
         """(start, low, top, tau e_j) for each e_j of ``which``, by the lemmas
         of coxeter: start is the position in V_plus's word of the first step
@@ -195,8 +246,7 @@ class Subject:
         read them, never write."""
         def compute():
             word = self.word(which)
-            n, size, memo = self.lats.plus.rank, len(word), self._memo
-            reach = self._once("reach", lambda: _reach(self.run(0, n)))
+            n, size, memo, reach = self.lats.plus.rank, len(word), self._memo, self.reach()
             out = []
             for j, pos in enumerate(_first_steps(word, getattr(self.lats, which).rank)):
                 start = n - size + pos
@@ -314,6 +364,8 @@ def _series_witness(identity: str, lhs: PowerSeries, rhs: PowerSeries):
 
 def _column_witness(identity: str, j: int, got, expected):
     """The topmost discrepancy of column j, indexed [row, column]."""
+    if got == expected:
+        return None
     for i, (x, y) in enumerate(zip(got, expected)):
         if x != y:
             return {"identity": identity, "index": [i, j], "expected": y, "got": x}
@@ -440,6 +492,8 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
     reads or writes, E and the Gram neighbours of E and E-u below E-u: by
     the first-step lemma every other column is e_j, on any Gram, so the
     first discrepancy is still the first in column order.
+    (c) follows the orbit of E by its differences (_arm_period): O(alpha_i)
+    word steps per arm, for the least k that alpha_i applications find.
     (d) reads the orbit sums P_k and Q_k = -P_{k+1} off the subject's walk
     of (V_zero, E), with no walk of its own.  They equal the sums of E on
     V_minus: pi keeps every pairing and tau descends, so
@@ -468,9 +522,8 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
 
         e = [0] * lats.center + [1] + [0] * (f - lats.center + 1)
         for arm_index, ((start, stop), alpha) in enumerate(zip(lats.arms, inv.alphas), start=1):
-            arm = subject.run(start, stop)
-            v = list(e)
-            period = next((k for k in range(1, alpha + 1) if apply_word(arm, v) == e), None)
+            period = _arm_period(subject.run(start, stop), start, e, alpha,
+                                 lats.plus.nonzero_cols, subject.reach())
             yield _value_witness(f"arm {arm_index} period on class of E", alpha, period, alpha)
 
         walk = subject.walk(k_max)

@@ -328,3 +328,16 @@ def pair_run_witness(lats):
                 return {"identity": "s_E s_{E-u} == id", "index": [i, j],
                         "expected": int(i == j), "got": v[i]}
     return None
+
+
+def arm_period_by_applications(arm, e, alpha):
+    """The least k <= alpha with c^k e = e, or None, for the arm word c given
+    as its steps (i, pairs): the whole word applied to a copy of e up to
+    alpha times, each step v[i] = -v[i] + sum g v[j] over its pairs."""
+    v = list(e)
+    for k in range(1, alpha + 1):
+        for i, pairs in arm:
+            v[i] = -v[i] + sum(g * v[j] for j, g in pairs)
+        if v == e:
+            return k
+    return None

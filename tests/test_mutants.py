@@ -14,6 +14,7 @@ later adds its row here.
 """
 
 import contextlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -211,6 +212,38 @@ def reach_ignores_lower_neighbours(real):
     return lambda word: real(tuple((i, tuple(p for p in pairs if p[0] > i)) for i, pairs in word))
 
 
+def difference_run_one_step_late(real):
+    """Each arm's difference runs from the step after the first that touches
+    the difference: every arm coordinate's last neighbour below the arm's
+    stop read one index lower.  The run of d_2 starts at the arm's first
+    step whatever the neighbours are."""
+    def mutant(arm, start, e, alpha, cols, reach):
+        stop = start + len(arm)
+
+        def lowered(row):
+            k = bisect_left(row, stop) - 1
+            return row[:k] + (row[k] - 1,) + row[k + 1:]
+        return real(arm, start, e, alpha,
+                    [lowered(row) if start <= i < stop else row for i, row in enumerate(cols)], reach)
+    return mutant
+
+
+def difference_floor_one_higher(real):
+    """Each arm's difference runs stopped at a floor one index too high:
+    every reach read one higher.  The run of d_2 has floor 0 whatever the
+    reaches are."""
+    return lambda arm, start, e, alpha, cols, reach: real(arm, start, e, alpha, cols,
+                                                          [r + 1 for r in reach])
+
+
+def arm_period_one_more(real):
+    """Each arm period one more than the least k with c^k E = E."""
+    def mutant(*args):
+        k = real(*args)
+        return k if k is None else k + 1
+    return mutant
+
+
 @dataclass(frozen=True)
 class Row:
     name: str
@@ -296,6 +329,17 @@ ROSTER = [
         {"orbit-formulas": 28, "identities": 29}),
     Row("reach ignores lower neighbours", verify, "_reach", reach_ignores_lower_neighbours,
         {"orbit-formulas": 28, "identities": 29}),
+    # A1 has no arms, and every arm of A3 and D4 has alpha = 2, whose period
+    # takes d_1 and d_2 only
+    Row("arm difference run one step late", verify, "_arm_period", difference_run_one_step_late,
+        {"orbit-formulas": 26}),
+    # so do A1, A3 and D4, and every arm of A5, D5 and E6 has alpha <= 3: the
+    # run of d_3 is the last, and c^3 E gains only the nonzeros it writes,
+    # which the high floor leaves right
+    Row("arm difference floor one index too high", verify, "_arm_period",
+        difference_floor_one_higher, {"orbit-formulas": 23}),
+    # A1 has no arms
+    Row("arm period off by one", verify, "_arm_period", arm_period_one_more, {"orbit-formulas": 28}),
     # s_E s_{E-u} is the identity on every roster star; an edited V_zero moves e_j
     Row("first touched column of (a) dropped", verify, "_touched", first_touched_column_dropped,
         {}, caught_by=("test_zero_gram_off_an_arm_end_fails_pair_run_at_its_column",)),

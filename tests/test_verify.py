@@ -53,22 +53,28 @@ from coxlat.verify import (
     verify_lattices,
 )
 
-from oracles import (conv, dense_coxeter_witness, mat_mul_naive, matrix_order, pair_run_witness,
-                     pairing, reflection_product_naive, series_by_dense_recurrence, star_deltas)
+from oracles import (arm_period_by_applications, conv, dense_coxeter_witness, mat_mul_naive,
+                     matrix_order, pair_run_witness, pairing, reflection_product_naive,
+                     series_by_dense_recurrence, star_deltas)
 from strategies import root_lattices, valid_stars
 
 E8 = kleinian_invariants((2, 3, 5))
 E12 = fuchsian_invariants((2, 3, 7))
 
 
-def flipped_lattices(inv, i, j):
-    """The star of inv with its V_minus entry (i, j) flipped between 0 and 1,
+def edited_lattices(inv, i, j, x):
+    """The star of inv with its V_minus pairing of i and j set to x,
     extensions rebuilt on top."""
     lats = build(inv)
     g = lats.minus.gram_rows()
-    g[i][j] = g[j][i] = 1 - g[i][j]
+    g[i][j] = g[j][i] = x
     bad_minus = Lattice(lats.minus.labels, tuple(map(tuple, g)))
     return lattices_from_minus(bad_minus, inv, lats.kind, lats.arms, lats.center)
+
+
+def flipped_lattices(inv, i, j):
+    """The star of inv with its V_minus entry (i, j) flipped between 0 and 1."""
+    return edited_lattices(inv, i, j, 1 - build(inv).minus.gram[i][j])
 
 
 def broken_e8_lattices():
@@ -339,26 +345,96 @@ def test_coxeter_descends_to_arm_words(inv):
 
 @pytest.mark.parametrize("inv", [E8, E12, fuchsian_invariants((2, 2, 3, 5))], ids=["E8", "E12", "2235"])
 def test_arm_periods_walk_from_e(monkeypatch, inv):
-    """(c) walks each arm's run of V_plus's word from E's unit vector, the
-    class of E in V_minus padded to the rank of V_plus, and returns to that
-    vector first after alpha_i applications."""
+    """(c) asks each arm's run of V_plus's word for its period on E's unit
+    vector, the class of E in V_minus padded to the rank of V_plus, and
+    finds alpha_i."""
     lats = build(inv)
     subject = Subject(lats)
-    walks = {subject.run(start, stop): [] for start, stop in lats.arms}
-    real = verify.apply_word
+    calls = []
+    real = verify._arm_period
 
-    def apply_word(word, v):
-        if word in walks:
-            walks[word].append(list(v))
-        return real(word, v)
+    def arm_period(arm, start, e, *args):
+        calls.append((arm, start, list(e), real(arm, start, e, *args)))
+        return calls[-1][-1]
 
-    monkeypatch.setattr(verify, "apply_word", apply_word)
+    monkeypatch.setattr(verify, "_arm_period", arm_period)
     assert check_orbit_formulas(subject, 10).passed
     e = [int(k == lats.center) for k in range(lats.plus.rank)]
-    for (start, stop), alpha in zip(lats.arms, inv.alphas):
-        walk = walks[subject.run(start, stop)]
-        assert walk[0] == e
-        assert len(walk) == alpha
+    assert calls == [(subject.run(start, stop), start, e, alpha)
+                     for (start, stop), alpha in zip(lats.arms, inv.alphas)]
+
+
+def assert_arm_periods_are_applications(lats):
+    """Each arm period by differences is that of alpha whole applications
+    of the arm word, and (c) names the same witness with either; returns
+    the periods."""
+    subject = Subject(lats)
+    e = [int(k == lats.center) for k in range(lats.plus.rank)]
+    periods = []
+    for (start, stop), alpha in zip(lats.arms, lats.invariants.alphas):
+        arm = subject.run(start, stop)
+        periods.append(verify._arm_period(arm, start, e, alpha, lats.plus.nonzero_cols,
+                                          subject.reach()))
+        assert periods[-1] == arm_period_by_applications(arm, e, alpha)
+    report = check_orbit_formulas(subject, 6)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_arm_period",
+                      lambda arm, start, e, alpha, *_: arm_period_by_applications(arm, e, alpha))
+        assert check_orbit_formulas(Subject(lats), 6).witness == report.witness
+    return periods
+
+
+# E8's V_minus basis: arms {0}, {1, 2}, {3, 4, 5, 6}, then E at 7
+@pytest.mark.parametrize("i, j, x, periods", [
+    (4, 5, 0, [2, 3, 3]),        # an arm edge deleted: E moves on a shorter chain
+    (6, 7, 0, [2, 3, 1]),        # an arm detached from E, which it fixes
+    (1, 2, 2, [2, None, 5]),     # an arm edge set to 2: no period up to alpha
+    (0, 7, 2, [2, 3, 5]),        # an arm end paired with E by 2
+    (3, 7, 1, [2, 3, 5]),        # an interior arm vertex joined to E
+    (0, 3, 1, [2, 3, 5]),        # two arms joined
+])
+def test_arm_periods_on_edited_e8(i, j, x, periods):
+    assert assert_arm_periods_are_applications(edited_lattices(E8, i, j, x)) == periods
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_arm_periods_are_alpha_applications(data):
+    """On valid stars, and on their Grams with an arm edge deleted or set to
+    2 or any V_minus entry flipped between 0 and 1, each arm period by
+    differences is that of alpha applications, periods below alpha, 1 and
+    none included."""
+    inv = data.draw(valid_stars())
+    lats = build(inv)
+    edit = data.draw(st.sampled_from(["none", "deleted", "two", "flipped"] if inv.alphas else ["none"]))
+    if edit == "flipped":
+        lats = flipped_lattices(inv, *draw_entry(data, inv))
+    elif edit != "none":
+        start, stop = data.draw(st.sampled_from(lats.arms))
+        i = data.draw(st.integers(start, stop - 1))  # the edge to i + 1, or the end's to E
+        lats = edited_lattices(inv, i, i + 1 if i + 1 < stop else lats.center,
+                               0 if edit == "deleted" else 2)
+    assert_arm_periods_are_applications(lats)
+
+
+def test_arm_periods_take_linear_steps_on_d898(monkeypatch):
+    """(c) on D898, arms of alpha 2, 2 and 896, applies 4,475 word steps,
+    where alpha applications of each arm take sum alpha_i (alpha_i - 1) =
+    801,924: two for each short arm, and on the long arm, vertices 2 to
+    896, 895 for d_1, 895 for d_2 = -e_2, 2 for d_3 = -e_3 and 3 for each of
+    the 893 later d_k = -e_k."""
+    steps = []
+
+    class CountedPairs(tuple):
+        def __iter__(self):
+            steps.append(None)
+            return super().__iter__()
+
+    real = verify._arm_period
+    monkeypatch.setattr(verify, "_arm_period", lambda arm, *args: real(
+        tuple((i, CountedPairs(pairs)) for i, pairs in arm), *args))
+    assert check_orbit_formulas(Subject(build(catalog("D898"))), 1).passed
+    assert len(steps) == 2 * 2 + 895 + 895 + 2 + 3 * 893 == 4475
 
 
 class CorruptedMinusWord(Subject):
