@@ -19,7 +19,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, islice, zip_longest
+from itertools import accumulate, compress, count, islice, repeat, zip_longest
 from math import prod
 from operator import sub
 
@@ -295,32 +295,28 @@ class Subject:
     def quotient(self, which: str, order: int) -> PowerSeries:
         """Delta_which / Delta_zero expanded to order.
 
-        Both are first multiplied by m = (1-t)^max(r-2, 0), for r arms.
-        m(0) = 1, so the series is exactly Delta_which / Delta_zero on every
-        input.  On the star Delta_zero = (1-t)^2 prod [a_i], and
-        (1-t)[a] = 1 - t^a, so
+        On the star Delta_zero = (1-t)^2 prod [a_i], for r arms, and
+        (1-t)[a] = 1 - t^a, so with m = (1-t)^(r-2)
 
-            m Delta_zero = (1-t)^max(r, 2) prod [a_i]
-                         = prod (1 - t^a_i) (1-t)^max(2-r, 0),
+            m Delta_zero = prod (1 - t^a_i) (1-t)^max(2-r, 0),
 
         one factor per arm and, below two arms, 1 - t = 1 - t^1 for each
-        missing one.  Dividing by 1 - t^a is c[k] += c[k-a], a prefix sum
-        over each residue class mod a, so the series costs additions only
-        and is integral by construction.  The factors are read off the
-        invariants, so they are taken only where the Gram's own Delta_zero
-        equals the closed form (1-t)^2 prod [a_i] of those invariants
-        (_arm_factors); m is a nonzero factor of both sides, so that is
-        m Delta_zero = prod (1 - t^a_i) (1-t)^max(2-r, 0), and the two
-        divisions give the same series: the route still reads only the
-        Gram.  Where they differ (an edited Gram) the series is the
-        recurrence of series_from_rational over the nonzero terms of
-        m Delta_zero.  Only that fallback scales Delta_zero, once; on a star
-        only the numerator is scaled, by r - 2 first differences."""
+        missing one.  The quotient is then m Delta_which over those factors.
+        Dividing by 1 - t^a is c[k] += c[k-a], a prefix sum over each residue
+        class mod a, so the series costs additions only and is integral by
+        construction.  Only the first order + 1 terms of m Delta_which are
+        read, and _differenced computes just those.  The factors are read off
+        the invariants, so they are taken only where the Gram's own
+        Delta_zero equals the closed form (1-t)^2 prod [a_i] of those
+        invariants (_arm_factors): the route still reads only the Gram.
+        Where they differ (an edited Gram) the series is the recurrence of
+        series_from_rational over the nonzero terms of the bare Delta_zero,
+        whose constant term det(-tau) is 1."""
         def compute():
-            num, factors = self._scaled_delta(which), self._once("factors", self._arm_factors)
+            factors = self._once("factors", self._arm_factors)
             if factors is None:
-                return series_from_rational(num, self._scaled_delta("zero"), order)
-            c = num[:order + 1] + [0] * (order + 1 - len(num))
+                return series_from_rational(self.delta(which), self.delta("zero"), order)
+            c = _differenced(self.delta(which), self.lats.invariants.r - 2, order + 1)
             for a in factors:
                 for s in range(min(a, order + 1)):
                     c[s::a] = accumulate(c[s::a])
@@ -329,8 +325,9 @@ class Subject:
         return self._once(("quotient", which, order), compute)
 
     def _arm_factors(self):
-        """The exponents a of the factors 1 - t^a of m Delta_zero, where the
-        Gram's Delta_zero is the closed form of the invariants; else None."""
+        """The exponents a of the factors 1 - t^a of (1-t)^(r-2) Delta_zero,
+        where the Gram's Delta_zero is the closed form of the invariants;
+        else None."""
         inv = self.lats.invariants
         if self.delta("zero") != self.closed_forms()["zero"]:
             return None
@@ -341,62 +338,43 @@ class Subject:
         of the Gram."""
         return self._once("closed", lambda: _closed_form_deltas(self.lats.invariants.alphas))
 
-    def _scaled_delta(self, which: str):
-        """(1-t)^max(r-2, 0) Delta_which, as r - 2 first differences
-        p - t p.  They only subtract; one poly_mul by the binomial
-        coefficients of (1-t)^(r-2) multiplies big integers pairwise and
-        costs about four times as much at many arms."""
-        def compute():
-            p = self.delta(which)
-            for _ in range(self.lats.invariants.r - 2):
-                p = [a - b for a, b in zip(p + [0], [0] + p)]
-            return p
 
-        return self._once(("scaled", which), compute)
+def _differenced(p, times: int, size: int) -> list:
+    """The first size terms of (1-t)^times p, or of p where times <= 0.
+    They are times first differences q - t q of p cut to size terms, each
+    cut back to size, as no term of q past size reaches one below it; so
+    they only subtract, and the zeros that pad to size terms come last."""
+    p = p[:size]
+    for _ in range(times):
+        p = list(map(sub, p + [0], [0] + p))[:size]
+    return p + [0] * (size - len(p))
 
 
-def _series_witness(identity: str, lhs: PowerSeries, rhs: PowerSeries):
-    ok, k = series_equal(lhs, rhs)
-    if ok:
-        return None
-    return {"identity": identity, "index": k, "expected": rhs[k], "got": lhs[k]}
-
-
-def _column_witness(identity: str, j: int, got, expected):
-    """The topmost discrepancy of column j, indexed [row, column]."""
-    if got == expected:
-        return None
-    for i, (x, y) in enumerate(zip(got, expected)):
-        if x != y:
-            return {"identity": identity, "index": [i, j], "expected": y, "got": x}
-    return None
-
-
-def _matrix_witness(identity: str, got, expected):
-    """The first discrepancy of two matrices given as lists of columns: the
-    topmost in the first column that differs."""
-    if got == expected:
-        return None
-    for j, (col_g, col_e) in enumerate(zip(got, expected)):
-        witness = _column_witness(identity, j, col_g, col_e)
-        if witness:
-            return witness
-    return None
-
-
-def _value_witness(identity: str, index, got, expected):
+def _witness(identity: str, index, got, expected):
     if got == expected:
         return None
     return {"identity": identity, "index": index, "expected": expected, "got": got}
 
 
-def _poly_witness(identity: str, got, expected):
+def _first_witness(identity: str, got, expected, column=None):
+    """The first discrepancy of two coefficient lists, zero-padded to equal
+    length; indexed [row, column] where a column is given."""
     if got == expected:
         return None
     for k, (x, y) in enumerate(zip_longest(got, expected, fillvalue=0)):
         if x != y:
-            return {"identity": identity, "index": k, "expected": y, "got": x}
-    return None
+            return _witness(identity, k if column is None else [k, column], x, y)
+
+
+def _series_witness(identity: str, lhs: PowerSeries, rhs: PowerSeries):
+    ok, k = series_equal(lhs, rhs)
+    return None if ok else _witness(identity, k, lhs[k], rhs[k])
+
+
+def _matrix_witness(identity: str, got, expected):
+    """The first discrepancy of two matrices given as lists of columns: the
+    topmost in the first column that differs."""
+    return next(filter(None, map(_first_witness, repeat(identity), got, expected, count())), None)
 
 
 def _window_product(p, a: int) -> list:
@@ -512,7 +490,7 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
         pair = subject.run(lats.center, f + 1)
         for j in _touched(pair, f):
             e_j = [0] * j + [1] + [0] * (f - j - 1)
-            yield _column_witness("s_E s_{E-u} == id", j, project(apply_word(pair, e_j + [0, 0])), e_j)
+            yield _first_witness("s_E s_{E-u} == id", project(apply_word(pair, e_j + [0, 0])), e_j, j)
 
         tau_minus = subject.coxeter("minus")
         yield _matrix_witness("tau_0 == tau_1 ... tau_r",
@@ -524,14 +502,14 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
         for arm_index, ((start, stop), alpha) in enumerate(zip(lats.arms, inv.alphas), start=1):
             period = _arm_period(subject.run(start, stop), start, e, alpha,
                                  lats.plus.nonzero_cols, subject.reach())
-            yield _value_witness(f"arm {arm_index} period on class of E", alpha, period, alpha)
+            yield _witness(f"arm {arm_index} period on class of E", alpha, period, alpha)
 
         walk = subject.walk(k_max)
         for k in range(1, k_max + 1):
-            yield _value_witness("orbit sum == 1 + deg D_Fuchs", k, walk[k],
-                                 1 + divisor_degree(inv, SingularityKind.FUCHSIAN, k))
-            yield _value_witness("orbit sum == 1 + deg D_Klein", k, -walk[k + 1],
-                                 1 + divisor_degree(inv, SingularityKind.KLEINIAN, k))
+            yield _witness("orbit sum == 1 + deg D_Fuchs", k, walk[k],
+                           1 + divisor_degree(inv, SingularityKind.FUCHSIAN, k))
+            yield _witness("orbit sum == 1 + deg D_Klein", k, -walk[k + 1],
+                           1 + divisor_degree(inv, SingularityKind.KLEINIAN, k))
 
     return run_check("orbit-formulas", subject.label, k_max, witnesses())
 
@@ -593,15 +571,15 @@ def check_identities(subject: Subject) -> VerificationReport:
                 yield _matrix_witness(f"coxeter({which}) == -A^-1 A^t", subject.coxeter(which),
                                       coxeter_columns_via_form(asym_form_matrix(lat)))
             delta = subject.delta(which)
-            yield _value_witness(f"char poly of {which} has constant term 1", 0, delta[0], 1)
+            yield _witness(f"char poly of {which} has constant term 1", 0, delta[0], 1)
             # char_poly is monic, so palindromic up to sign means delta[i] == delta[n - i]
-            yield _poly_witness(f"char poly of {which} palindromic up to sign", delta, delta[::-1])
+            yield _first_witness(f"char poly of {which} palindromic up to sign", delta, delta[::-1])
             det = prod(1 + lat.gram[i][i] for i, _ in subject.word(which))
-            yield _value_witness(f"det tau == (-1)^rank on {which}", lat.rank, det, (-1) ** lat.rank)
+            yield _witness(f"det tau == (-1)^rank on {which}", lat.rank, det, (-1) ** lat.rank)
         radical = "radical of V_zero is rank 1 spanned by u"
         u = [(j, x) for j, x in enumerate(lats.u_zero) if x]
-        yield _poly_witness(radical, [sum(row[j] * x for j, x in u) for row in lats.zero.gram],
-                            [0] * lats.zero.rank)
+        yield _first_witness(radical, [sum(row[j] * x for j, x in u) for row in lats.zero.gram],
+                             [0] * lats.zero.rank)
         if not sum(subject.delta("minus")):
             yield {"identity": radical, "index": "Delta_minus(1)", "expected": "nonzero", "got": 0}
 
@@ -613,8 +591,8 @@ def check_identities(subject: Subject) -> VerificationReport:
             star_arms = None
         if star_arms == list(lats.invariants.alphas):
             for which, closed in subject.closed_forms().items():
-                yield _poly_witness(f"char poly of {which} == closed form",
-                                    subject.delta(which), closed)
+                yield _first_witness(f"char poly of {which} == closed form",
+                                     subject.delta(which), closed)
 
     return run_check("identities", subject.label, 0, witnesses())
 

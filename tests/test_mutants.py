@@ -16,7 +16,6 @@ later adds its row here.
 import contextlib
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 
 import pytest
 
@@ -100,17 +99,14 @@ def e_minus_u_row_unchecked(real):
     return mutant
 
 
-def scaled_delta_one_short(real):
-    """(1-t)^(r-3) Delta for (1-t)^(r-2) Delta: the output divided by 1 - t
-    by its prefix sums, exact since (1-t)^(r-2) Delta vanishes at t = 1."""
-    def mutant(subject, which):
-        p = real(subject, which)
-        if subject.lats.invariants.r <= 2:
-            return p
-        *q, rest = accumulate(p)
-        assert rest == 0
-        return q
-    return mutant
+def numerator_one_difference_short(real):
+    """(1-t)^(r-3) Delta for (1-t)^(r-2) Delta in the quotient's numerator."""
+    return lambda p, times, size: real(p, times - 1, size)
+
+
+def numerator_cut_one_term_short(real):
+    """Delta_which cut to order terms for order + 1 before its differences."""
+    return lambda p, times, size: real(p[:size - 1], times, size)
 
 
 def arm_factors_uncompared(real):
@@ -279,8 +275,13 @@ ROSTER = [
         caught_by=("test_off_shape_zero_grams_walk_the_word",)),
     # from three arms the numerator keeps a factor 1 - t too few for the arm
     # factors the quotient divides out
-    Row("_scaled_delta one difference short", Subject, "_scaled_delta", scaled_delta_one_short,
-        {"theorem": 23, "orbit-series": 23}),
+    Row("quotient numerator one difference short", verify, "_differenced",
+        numerator_one_difference_short, {"theorem": 23, "orbit-series": 23}),
+    # every roster Delta has fewer than ORDER terms, so the cut drops none;
+    # the 440-arm star's Delta_plus has 444, and the unit test reads order 100
+    Row("quotient numerator cut one term short", verify, "_differenced",
+        numerator_cut_one_term_short, {},
+        caught_by=("test_quotient_of_440_equal_arms_is_the_direct_series",)),
     # every roster star passes the comparison; an edited Gram does not
     Row("quotient takes the arm factors without comparing Delta_zero", Subject, "_arm_factors",
         arm_factors_uncompared, {},

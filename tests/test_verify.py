@@ -138,8 +138,10 @@ def test_delta_matches_berkowitz_on_flipped_grams(data):
 
 
 def assert_quotients_are_dense_recurrence(lats, order):
-    """Subject.quotient, which expands m Delta_which / m Delta_zero over the
-    nonzero terms, against the dense recurrence on the bare Deltas."""
+    """Subject.quotient, which divides the arm factors out of
+    (1-t)^(r-2) Delta_which on a star and expands the bare Delta_which /
+    Delta_zero over the nonzero terms of Delta_zero otherwise, against the
+    dense recurrence on the bare Deltas."""
     subject = Subject(lats)
     for which in ("minus", "plus"):
         expected, bad = series_by_dense_recurrence(
@@ -152,11 +154,13 @@ def assert_quotients_are_dense_recurrence(lats, order):
 @given(valid_stars(max_zero_rank=30, max_arms=8), st.integers(0, 80))
 def test_quotient_matches_dense_recurrence(inv, order):
     assert_quotients_are_dense_recurrence(build(inv), order)
-    if inv.r >= 2:  # the denominator the expansion runs on is prod (1 - t^a_i)
-        expected = [1]
+    if inv.r >= 2:  # the factors the quotient divides out: (1-t)^(r-2) Delta_zero = prod (1 - t^a_i)
+        scaled, expected = Subject(build(inv)).delta("zero"), [1]
+        for _ in range(inv.r - 2):
+            scaled = conv(scaled, [1, -1])
         for a in inv.alphas:
             expected = conv(expected, [1] + [0] * (a - 1) + [-1])
-        assert Subject(build(inv))._scaled_delta("zero") == expected
+        assert scaled == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,10 +196,13 @@ def test_quotient_matches_dense_recurrence_on_equal_arms(inv):
 
 
 def test_quotient_of_440_equal_arms_is_the_direct_series():
-    """The star of 440 arms with alpha = 2 (rank 443): 440 factors 1 - t^2."""
+    """The star of 440 arms with alpha = 2 (rank 443): 440 factors 1 - t^2.
+    At order 100, below deg Delta_plus = 443, the quotient reads only the
+    first 101 terms of the 438 differences of Delta_plus."""
     inv = fuchsian_invariants([2] * 440)
-    assert (Subject(build(inv)).quotient("plus", 2000)
-            == poincare_direct(inv, SingularityKind.FUCHSIAN, 2000))
+    subject = Subject(build(inv))
+    for order in (2000, 100):
+        assert subject.quotient("plus", order) == poincare_direct(inv, SingularityKind.FUCHSIAN, order)
 
 
 def count_rational_calls(monkeypatch) -> list:
@@ -225,7 +232,7 @@ def test_edited_gram_expands_by_the_recurrence(monkeypatch):
     calls = count_rational_calls(monkeypatch)
     lats = broken_e8_lattices()
     assert not verify_lattices(lats, 60)[0].passed
-    assert calls and all(den == Subject(lats)._scaled_delta("zero") for den in calls)
+    assert calls and all(den == Subject(lats).delta("zero") for den in calls)
 
 
 def test_negative_controls_fail_the_theorem_at_the_dense_quotient():
