@@ -43,33 +43,31 @@ from .exact import series_from_rational  # noqa: F401
 from .series import hilbert_Q  # noqa: F401
 
 # Largest accepted rank of V_plus, series order and count of random inputs.
-# On a shared 2-vCPU Intel Xeon host at rank 900, `verify` at order 200
-# takes 0.34 to 0.5 s on D898, 0.46 to 0.49 s on the Fuchsian star (2, 3, 895)
-# and 0.76 to 0.94 s on the Fuchsian star of 299 arms with alpha = 3 and one
-# with alpha = 300, whose 301 border columns of tau_minus each run the whole
-# word of V_minus.  `poincare` at order 10000
-# takes 0.23 to 0.4 s on that star, about 0.2 s on D898 and 0.21 to 0.39 s
-# on the star of 440 arms with alpha = 2 (rank 443), whose quotient
-# divides out the 440 factors 1 - t^2 in turn; `hilbert` at order 10000
-# takes 0.15 to 0.28 s on D898 and on the 300-arm star, whose walks run each
-# arm as a delay line, and 0.42 to 0.8 s on D297's V_zero given as --gram
-# with --root 297 (E-u), which steps the reflection word of rank 298 with
-# apply_word; with no --root that Gram is rooted at E and takes 0.1 to
-# 0.16 s.  Every step on a star grows at most about as rank^2: the
-# rank + r + 2 columns of the three tau, each a suffix of V_plus's
-# reflection word that stops at its last active step (all of it for the
-# border columns of a many-arm star), their residual A tau + A^t, the
-# chain elimination and the arm periods, O(alpha) word steps per arm;
-# the one orbit walk grows as the
-# order times the number of distinct arm lengths.  A --gram input may be
-# any root lattice; the word of a dense Gram has a term per entry, and
-# `hilbert` at order 5 takes about 0.25 s and 24 MB at rank 298, the largest
-# Gram MAX_GRAM_RANK admits.  `charpoly --gram` eliminates a star Gram in
-# 0.1 to 0.18 s at ranks 296 to 298, but
-# Berkowitz on a tau that fills in takes 2.3 s on a dense +-1 Gram of rank
-# 80, 5.4 s at rank 100 and 24 s at rank 120, hence MAX_BERKOWITZ_RANK for
-# any other Gram.  `verify --all --random 500` at order 200 takes 0.9 to
-# 1.9 s.
+# Wall times of one command on a shared 2-vCPU Intel Xeon host.  At rank
+# 900 and order 200, `verify` takes 0.10 to 0.13 s on D898 and on the
+# Fuchsian star (2, 3, 895), and 0.76 to 0.94 s on the Fuchsian star of 299
+# arms with alpha = 3 and one with alpha = 300.  A star's Gram rows, its
+# tau columns (each a window of a suffix of V_plus's reflection word that
+# stops at its last active step), their residuals, the chain elimination
+# and the arm periods (O(alpha) word steps per arm) grow linearly in the
+# rank, except the r + 2 border columns of a many-arm star, each of which
+# runs the whole word: O(r * rank).  The orbit walk grows as the order
+# times the number of distinct arm lengths.  At order 10000, `poincare`
+# takes 0.08 to 0.09 s on D898, 0.23 to 0.4 s on the 300-arm star and 0.21
+# to 0.39 s on the star of 440 arms with alpha = 2 (rank 443), whose
+# quotient divides out the 440 factors 1 - t^2 in turn; `hilbert` takes
+# 0.08 to 0.16 s on D898 and 0.15 to 0.28 s on the 300-arm star, whose
+# walks run each arm as a delay line, and 0.42 to
+# 0.8 s on D297's V_zero given as --gram with --root 297 (E-u), which steps
+# the reflection word of rank 298; with no --root that Gram is rooted at E
+# and takes 0.1 to 0.16 s.  A --gram input may be any root lattice; the word
+# of a dense Gram has a term per entry, and `hilbert` at order 5 takes about
+# 0.25 s and 24 MB at rank 298, the largest Gram MAX_GRAM_RANK admits.
+# `charpoly --gram` eliminates a star Gram in 0.1 to 0.18 s at ranks 296 to
+# 298, but Berkowitz on a tau that fills in takes 2.3 s on a dense +-1 Gram
+# of rank 80, 5.4 s at rank 100 and 24 s at rank 120, hence
+# MAX_BERKOWITZ_RANK for any other Gram.  `verify --all --random 500` at
+# order 200 takes 0.9 to 1.9 s.
 MAX_RANK = 900
 MAX_GRAM_RANK = 300
 MAX_BERKOWITZ_RANK = 100

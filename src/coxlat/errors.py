@@ -23,6 +23,11 @@ class OrderMismatch(CoxlatError):
     """Two power series of different truncation orders were compared."""
 
 
+class BadGram(CoxlatError, ValueError):
+    """A Gram matrix that is not square, not symmetric or not matched by its
+    labels, or a lattice JSON without a 'gram' field."""
+
+
 class NotARoot(CoxlatError):
     """A basis vector with self-pairing != -2 was used as a reflection root."""
 

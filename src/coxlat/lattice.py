@@ -8,10 +8,11 @@ factor acting first.  All matrices act on column coordinate vectors and
 everything is exact integer arithmetic on plain lists.
 
 The Grams of star lattices have two to four nonzero entries per row, so
-the kernels visit nonzeros only: a Lattice lists each Gram row's nonzero
-columns once, for the reflection word and the star shapes, and
-``nonzeros(m)`` lists each row of a matrix as its (column, entry) pairs
-with entry != 0, for ``rows_vec``, ``mat_mul`` and Berkowitz.
+a Lattice holds its rows, each row's nonzero entries by column, and they
+are the Gram: building, cutting and reading a star costs O(rank).  The
+dense Gram is a view, built on first read, for printing, JSON and
+witnesses.  ``nonzeros(m)`` lists each row of a matrix as its (column,
+entry) pairs with entry != 0, for ``rows_vec``, ``mat_mul`` and Berkowitz.
 
 A Coxeter element acts matrix-free, as its reflection word:
 ``reflection_word`` lists the factors, rightmost first, and each rewrites
@@ -30,14 +31,14 @@ over V_plus gives the Delta of its prefixes V_minus and V_zero too.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import functools
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from operator import sub
 from typing import Sequence
 
-from .errors import CoxlatError, NotARoot, NotUnitriangular
+from .errors import BadGram, CoxlatError, NotARoot, NotUnitriangular
 from .exact import poly_add, poly_mul
 
 Matrix = list  # list[list[int]], rows
@@ -129,51 +130,73 @@ def mat_det(m: Matrix) -> int:
 # lattices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Lattice:
-    """Ordered labelled basis plus symmetric integer Gram matrix."""
+    """Ordered labelled basis plus symmetric integer Gram matrix, held as its
+    rows: row i maps each column j with g_ij != 0 to g_ij, in increasing
+    column order.  Rows are shared between a lattice and its leading blocks:
+    read them, never write.  ``Lattice(labels, gram)`` takes a dense Gram and
+    checks it; ``gram`` is the dense view, built on first read."""
 
     labels: tuple
-    gram: tuple  # tuple of tuples, rows of the pairing matrix
+    rows: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "gram", _frozen_rows(self.gram))
-        gram, n = self.gram, len(self.gram)
-        if len(self.labels) != n:
-            raise ValueError("label count does not match Gram size")
-        cols = tuple([tuple(list(compress(range(n), row))) for row in gram])  # see _frozen_rows
-        object.__setattr__(self, "nonzero_cols", cols)  # the j with gram[i][j] != 0; no field
+    def __init__(self, labels, gram):
+        labels, gram = tuple(labels), _frozen_rows(gram)
+        n = len(gram)
+        if len(labels) != n:
+            raise BadGram("label count does not match Gram size")
+        rows = [dict(compress(enumerate(row), row)) for row in gram]
         if any(len(row) != n for row in gram) or not all(  # each nonzero matched, so each zero
-                gram[j][i] == row[j] for i, row in enumerate(gram) for j in cols[i]):
+                gram[j][i] == x for i, row in enumerate(rows) for j, x in row.items()):
             for i, row in enumerate(gram):  # name the first fault, row by row
                 if len(row) != n:
-                    raise ValueError("Gram matrix is not square")
+                    raise BadGram("Gram matrix is not square")
                 for j in range(i):
                     if row[j] != gram[j][i]:
-                        raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
+                        raise BadGram(f"Gram matrix not symmetric at ({i},{j})")
+        self.__dict__.update(labels=labels, rows=tuple(rows), gram=gram)  # the dense view, given
+
+    @classmethod
+    def _of_rows(cls, labels, rows) -> "Lattice":
+        """The lattice of these labels and symmetric rows, unchecked."""
+        lat = object.__new__(cls)
+        lat.__dict__.update(labels=tuple(labels), rows=tuple(rows))
+        return lat
+
+    @functools.cached_property
+    def gram(self) -> tuple:
+        """The dense Gram, a tuple of row tuples."""
+        n = len(self.rows)
+        return _frozen_rows([list(map(row.get, range(n), repeat(0))) for row in self.rows])
+
+    @functools.cached_property
+    def nonzero_cols(self) -> tuple:
+        """The j with g_ij != 0 of each row i, in increasing order."""
+        return tuple([tuple(row) for row in self.rows])  # see _frozen_rows
+
+    def __hash__(self):
+        return hash((self.labels, self.gram))
+
+    def __repr__(self):
+        return f"Lattice(labels={self.labels!r}, gram={self.gram!r})"
 
     @property
     def rank(self) -> int:
-        return len(self.gram)
+        return len(self.rows)
 
     def _leading(self, rank: int) -> "Lattice":
-        """The leading block of this rank: the first rank labels and the
-        principal block of the Gram.  A principal block of a symmetric Gram
-        is symmetric, so it skips the check of __post_init__."""
-        block = object.__new__(Lattice)
-        object.__setattr__(block, "labels", self.labels[:rank])
-        object.__setattr__(block, "gram", tuple([row[:rank] for row in self.gram[:rank]]))
-        object.__setattr__(block, "nonzero_cols", tuple([
-            cols[:bisect_left(cols, rank)] for cols in self.nonzero_cols[:rank]]))
-        return block
-
-    def is_root(self, i: int) -> bool:
-        return self.gram[i][i] == -2
+        """The leading block of this rank: the first rank labels and rows,
+        each cut before column rank.  A row whose last nonzero lies below
+        rank is shared, not copied, so the cut costs O(nnz).  A principal
+        block of a symmetric Gram is symmetric, so it skips the check."""
+        return Lattice._of_rows(self.labels[:rank], [
+            row if next(reversed(row), -1) < rank else {j: x for j, x in row.items() if j < rank}
+            for row in self.rows[:rank]])
 
     def require_root(self, i: int):
-        if not self.is_root(i):
-            raise NotARoot(f"basis vector {self.labels[i]!r} has self-pairing {self.gram[i][i]}, not -2")
+        if (g := self.rows[i].get(i, 0)) != -2:
+            raise NotARoot(f"basis vector {self.labels[i]!r} has self-pairing {g}, not -2")
 
     def gram_rows(self) -> Matrix:
         return [list(row) for row in self.gram]
@@ -184,7 +207,7 @@ class Lattice:
     @classmethod
     def from_json(cls, obj: dict) -> "Lattice":
         if not isinstance(obj, dict) or "gram" not in obj:
-            raise ValueError("expected an object with a 'gram' field")
+            raise BadGram("expected an object with a 'gram' field")
         if not isinstance(obj["gram"], list) or not obj["gram"]:
             raise CoxlatError("'gram' must be a non-empty list of rows")
         gram = [json_ints(row, "each Gram row") for row in obj["gram"]]
@@ -246,8 +269,7 @@ def reflection_word(lat: Lattice, indices: Sequence[int]) -> tuple:
     steps = []
     for i in reversed(indices):
         lat.require_root(i)
-        row = lat.gram[i]
-        steps.append((i, tuple([(j, row[j]) for j in lat.nonzero_cols[i] if j != i])))
+        steps.append((i, tuple([pair for pair in lat.rows[i].items() if pair[0] != i])))
     return tuple(steps)
 
 
@@ -417,37 +439,36 @@ def star_char_polys(lat: Lattice, center: int):
     g = <k, k-1>.  E-u is a twin of E and u-w a leaf on E-u, so on V_plus one
     pass gives all three Deltas.
 
-    Cost: the shape is read off the rows' nonzero columns, O(nnz).  A chain
+    Cost: the shape is read off the rows, O(nnz).  A chain
     of unit links costs one addition per vertex (_continuant) and joins by
     window sums (_times); chains with equal (f_R, h_R, g_R^2), read off the
     continuants and never off the arm lengths, join once per group
     (_join_chains).  Each vertex from the center on costs O(rank) additions.
     """
-    n = lat.rank
-    gram, cols = lat.gram, lat.nonzero_cols
-    if not 0 <= center < n or any(gram[i][i] != -2 for i in range(n)):
+    n, rows = lat.rank, lat.rows
+    if not 0 <= center < n or any(row.get(i) != -2 for i, row in enumerate(rows)):
         return None  # for a non-root lattice the reflection product says where
     chains, links = Counter(), []  # (f_R, h_R, g_R^2) -> count; the open chain's links
     for i in range(center):
-        row = gram[i]
-        link = row[i + 1] if i + 1 < center else 0
-        if any(i + 1 < j < center for j in cols[i]) or (link and row[center]):
+        row = rows[i]
+        link = row.get(i + 1, 0) if i + 1 < center else 0
+        if any(i + 1 < j < center for j in row) or (link and center in row):
             return None
         if link:
             links.append(link)
         else:  # i ends its chain
             f, h = _continuant(links)
-            chains[tuple(f), tuple(h), row[center] ** 2] += 1
+            chains[tuple(f), tuple(h), row.get(center, 0) ** 2] += 1
             links = []
     prod, acc = _join_chains(chains.items())
     d = [prod, poly_add(poly_mul([1, 1], prod), acc, -1, 1)]
     for k in range(center + 1, n):
-        row, prev = gram[k], gram[k - 1]
-        below = [(j, row[j]) for j in cols[k] if j < k - 1]
-        if row[k - 1] == -2 and below == [(j, prev[j]) for j in cols[k - 1] if j < k - 1]:  # a twin
-            d.append(poly_mul([1, -2, 1], d[-2]))
+        row = rows[k]
+        below = [pair for pair in row.items() if pair[0] < k - 1]
+        if row.get(k - 1) == -2 and below == [p for p in rows[k - 1].items() if p[0] < k - 1]:
+            d.append(poly_mul([1, -2, 1], d[-2]))  # a twin
         elif not below:  # a leaf on k - 1
-            d.append(poly_add(poly_mul([1, 1], d[-1]), d[-2], -row[k - 1] ** 2, 1))
+            d.append(poly_add(poly_mul([1, 1], d[-1]), d[-2], -row.get(k - 1, 0) ** 2, 1))
         else:
             return None
     return d[1:]

@@ -89,13 +89,10 @@ def poincare_direct(inv: OrbitInvariants, kind: SingularityKind, order: int) -> 
 def _star_arms(lat: Lattice, root: int):
     """The arms of lat as (count, length) pairs by length, where lat has the
     shape of V_zero rooted at E; None otherwise.  The shape is read off the
-    Gram's nonzeros alone, in O(nnz): rank root + 2; a leading block of rank
+    Gram's rows alone, in O(nnz): rank root + 2; a leading block of rank
     root + 1 that decode_star reads as a star centered at root; and row
     root + 1, E-u, equal to row root, E, so <E-u, E-u> = <E-u, E> = -2."""
-    if lat.rank != root + 2:
-        return None
-    rows, cols = lat.gram, lat.nonzero_cols
-    if [(j, rows[root][j]) for j in cols[root]] != [(j, rows[root + 1][j]) for j in cols[root + 1]]:
+    if lat.rank != root + 2 or lat.rows[root] != lat.rows[root + 1]:
         return None
     try:
         arms = decode_star(lat._leading(root + 1))[1]
@@ -182,10 +179,10 @@ def hilbert_P(lat: Lattice, root: int | None, order: int) -> PowerSeries:
         raise CoxlatError(f"root index {root} out of range for rank {lat.rank}")
     else:
         arms = _star_arms(lat, root)
-    row = lat.gram[root]
+    row = lat.rows[root]
     if arms is None:
         word = reflection_word(lat, range(lat.rank))
-        pairing = [(j, row[j]) for j in lat.nonzero_cols[root]]
+        pairing = list(row.items())
         form = [(root, 1)] + [(j, -g) for j, g in pairing if j > root]
         e = [0] * lat.rank
         e[root] = 1

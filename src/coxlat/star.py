@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CoxlatError, NeitherKind, NotAStarLattice, UnknownName
+from .errors import BadGram, CoxlatError, NeitherKind, NotAStarLattice, UnknownName
 from .lattice import Lattice, json_ints
 
 
@@ -139,8 +139,9 @@ class StarLattices:
     Only V_plus is held: V_minus and V_zero are its leading blocks of ranks
     center + 1 and center + 2, cut on first use, so they are basis prefixes
     of V_plus on every route.  star_char_polys and the word runs of
-    verify.Subject rely on it.  A cut is not checked again: V_plus's Gram
-    was, and its principal blocks are symmetric too.
+    verify.Subject rely on it.  A cut is not checked again: V_plus's rows
+    are symmetric, built so by extend_star from a checked or built V_minus,
+    and so are those of its principal blocks.
     """
 
     invariants: OrbitInvariants
@@ -172,8 +173,8 @@ class StarLattices:
 
 
 def _star_rows(alphas: Sequence[int]):
-    """Labels and Gram rows of the bare star: chains of length alpha_i - 1,
-    center E last.  Returns (labels, gram, arms, center)."""
+    """Labels and rows of the bare star: chains of length alpha_i - 1,
+    center E last.  Returns (labels, rows, arms, center)."""
     labels = []
     arms = []
     for i, a in enumerate(alphas, start=1):
@@ -182,38 +183,39 @@ def _star_rows(alphas: Sequence[int]):
         arms.append((start, len(labels)))
     center = len(labels)
     labels.append("E")
-    n = len(labels)
-    gram = [[0] * n for _ in range(n)]
-    for i in range(n):
-        gram[i][i] = -2
+    rows = []
     for start, stop in arms:
-        for i in range(start, stop - 1):
-            gram[i][i + 1] = gram[i + 1][i] = 1
-        gram[stop - 1][center] = gram[center][stop - 1] = 1
-    return labels, gram, tuple(arms), center
+        for k in range(start, stop):
+            row = {k - 1: 1} if k > start else {}
+            row[k] = -2
+            row[k + 1 if k + 1 < stop else center] = 1
+            rows.append(row)
+    rows.append({stop - 1: 1 for _, stop in arms} | {center: -2})
+    return labels, rows, tuple(arms), center
 
 
-def extend_star(labels, gram) -> Lattice:
+def extend_star(labels, rows) -> Lattice:
     """V_plus: the lattice of these labels and Gram rows, whose last basis
-    vector is E, with E-u and then u-w adjoined.
+    vector is E, with E-u and then u-w adjoined, in O(rank).
 
     E-u pairs with everything exactly as E does except <E-u, E-u> = -2 and
     <E-u, E> = -2 (u is isotropic and orthogonal to the star); u-w pairs
-    only with E-u, value 1.
+    only with E-u, value 1.  A row that does not pair with E is shared.
     """
-    n = len(gram)
-    e_row = gram[n - 1]
-    f_row = [*e_row, -2, 1]
-    f_row[n - 1] = -2
-    return Lattice((*labels, "E-u", "u-w"),
-                   [[*row, e, 0] for row, e in zip(gram, e_row)] + [f_row, [0] * n + [1, -2]])
+    c = len(rows) - 1
+    f, e_row = c + 1, rows[c]
+    if e_row.get(c) != -2:  # <E, E-u> = <E, E> would not match <E-u, E> = -2
+        raise BadGram(f"Gram matrix not symmetric at ({f},{c})")
+    plus = [{**row, f: row[c]} if c in row else row for row in rows]
+    plus += [{**e_row, f: -2, f + 1: 1}, {f: 1, f + 1: -2}]
+    return Lattice._of_rows((*labels, "E-u", "u-w"), plus)
 
 
 def build(inv: OrbitInvariants) -> StarLattices:
     """Validate the invariants and construct V_plus from the star's rows."""
     kind = validate(inv)
-    labels, gram, arms, center = _star_rows(inv.alphas)
-    return StarLattices(inv, kind, extend_star(labels, gram), center, arms)
+    labels, rows, arms, center = _star_rows(inv.alphas)
+    return StarLattices(inv, kind, extend_star(labels, rows), center, arms)
 
 
 def lattices_from_minus(minus: Lattice, inv: OrbitInvariants, kind: SingularityKind,
@@ -221,7 +223,7 @@ def lattices_from_minus(minus: Lattice, inv: OrbitInvariants, kind: SingularityK
     """Assemble StarLattices around a caller-supplied minus lattice, E last."""
     if center != minus.rank - 1:
         raise ValueError(f"center {center} is not the last index {minus.rank - 1} of V_minus")
-    return StarLattices(inv, kind, extend_star(minus.labels, minus.gram), center, arms)
+    return StarLattices(inv, kind, extend_star(minus.labels, minus.rows), center, arms)
 
 
 def decode_star(lat: Lattice):
@@ -236,25 +238,25 @@ def decode_star(lat: Lattice):
     if n == 0:
         raise NotAStarLattice("empty Gram matrix", index=0)
     center = n - 1
-    gram, cols = lat.gram, lat.nonzero_cols
-    for i, row in enumerate(gram):
-        if row[i] != -2:
-            raise NotAStarLattice(f"vertex {i} has self-pairing {row[i]}", index=i)
-        for j in cols[i]:
-            if j > i and row[j] != 1:
-                raise NotAStarLattice(f"pairing <{i},{j}> = {row[j]} not in {{0,1}}", index=i)
+    rows = lat.rows
+    for i, row in enumerate(rows):
+        if row.get(i, 0) != -2:
+            raise NotAStarLattice(f"vertex {i} has self-pairing {row.get(i, 0)}", index=i)
+        for j, x in row.items():
+            if j > i and x != 1:
+                raise NotAStarLattice(f"pairing <{i},{j}> = {x} not in {{0,1}}", index=i)
     arms = []
     i = 0
     while i < center:
         j = i
-        while j + 1 < center and gram[j][j + 1] == 1:
+        while j + 1 < center and rows[j].get(j + 1) == 1:
             j += 1
-        if gram[j][center] != 1:
+        if rows[j].get(center) != 1:
             raise NotAStarLattice(
                 f"chain ending at vertex {j} is not attached to the center", index=j
             )
         for k in range(i, j):
-            if gram[k][center] != 0:
+            if center in rows[k]:
                 raise NotAStarLattice(
                     f"interior chain vertex {k} touches the center", index=k
                 )
@@ -264,9 +266,9 @@ def decode_star(lat: Lattice):
     # the arms cover 0..center-1, and a pairing of i with i + 1 is a link
     # (a chain stops where there is none), so any other nonzero is wrong
     for i in range(center):
-        j = next((j for j in cols[i] if i + 1 < j < center), None)
+        j = next((j for j in rows[i] if i + 1 < j < center), None)
         if j is not None:
-            raise NotAStarLattice(f"unexpected pairing <{i},{j}> = {gram[i][j]}", index=i)
+            raise NotAStarLattice(f"unexpected pairing <{i},{j}> = {rows[i][j]}", index=i)
     alphas = [stop - start + 1 for start, stop in arms]
     return alphas, tuple(arms)
 

@@ -152,6 +152,14 @@ def _run_to_floor(word, pos: int, reach, v, low: int) -> int:
     return low
 
 
+def _take_window(buffer, low: int, top: int) -> list:
+    """Rows low..top of buffer, the rows a column's run wrote, which are then
+    zeroed again for the next run."""
+    window = buffer[low:top + 1]
+    buffer[low:top + 1] = [0] * len(window)
+    return window
+
+
 def _arm_period(arm, start: int, e, alpha: int, cols, reach):
     """The least k <= alpha with c^k e = e for the arm word c, or None.
 
@@ -237,25 +245,28 @@ class Subject:
         return self._once("reach", lambda: _reach(self.run(0, self.lats.plus.rank)))
 
     def columns(self, which: str) -> list:
-        """(start, low, top, tau e_j) for each e_j of ``which``, by the lemmas
+        """(start, low, top, window) for each e_j of ``which``, by the lemmas
         of coxeter: start is the position in V_plus's word of the first step
         that touches j (the word's end where none does), top the larger of j
         and that step's index, and low the floor where the column's run
-        stopped, so that the column is zero outside rows low..top.  It is
-        padded with zeros to the rank of V_plus.  The columns are shared:
-        read them, never write."""
+        stopped, so that the column is zero outside rows low..top; window
+        holds those rows.  Every run steps one zeroed buffer of V_plus's
+        rank, and _take_window zeroes again the rows it wrote.  The windows
+        are shared: read them, never write."""
         def compute():
             word = self.word(which)
             n, size, memo, reach = self.lats.plus.rank, len(word), self._memo, self.reach()
-            out = []
+            buffer, out = [0] * n, []
             for j, pos in enumerate(_first_steps(word, getattr(self.lats, which).rank)):
                 start = n - size + pos
+                top = max(j, word[pos][0]) if pos < size else j
                 key = ("column", j, start)
                 if key not in memo:
-                    column = [0] * j + [1] + [0] * (n - j - 1)
-                    memo[key] = _run_to_floor(word, pos, reach, column, reach[j]), column
-                low, column = memo[key]
-                out.append((start, low, max(j, word[pos][0]) if pos < size else j, column))
+                    buffer[j] = 1
+                    low = _run_to_floor(word, pos, reach, buffer, reach[j])
+                    memo[key] = low, _take_window(buffer, low, top)
+                low, window = memo[key]
+                out.append((start, low, top, window))
             return out
 
         return self._once(("columns", which), compute)
@@ -277,9 +288,11 @@ class Subject:
         Last-step lemma (_run_to_floor): the suffix writes no coordinate
         below low, the least reach of j and of every coordinate it has made
         nonzero, where reach[k] is the least of k and the indices k pairs
-        with; so a column stops at the first step below low."""
+        with; so a column stops at the first step below low.  Each column is
+        its window padded with zeros to the rank of ``which``."""
         rank = getattr(self.lats, which).rank
-        return [column[:rank] for *_, column in self.columns(which)]
+        return [[0] * low + window + [0] * (rank - 1 - top)
+                for _, low, top, window in self.columns(which)]
 
     def delta(self, which: str):
         deltas = self._once("deltas", lambda: star_char_polys(self.lats.plus, self.lats.center))
@@ -348,6 +361,50 @@ def _differenced(p, times: int, size: int) -> list:
     for _ in range(times):
         p = list(map(sub, p + [0], [0] + p))[:size]
     return p + [0] * (size - len(p))
+
+
+def _residual(j: int, low: int, top: int, window, a_cols, row) -> tuple:
+    """A tau e_j + A^t e_j in rows 0..top, for tau e_j given as its window
+    (rows low..top), A as its columns a_cols and A^t e_j as Gram row j: 1 at
+    j and -g_ji past j.  Rows low..top come as a list, and the rows below
+    low that A's columns reach as a dict, apart."""
+    inside, below = [0] * (top + 1 - low), {}
+    for k, x in compress(enumerate(window, low), window):
+        for i, a in a_cols[k]:
+            if i < low:
+                below[i] = below.get(i, 0) + a * x
+            else:
+                inside[i - low] += a * x
+    inside[j - low] += 1
+    for i, g in row.items():
+        if j < i <= top:
+            inside[i - low] -= g
+    return inside, below
+
+
+def _descent_witness(j: int, zero_col, minus_col, e_col, g: int, center: int):
+    """(b) at column j: pi tau_zero e_j == tau_minus e_j + g tau_minus e_E,
+    for g = <e_j, E>, with the columns as Subject.columns gives them.  Where
+    g = 0 and tau_zero e_j stops below E-u, no step of E-u touches j, so by
+    the prefix lemma both sides are one memo entry and compare as windows.
+    Any other column builds each side over rows lo..f, from the lowest row
+    its windows reach, pi folding row f = E-u into E, and pads them only to
+    name a witness."""
+    f = center + 1
+    if not g and zero_col[2] < f and zero_col[1:] == minus_col[1:]:
+        return None
+    lo = min(zero_col[1], minus_col[1], e_col[1] if g else f)
+    got, expected = [0] * (f + 1 - lo), [0] * (f + 1 - lo)
+    for span, (_, low, _, window), c in ((got, zero_col, 1), (expected, minus_col, 1),
+                                         (expected, e_col, g)):
+        if c:
+            for k, x in compress(enumerate(window, low - lo), window):
+                span[k] += c * x
+    got[center - lo] += got.pop()
+    expected.pop()
+    if got == expected:
+        return None
+    return _first_witness("tau_0 == tau_1 ... tau_r", [0] * lo + got, [0] * lo + expected, j)
 
 
 def _witness(identity: str, index, got, expected):
@@ -466,6 +523,7 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
     (d) the orbit sums reproduce 1 + deg D^(k) for both divisor patterns.
 
     (a) and (b) compare columns, so a witness indexes V_minus coordinates.
+    (b) compares column by column, as windows where it can (_descent_witness).
     (a) compares only the columns of the coordinates that s_E s_{E-u}
     reads or writes, E and the Gram neighbours of E and E-u below E-u: by
     the first-step lemma every other column is e_j, on any Gram, so the
@@ -482,21 +540,17 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
         inv = lats.invariants
         f = lats.f_index
 
-        def project(y):
-            out = y[:f]
-            out[lats.center] += y[f]
-            return out
-
         pair = subject.run(lats.center, f + 1)
         for j in _touched(pair, f):
             e_j = [0] * j + [1] + [0] * (f - j - 1)
-            yield _first_witness("s_E s_{E-u} == id", project(apply_word(pair, e_j + [0, 0])), e_j, j)
+            y = apply_word(pair, e_j + [0, 0])
+            y[lats.center] += y[f]  # pi folds E-u into E
+            yield _first_witness("s_E s_{E-u} == id", y[:f], e_j, j)
 
-        tau_minus = subject.coxeter("minus")
-        yield _matrix_witness("tau_0 == tau_1 ... tau_r",
-                              [project(col) for col in subject.coxeter("zero")[:f]],
-                              [[x + g * y for x, y in zip(col, tau_minus[lats.center])] if g else col
-                               for col, g in zip(tau_minus, lats.minus.gram[lats.center])])
+        tau_minus, e_row = subject.columns("minus"), lats.minus.rows[lats.center]
+        for j, (zero_col, minus_col) in enumerate(zip(subject.columns("zero"), tau_minus)):
+            yield _descent_witness(j, zero_col, minus_col, tau_minus[lats.center],
+                                   e_row.get(j, 0), lats.center)
 
         e = [0] * lats.center + [1] + [0] * (f - lats.center + 1)
         for arm_index, ((start, stop), alpha) in enumerate(zip(lats.arms, inv.alphas), start=1):
@@ -525,13 +579,13 @@ def check_identities(subject: Subject) -> VerificationReport:
     off V_plus's Gram, serves all three.  By the first-step lemma column j is
     zero past top, so its rows of A tau e_j == -A^t e_j past top hold exactly
     when the last nonzero of row j in the lattice's Gram is at most top.  By
-    the last-step lemma it is zero below low too, which the residual checks
-    as it checks zero past top, so it reads the column only in rows
-    low..top.  Rows 0..top of A tau e_j combine the sparse columns of A at
-    those nonzeros.  The rows below low are compared as well: a column of A
-    at a nonzero k reaches the rows below k that k pairs with, and a column
-    run that stopped too early leaves A tau e_j nonzero there.  By the
-    prefix lemma the verdict is fixed by the column's (j, start) and shared.
+    the last-step lemma it is zero below low too, so it is read as its
+    window, rows low..top.  Rows 0..top of A tau e_j combine the sparse
+    columns of A at the window's nonzeros (_residual).  The rows below low
+    are compared as well, kept apart: a column of A at a nonzero k reaches
+    the rows below k that k pairs with, and a column run that stopped too
+    early leaves A tau e_j nonzero there.  By the prefix lemma the verdict
+    is fixed by the column's (j, start) and shared.
     det tau == (-1)^rank multiplies the word's factors, det s_i = 1 +
     <e_i, e_i>, so it checks only that the word has one root reflection per
     basis vector; its value is pinned before it by A tau = -A^t and
@@ -543,43 +597,34 @@ def check_identities(subject: Subject) -> VerificationReport:
     """
     def witnesses():
         lats = subject.lats
-        gram, cols = lats.plus.gram, lats.plus.nonzero_cols
-        a_cols = [[(k, 1)] + [(i, -gram[k][i]) for i in row if i < k] for k, row in enumerate(cols)]
+        rows = lats.plus.rows
+        a_cols = [[(k, 1)] + [(i, -x) for i, x in row.items() if i < k]
+                  for k, row in enumerate(rows)]
         verdicts = {}
 
-        def holds(j, start, low, top, column):
-            """A tau e_j == -A^t e_j in rows 0..top, from the columns of A at
-            the nonzeros of tau e_j in rows low..top, and tau e_j zero
-            outside those rows."""
+        def holds(j, start, low, top, window):
+            """A tau e_j == -A^t e_j in rows 0..top (_residual)."""
             if (j, start) not in verdicts:
-                a_tau = [0] * (top + 1)
-                for k in compress(range(low, top + 1), islice(column, low, top + 1)):
-                    x = column[k]
-                    for i, a in a_cols[k]:
-                        a_tau[i] += a * x
-                a_tau[j] += 1  # plus A^t e_j: 1 at j and -g_ji past j
-                for i in cols[j]:
-                    if j < i <= top:
-                        a_tau[i] -= gram[j][i]
-                verdicts[j, start] = not (any(a_tau) or any(column[:low]) or any(column[top + 1:]))
+                inside, below = _residual(j, low, top, window, a_cols, rows[j])
+                verdicts[j, start] = not (any(inside) or any(below.values()))
             return verdicts[j, start]
 
         for which in ("minus", "zero", "plus"):
             lat = getattr(lats, which)
-            if not all(lat.nonzero_cols[j][-1] <= top and holds(j, start, low, top, column)
-                       for j, (start, low, top, column) in enumerate(subject.columns(which))):
+            if not all(lat.nonzero_cols[j][-1] <= top and holds(j, start, low, top, window)
+                       for j, (start, low, top, window) in enumerate(subject.columns(which))):
                 yield _matrix_witness(f"coxeter({which}) == -A^-1 A^t", subject.coxeter(which),
                                       coxeter_columns_via_form(asym_form_matrix(lat)))
             delta = subject.delta(which)
             yield _witness(f"char poly of {which} has constant term 1", 0, delta[0], 1)
             # char_poly is monic, so palindromic up to sign means delta[i] == delta[n - i]
             yield _first_witness(f"char poly of {which} palindromic up to sign", delta, delta[::-1])
-            det = prod(1 + lat.gram[i][i] for i, _ in subject.word(which))
+            det = prod(1 + lat.rows[i][i] for i, _ in subject.word(which))
             yield _witness(f"det tau == (-1)^rank on {which}", lat.rank, det, (-1) ** lat.rank)
         radical = "radical of V_zero is rank 1 spanned by u"
         u = [(j, x) for j, x in enumerate(lats.u_zero) if x]
-        yield _first_witness(radical, [sum(row[j] * x for j, x in u) for row in lats.zero.gram],
-                             [0] * lats.zero.rank)
+        yield _first_witness(radical, [sum(row.get(j, 0) * x for j, x in u)
+                                       for row in lats.zero.rows], [0] * lats.zero.rank)
         if not sum(subject.delta("minus")):
             yield {"identity": radical, "index": "Delta_minus(1)", "expected": "nonzero", "got": 0}
 

@@ -312,6 +312,51 @@ def decode_star_pairwise(gram):
     return "star", [stop - start + 1 for start, stop in arms], tuple(arms)
 
 
+def star_gram(alphas):
+    """The bare star's dense Gram, entry by entry: chains of alpha_i - 1
+    vertices in turn, each vertex paired with the next and each chain's last
+    with E, the last basis vector."""
+    n = sum(a - 1 for a in alphas) + 1
+    gram = [[-2 * (i == j) for j in range(n)] for i in range(n)]
+    start = 0
+    for a in alphas:
+        stop = start + a - 1
+        for k in range(start, stop):
+            other = k + 1 if k + 1 < stop else n - 1
+            gram[k][other] = gram[other][k] = 1
+        start = stop
+    return gram
+
+
+def extended_gram(gram):
+    """V_plus's dense Gram from V_minus's, E last: E-u pairs with every vertex
+    as E does and with E and itself by -2, and u-w pairs with E-u by 1."""
+    n = len(gram)
+    out = [list(row) + [row[n - 1], 0] for row in gram]
+    out.append(list(gram[n - 1][:n - 1]) + [-2, -2, 1])
+    out.append([0] * n + [1, -2])
+    return out
+
+
+def descent_witness(lats):
+    """The first failure of pi tau_zero iota == tau_minus s_E over the
+    columns of V_minus, named as orbit-formulas names it, or None.  Both
+    sides are multiplied out densely, and pi adds the E-u row to E's."""
+    c, f = lats.center, lats.f_index
+    zero = reflection_product_naive(lats.zero.gram, range(f + 1))
+    got = [row[:f] for row in zero[:f]]
+    got[c] = [x + y for x, y in zip(got[c], zero[f])]
+    minus = lats.minus.gram
+    expected = mat_mul_naive(reflection_product_naive(minus, range(f)),
+                             reflection_product_naive(minus, [c]), f)
+    for j in range(f):
+        for i in range(f):
+            if got[i][j] != expected[i][j]:
+                return {"identity": "tau_0 == tau_1 ... tau_r", "index": [i, j],
+                        "expected": expected[i][j], "got": got[i][j]}
+    return None
+
+
 def pair_run_witness(lats):
     """The first failure of pi s_E s_{E-u} iota == id over every column of
     V_minus, named as orbit-formulas names it, or None.  s_{E-u} and then

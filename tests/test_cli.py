@@ -383,6 +383,18 @@ def test_hilbert_stops_at_a_coefficient_too_long_to_print(capsys, tmp_path):
     assert err.startswith("error: TooLarge: P coefficient ")
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"gram": [[-2, 1], [1]]}, "Gram matrix is not square"),
+    ({"gram": [[-2, 1], [0, -2]]}, "Gram matrix not symmetric at (1,0)"),
+    ({"labels": ["a"], "gram": [[-2, 1], [1, -2]]}, "label count does not match Gram size"),
+    ([[-2]], "expected an object with a 'gram' field"),
+], ids=["not-square", "not-symmetric", "label-count", "no-gram-field"])
+def test_gram_shape_faults_are_bad_gram(capsys, tmp_path, doc, message):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "charpoly", "--gram", str(path)) == (2, "", f"error: BadGram: {message}\n")
+
+
 def test_shorthand_without_alpha_exits_2(capsys, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps({"kind": "fuchsian", "alphas": [2, 3, 7]}))

@@ -32,12 +32,14 @@ from coxlat.star import build, catalog, catalog_names, kleinian_invariants, latt
 from oracles import (
     charpoly_minor_expansion,
     det_minor_expansion,
+    extended_gram,
     gram_by_pairings,
     mat_mul_naive,
     matrix_order,
     pairing,
     prefix_shape,
     reflection_product_naive,
+    star_gram,
 )
 from strategies import chain_grams, root_lattices, valid_stars
 
@@ -452,6 +454,34 @@ def test_nonzero_rows_and_chain_elimination_on_stars_and_edits(inv, data):
                 tuple(j for j, x in enumerate(row) if x) for row in lat.gram)
         assert star_char_polys(route.plus, route.center) == [
             char_poly(coxeter_matrix(lat)) for lat in lattices]
+
+
+@settings(max_examples=80, deadline=None)
+@given(valid_stars(), st.data())
+def test_lattices_of_rows_are_the_dense_input_path(inv, data):
+    """V_plus built from rows, by build and by lattices_from_minus on V_minus
+    with one off-diagonal entry set to a value in -3..2, and its cuts V_minus
+    and V_zero: each equals the Lattice of its labels and a dense Gram
+    built entry by entry, in labels, gram, nonzero_cols and to_json()."""
+    lats = build(inv)
+    minus = star_gram(inv.alphas)
+    n = len(minus)
+    routes = [(lats, minus)]
+    if n > 1:
+        j = data.draw(st.integers(1, n - 1))
+        i = data.draw(st.integers(0, j - 1))
+        edited = [list(row) for row in minus]
+        edited[i][j] = edited[j][i] = data.draw(st.integers(-3, 2))
+        routes.append((lattices_from_minus(Lattice(lats.plus.labels[:n], edited), inv, lats.kind,
+                                           lats.arms, lats.center), edited))
+    for route, gram in routes:
+        plus = extended_gram(gram)
+        for lat in (route.minus, route.zero, route.plus):
+            k = lat.rank
+            dense = Lattice(route.plus.labels[:k], [row[:k] for row in plus[:k]])
+            assert lat == dense
+            assert (lat.labels, lat.gram, lat.nonzero_cols, lat.to_json()) == (
+                dense.labels, dense.gram, dense.nonzero_cols, dense.to_json())
 
 
 def prefix(lat, k):

@@ -23,6 +23,7 @@ import test_lattice
 import test_verify
 from coxlat import lattice, series, verify
 from coxlat.cli import main
+from coxlat.errors import NotARoot
 from coxlat.exact import PowerSeries, poly_add
 from coxlat.lattice import Lattice
 from coxlat.star import SingularityKind, build
@@ -150,21 +151,40 @@ def window_join_one_wider(real):
 
 
 def cut_keeps_every_index(real):
-    """A leading block whose rows keep their nonzero columns at rank and past it."""
-    def mutant(lat, rank):
-        block = real(lat, rank)
-        object.__setattr__(block, "nonzero_cols", lat.nonzero_cols[:rank])
-        return block
-    return mutant
+    """A leading block whose rows keep their nonzeros at column rank and past it."""
+    return lambda lat, rank: Lattice._of_rows(real(lat, rank).labels, lat.rows[:rank])
 
 
 def cut_drops_last_nonzero(real):
-    """A leading block whose rows each lose their last nonzero column."""
+    """A leading block whose rows each lose their last nonzero."""
     def mutant(lat, rank):
         block = real(lat, rank)
-        object.__setattr__(block, "nonzero_cols", tuple([cols[:-1] for cols in block.nonzero_cols]))
-        return block
+        return Lattice._of_rows(block.labels, [dict(list(row.items())[:-1]) for row in block.rows])
     return mutant
+
+
+def window_short_at_top(real):
+    """Each column window cut, and its buffer zeroed again, one row short at
+    its top: rows low..top-1."""
+    return lambda buffer, low, top: real(buffer, low, top - 1)
+
+
+def window_short_at_bottom(real):
+    """Each column window cut, and its buffer zeroed again, one row short at
+    its bottom: rows low+1..top, read as if they began at low."""
+    return lambda buffer, low, top: real(buffer, low + 1, top)
+
+
+def descent_shared_where_g_nonzero(real):
+    """(b) takes the shared-window comparison at every column whose tau_zero
+    column stops below E-u, as if g were 0 there."""
+    return lambda j, zero_col, minus_col, e_col, g, center: real(
+        j, zero_col, minus_col, e_col, 0 if zero_col[2] <= center else g, center)
+
+
+def residual_without_rows_below_floor(real):
+    """The residual of each column without its rows below the floor."""
+    return lambda *args: (real(*args)[0], {})
 
 
 def window_product_one_wider(real):
@@ -308,11 +328,12 @@ ROSTER = [
     # the walk reads a pairing past V_zero's last index, that of E-u with u-w
     Row("leading block keeps its columns past the rank", Lattice, "_leading",
         cut_keeps_every_index, {}, raises=IndexError,
-        caught_by=("test_nonzero_rows_and_chain_elimination_on_stars_and_edits",)),
-    # A1's V_minus is E alone, whose row is left with no nonzero
+        caught_by=("test_lattices_of_rows_are_the_dense_input_path",)),
+    # each cut row loses the entry itself: A1's V_zero keeps E-u's row
+    # without its -2, and the walk's word refuses E-u as a root
     Row("leading block drops each row's last nonzero", Lattice, "_leading",
-        cut_drops_last_nonzero, {}, raises=IndexError,
-        caught_by=("test_nonzero_rows_and_chain_elimination_on_stars_and_edits",)),
+        cut_drops_last_nonzero, {}, raises=NotARoot,
+        caught_by=("test_lattices_of_rows_are_the_dense_input_path",)),
     # the guard of the quotient rejects the wrong closed Delta_zero and falls
     # back to the recurrence, so only the closed-form comparison fails
     Row("window product one coefficient wider", verify, "_window_product",
@@ -330,6 +351,22 @@ ROSTER = [
         {"orbit-formulas": 28, "identities": 29}),
     Row("reach ignores lower neighbours", verify, "_reach", reach_ignores_lower_neighbours,
         {"orbit-formulas": 28, "identities": 29}),
+    # a row left in the buffer spoils the next columns, and (b) compares them
+    Row("column window one row short at its top", verify, "_take_window", window_short_at_top,
+        {"orbit-formulas": 29, "identities": 29}),
+    Row("column window one row short at its bottom", verify, "_take_window",
+        window_short_at_bottom, {"orbit-formulas": 29, "identities": 29}),
+    # where g != 0 and tau_zero e_j stops below E-u, E-u does not pair with j
+    # while E does, so (a) fails at that column first; with (a) skipped, (b)
+    # alone must name it
+    Row("(b) shares the column where g != 0", verify, "_descent_witness",
+        descent_shared_where_g_nonzero, {},
+        caught_by=("test_descent_names_the_first_discrepancy_over_every_column",)),
+    # a right column has no rows below its floor to sum; a column stopped
+    # above its floor is right in its window, and only those rows see it
+    Row("residual drops the rows below the floor", verify, "_residual",
+        residual_without_rows_below_floor, {},
+        caught_by=("test_columns_stopped_above_their_floor_fail_identities",)),
     # A1 has no arms, and every arm of A3 and D4 has alpha = 2, whose period
     # takes d_1 and d_2 only
     Row("arm difference run one step late", verify, "_arm_period", difference_run_one_step_late,

@@ -347,4 +347,4 @@ class TestDecode:
 
     def test_extend_star_matches_build(self):
         lats = build(kleinian_invariants((2, 2, 2)))
-        assert extend_star(lats.minus.labels, lats.minus.gram) == lats.plus
+        assert extend_star(lats.minus.labels, lats.minus.rows) == lats.plus

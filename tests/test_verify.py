@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import random
 import tempfile
@@ -53,9 +54,9 @@ from coxlat.verify import (
     verify_lattices,
 )
 
-from oracles import (arm_period_by_applications, conv, dense_coxeter_witness, mat_mul_naive,
-                     matrix_order, pair_run_witness, pairing, reflection_product_naive,
-                     series_by_dense_recurrence, star_deltas)
+from oracles import (arm_period_by_applications, conv, dense_coxeter_witness, descent_witness,
+                     mat_mul_naive, matrix_order, pair_run_witness, pairing,
+                     reflection_product_naive, series_by_dense_recurrence, star_deltas)
 from strategies import root_lattices, valid_stars
 
 E8 = kleinian_invariants((2, 3, 5))
@@ -614,6 +615,24 @@ def test_pair_run_names_the_first_discrepancy_over_every_column(data):
         assert w == expected
 
 
+def test_descent_names_the_first_discrepancy_over_every_column():
+    """E-u's pairing with each V_minus vertex in turn set to -1, 0 or 1, on
+    E8, E12 and D6, with (a) skipped: (b) compares column by column, as one
+    shared window where g = 0 and tau_zero e_j stops below E-u, and its
+    witness is the first of the dense products over every column."""
+    for lats in map(build, (E8, E12, catalog("D6"))):
+        for j, x in itertools.product(range(lats.f_index), (-1, 0, 1)):
+            edited = with_e_minus_u_entry(lats, j, x)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(verify, "_touched", lambda word, rank: [])
+                w = check_orbit_formulas(Subject(edited), 10).witness
+            expected = descent_witness(edited)
+            if expected is None:
+                assert w is None or w["identity"] != "tau_0 == tau_1 ... tau_r"
+            else:
+                assert w == expected
+
+
 TAU_IDENTITIES = ("coxeter(",)
 
 
@@ -678,7 +697,7 @@ def test_stopped_columns_are_the_whole_run(data):
     """Last-step lemma: on valid stars and on flipped Grams, each column of
     the three tau, stopped at its floor low, is the lattice's whole word
     applied to e_j, and it is zero outside rows low..top, with low <= j <=
-    top."""
+    top: its window, rows low..top, padded with zeros is the whole column."""
     if data.draw(st.booleans()):
         lats = build(data.draw(valid_stars()))
     else:
@@ -689,10 +708,42 @@ def test_stopped_columns_are_the_whole_run(data):
     for which in ("minus", "zero", "plus"):
         rank = getattr(lats, which).rank
         whole = padded_columns(subject.word(which), rank, n)
-        for j, (start, low, top, column) in enumerate(subject.columns(which)):
-            assert column[:rank] == whole[j]
-            assert low <= j <= top
-            assert not any(column[:low]) and not any(column[top + 1:])
+        for j, (start, low, top, window) in enumerate(subject.columns(which)):
+            assert low <= j <= top and len(window) == top + 1 - low
+            assert [0] * low + window + [0] * (rank - 1 - top) == whole[j]
+
+
+def test_columns_stopped_above_their_floor_fail_identities():
+    """A column run stopped at the reach of its own coordinate, with no
+    nonzero lowering its floor, is right in its window and zero below it,
+    where tau e_j is not: only the rows of A tau e_j below low, which the
+    residual sums apart from the window, see it.  Identities names the first
+    wrong entry of tau_minus."""
+    real = verify._run_to_floor
+    for name in ("E8", "D10", "E12"):
+        subject = Subject(build(catalog(name)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_run_to_floor", lambda word, pos, reach, v, low: real(
+                word, pos, [len(reach)] * len(reach), v, low))
+            w = check_identities(subject).witness
+        assert w is not None and w["identity"] == "coxeter(minus) == -A^-1 A^t"
+        i, j = w["index"]
+        minus = subject.lats.minus
+        honest = mat_transpose(reflection_product_naive(minus.gram, range(minus.rank)))
+        assert (w["got"], w["expected"]) == (subject.coxeter("minus")[j][i], honest[j][i])
+
+
+def test_star_paths_build_no_dense_gram(monkeypatch, capsys):
+    """verify_lattices on D898 (rank 900), and charpoly, poincare and hilbert
+    on a Fuchsian triple, read the Gram's rows only: none builds the dense
+    view."""
+    built = []
+    real = Lattice.__dict__["gram"].func
+    monkeypatch.setattr(Lattice, "gram", property(lambda lat: built.append(lat.rank) or real(lat)))
+    assert all(report.passed for report in verify_lattices(build(catalog("D898")), 200))
+    for command in ("charpoly", "poincare", "hilbert"):
+        assert main([command, "--fuchsian", "2,3,7"]) == 0
+    assert built == []
 
 
 @pytest.mark.parametrize("name, applied, whole", [("D80", 1116, 4043), ("D898", 12568, 412634)])
