@@ -268,8 +268,12 @@ def reflection_word(lat: Lattice, indices: Sequence[int]) -> tuple:
     """
     steps = []
     for i in reversed(indices):
-        lat.require_root(i)
-        steps.append((i, tuple([pair for pair in lat.rows[i].items() if pair[0] != i])))
+        pairs = lat.rows[i]
+        if pairs.get(i) != -2:
+            lat.require_root(i)
+        pairs = pairs.copy()
+        del pairs[i]
+        steps.append((i, tuple(pairs.items())))
     return tuple(steps)
 
 

@@ -86,18 +86,21 @@ def poincare_direct(inv: OrbitInvariants, kind: SingularityKind, order: int) -> 
     return PowerSeries(tuple(coeffs))
 
 
-def _star_arms(lat: Lattice, root: int):
+def _star_arms(lat: Lattice, root: int, arms=None):
     """The arms of lat as (count, length) pairs by length, where lat has the
     shape of V_zero rooted at E; None otherwise.  The shape is read off the
     Gram's rows alone, in O(nnz): rank root + 2; a leading block of rank
     root + 1 that decode_star reads as a star centered at root; and row
-    root + 1, E-u, equal to row root, E, so <E-u, E-u> = <E-u, E> = -2."""
+    root + 1, E-u, equal to row root, E, so <E-u, E-u> = <E-u, E> = -2.
+    Given arms, the spans that decode_star read off that block, the block is
+    not decoded again."""
     if lat.rank != root + 2 or lat.rows[root] != lat.rows[root + 1]:
         return None
-    try:
-        arms = decode_star(lat._leading(root + 1))[1]
-    except NotAStarLattice:
-        return None
+    if arms is None:
+        try:
+            arms = decode_star(lat._leading(root + 1))[1]
+        except NotAStarLattice:
+            return None
     lengths = Counter(stop - start for start, stop in arms)
     return [(count, m) for m, count in sorted(lengths.items())]
 
@@ -145,9 +148,11 @@ def _delay_lines(groups: int):
     return namespace.pop("orbit")
 
 
-def hilbert_P(lat: Lattice, root: int | None, order: int) -> PowerSeries:
+def hilbert_P(lat: Lattice, root: int | None, order: int, arms=None) -> PowerSeries:
     """P series of (V, e) for e the basis vector at index root: coefficient k
-    is 1 + sum_{l<k} <e, tau^l e>.
+    is 1 + sum_{l<k} <e, tau^l e>.  A caller that has decoded the leading
+    block of rank root + 1 as a star passes its arm spans as arms, and the
+    shape read takes them for its decode (_star_arms).
 
     A root of None is E where the Gram has the shape of V_zero rooted at E
     (_star_arms), and the last vertex otherwise.  On V_zero's shape the last
@@ -178,7 +183,7 @@ def hilbert_P(lat: Lattice, root: int | None, order: int) -> PowerSeries:
     elif not 0 <= root < lat.rank:
         raise CoxlatError(f"root index {root} out of range for rank {lat.rank}")
     else:
-        arms = _star_arms(lat, root)
+        arms = _star_arms(lat, root, arms)
     row = lat.rows[root]
     if arms is None:
         word = reflection_word(lat, range(lat.rank))

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import random
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, count, islice, repeat, zip_longest
+from itertools import accumulate, compress, count, repeat, zip_longest
 from math import prod
-from operator import sub
+from operator import add, mul, ne, sub
 
 from .errors import NotAStarLattice
 from .exact import PowerSeries, poly_add, poly_mul, series_equal, series_from_rational
@@ -62,8 +62,10 @@ class VerificationReport:
 
     elapsed is the wall time of the check.  It includes the shared work the
     check is the first to ask its Subject for, which later checks read from
-    the memo: in the order of verify_lattices, orbit-formulas computes the
-    columns of tau (all but two of V_plus's), and identities reads them."""
+    the memo: in the order of verify_lattices, orbit-series pays for the
+    star decode of V_minus and the walk, and orbit-formulas for the one
+    table of tau columns of all three lattices (rank(V_plus) + r + 2 column
+    runs), which identities reads."""
 
     check: str
     subject: str
@@ -102,16 +104,24 @@ def _first_steps(word, rank: int) -> list:
     first = [len(word)] * rank
     for pos in range(len(word) - 1, -1, -1):
         i, pairs = word[pos]
-        for k in [i] + [j for j, _ in pairs]:
+        if i < rank:
+            first[i] = pos
+        for k, _ in pairs:
             if k < rank:
                 first[k] = pos
     return first
 
 
+def _touches(step, rank: int) -> list:
+    """The coordinates j < rank that the step reads or writes, in order."""
+    i, pairs = step
+    return sorted(k for k in {i, *[j for j, _ in pairs]} if k < rank)
+
+
 def _touched(word, rank: int) -> list:
     """The coordinates j < rank that some step of word reads or writes, in
     order.  By the first-step lemma the word fixes e_j for every other j."""
-    return [j for j, pos in enumerate(_first_steps(word, rank)) if pos < len(word)]
+    return sorted(set().union(*[_touches(step, rank) for step in word]))
 
 
 def _reach(word) -> list:
@@ -120,7 +130,7 @@ def _reach(word) -> list:
     Pairing is symmetric, so no step below reach[k] reads k."""
     reach = [0] * len(word)
     for i, pairs in word:
-        reach[i] = min([i] + [j for j, _ in pairs])
+        reach[i] = min(i, min(pairs)[0]) if pairs else i
     return reach
 
 
@@ -135,9 +145,11 @@ def _run_to_floor(word, pos: int, reach, v, low: int) -> int:
     decreasing index order.  A step of index i below low finds v[i] = 0,
     since reach[i] <= i, and reads only zeros, so it writes 0 again: no step
     below low changes v, and the result is the whole run's.  Once low is 0
-    no step lies below it, and the rest of the run goes to apply_word."""
-    steps = islice(word, pos, None)
-    for i, pairs in steps:
+    no step lies below it, and the rest of the run goes to apply_word.  The
+    steps are read by index, as skipping to pos in an iterator would cost
+    pos steps of its own."""
+    for pos in range(pos, len(word)):
+        i, pairs = word[pos]
         if i < low:
             return low
         total = -v[i]
@@ -147,8 +159,8 @@ def _run_to_floor(word, pos: int, reach, v, low: int) -> int:
         if total and reach[i] < low:
             low = reach[i]
             if not low:
+                apply_word(word[pos + 1:], v)
                 break
-    apply_word(steps, v)
     return low
 
 
@@ -158,6 +170,16 @@ def _take_window(buffer, low: int, top: int) -> list:
     window = buffer[low:top + 1]
     buffer[low:top + 1] = [0] * len(window)
     return window
+
+
+def _column(word, j: int, pos: int, reach, buffer) -> tuple:
+    """(start, low, top, window) of tau e_j for the word, a suffix of V_plus's,
+    from its step at pos, the first that touches j (Subject.coxeter): start
+    is pos in V_plus's word, whose rank the zeroed buffer has."""
+    top = max(j, word[pos][0]) if pos < len(word) else j
+    buffer[j] = 1
+    low = _run_to_floor(word, pos, reach, buffer, reach[j])
+    return len(buffer) - len(word) + pos, low, top, _take_window(buffer, low, top)
 
 
 def _arm_period(arm, start: int, e, alpha: int, cols, reach):
@@ -175,10 +197,14 @@ def _arm_period(arm, start: int, e, alpha: int, cols, reach):
     are d_k's: each is added into c^k e and sets the next top and floor.  On
     the chain of A_(alpha-1) d_k = -e_(start+k-2) from k = 2 on, so the runs
     of d_3 on take at most three steps each: O(alpha) steps for the arm,
-    where alpha applications take alpha (alpha - 1)."""
+    where alpha applications take alpha (alpha - 1).  The arm writes only
+    its own coordinates, so off, the count of those where c^k e differs from
+    e, kept as each is written, reads c^k e = e at once, where comparing the
+    lists would cost k places on a chain, alpha^2 / 2 in all."""
     stop = start + len(arm)
     v = apply_word(arm, list(e))
-    if v == e:
+    off = sum(map(ne, v[start:stop], e[start:stop]))
+    if not off:
         return 1
     d = [0] * len(e)
     d[start:stop] = map(sub, v[start:stop], e[start:stop])
@@ -186,8 +212,9 @@ def _arm_period(arm, start: int, e, alpha: int, cols, reach):
     for k in range(2, alpha + 1):
         if top < 0:
             return None  # d_(k-1) = 0, so every later c^k e is c^(k-2) e, not e
-        steps, floor, top, low = islice(arm, stop - 1 - top, None), low, -1, len(reach)
-        for i, pairs in steps:
+        first, floor, top, low = stop - 1 - top, low, -1, len(reach)
+        for pos in range(first, len(arm)):
+            i, pairs = arm[pos]
             if i < floor:
                 break
             total = -d[i]
@@ -195,22 +222,24 @@ def _arm_period(arm, start: int, e, alpha: int, cols, reach):
                 total += g * d[j]
             d[i] = total
             if total:
+                off -= v[i] != e[i]
                 v[i] += total
+                off += v[i] != e[i]
                 row = cols[i]
                 top = max(top, row[bisect_left(row, stop) - 1])
                 if reach[i] < low:
                     low = reach[i]
                     floor = min(floor, low)
-        if v == e:
+        if not off:
             return k
     return None
 
 
 class Subject:
     """One input's star lattices and label, and what the checks and commands
-    share, each computed at most once: V_plus's reflection word, the columns
-    of the three tau, each Delta, the closed forms of the Deltas, the orbit
-    walk of (V_zero, E) and each Delta quotient.
+    share, each computed at most once: V_plus's reflection word, V_minus's
+    star decode, the columns of the three tau, each Delta, the closed forms
+    of the Deltas, the orbit walk of (V_zero, E) and each Delta quotient.
 
     V_minus and V_zero are basis prefixes of V_plus, which StarLattices cuts
     them from.  So one star_char_polys call on V_plus gives all three Deltas,
@@ -219,7 +248,13 @@ class Subject:
     characteristic polynomial.  And every other word is a run of V_plus's
     word: on a vector that is zero from index stop on, the steps for
     start..stop-1 read those coordinates as 0 and never write them, so they
-    act as the word of the prefix of rank stop."""
+    act as the word of the prefix of rank stop.
+
+    The first check to ask for a shared value pays for it in its report's
+    elapsed time.  In the order of verify_lattices, theorem pays for the
+    Deltas and their closed forms, orbit-series for the decode and the walk,
+    and orbit-formulas for the one table of tau columns (all rank(V_plus) +
+    r + 2 column runs); identities reads all three."""
 
     def __init__(self, lats: StarLattices, label: str | None = None):
         self.lats = lats
@@ -244,32 +279,55 @@ class Subject:
         """_reach of V_plus's word."""
         return self._once("reach", lambda: _reach(self.run(0, self.lats.plus.rank)))
 
+    def star(self):
+        """decode_star of V_minus, (alphas, arms), or None where V_minus is
+        not a star.  A guard, not a route: the walk reads the arms only where
+        V_zero's E-u row is E's (series._star_arms), and the identities
+        compare the closed forms only where the alphas are the invariants'."""
+        def compute():
+            try:
+                return decode_star(self.lats.minus)
+            except NotAStarLattice:
+                return None
+
+        return self._once("star", compute)
+
     def columns(self, which: str) -> list:
         """(start, low, top, window) for each e_j of ``which``, by the lemmas
         of coxeter: start is the position in V_plus's word of the first step
         that touches j (the word's end where none does), top the larger of j
         and that step's index, and low the floor where the column's run
         stopped, so that the column is zero outside rows low..top; window
-        holds those rows.  Every run steps one zeroed buffer of V_plus's
-        rank, and _take_window zeroes again the rows it wrote.  The windows
-        are shared: read them, never write."""
-        def compute():
-            word = self.word(which)
-            n, size, memo, reach = self.lats.plus.rank, len(word), self._memo, self.reach()
-            buffer, out = [0] * n, []
-            for j, pos in enumerate(_first_steps(word, getattr(self.lats, which).rank)):
-                start = n - size + pos
-                top = max(j, word[pos][0]) if pos < size else j
-                key = ("column", j, start)
-                if key not in memo:
-                    buffer[j] = 1
-                    low = _run_to_floor(word, pos, reach, buffer, reach[j])
-                    memo[key] = low, _take_window(buffer, low, top)
-                low, window = memo[key]
-                out.append((start, low, top, window))
-            return out
+        holds those rows.  The windows are shared: read them, never write."""
+        return self._once("columns", self._table)[which][0]
 
-        return self._once(("columns", which), compute)
+    def own(self, which: str) -> list:
+        """The coordinates whose column of ``which`` is its own, not the
+        entry of the lattice before it: every coordinate of V_minus, then the
+        border of V_zero and of V_plus (_table)."""
+        return self._once("columns", self._table)[which][1]
+
+    def _table(self) -> dict:
+        """The columns of the three tau as one table, by the lemmas of
+        coxeter.  V_zero's word is V_minus's with the step of E-u in front,
+        and V_plus's is V_zero's with that of u-w, so V_minus runs each of
+        its columns, and each longer word re-runs from its front step only
+        its border, the coordinates that step touches (_touches).  Every run
+        steps one zeroed buffer of V_plus's rank, which _take_window zeroes
+        again."""
+        reach, buffer = self.reach(), [0] * self.lats.plus.rank
+        word = self.word("minus")
+        cols = [_column(word, j, pos, reach, buffer)
+                for j, pos in enumerate(_first_steps(word, self.lats.minus.rank))]
+        table = {"minus": (cols, range(len(cols)))}
+        for which in ("zero", "plus"):
+            word = self.word(which)
+            cols = cols + [None]
+            border = _touches(word[0], len(cols))
+            for j in border:
+                cols[j] = _column(word, j, 0, reach, buffer)
+            table[which] = cols, border
+        return table
 
     def coxeter(self, which: str) -> list:
         """The columns tau e_j of ``which``.
@@ -281,10 +339,10 @@ class Subject:
         larger of j and its first step's index.
         Prefix lemma: every word is a suffix of V_plus's, so a column is
         fixed by j and the position of that first step in V_plus's word, and
-        each is computed once for all three lattices.  On the star they
-        differ only in r + 2 border columns: E and the arm ends of V_minus,
-        which pair with E-u in V_zero, and E-u of V_zero, which pairs with
-        u-w in V_plus; rank(V_plus) + r + 2 columns in all.
+        each is computed once for all three lattices (_table).  On the star
+        they differ only in r + 2 border columns: E and the arm ends of
+        V_minus, which pair with E-u in V_zero, and E-u of V_zero, which
+        pairs with u-w in V_plus; rank(V_plus) + r + 2 column runs in all.
         Last-step lemma (_run_to_floor): the suffix writes no coordinate
         below low, the least reach of j and of every coordinate it has made
         nonzero, where reach[k] is the least of k and the indices k pairs
@@ -301,9 +359,12 @@ class Subject:
         return deltas[("minus", "zero", "plus").index(which)]
 
     def walk(self, order: int) -> PowerSeries:
-        """P of (V_zero, E) to order + 1, which holds P and Q to order."""
+        """P of (V_zero, E) to order + 1, which holds P and Q to order.  The
+        walk takes the arms of the subject's decode; where V_minus is not a
+        star, hilbert_P reads V_zero's shape itself, and walks the word."""
+        star = self.star()
         return self._once(("walk", order), lambda: hilbert_P(
-            self.lats.zero, self.lats.center, order + 1))
+            self.lats.zero, self.lats.center, order + 1, None if star is None else star[1]))
 
     def quotient(self, which: str, order: int) -> PowerSeries:
         """Delta_which / Delta_zero expanded to order.
@@ -314,25 +375,23 @@ class Subject:
             m Delta_zero = prod (1 - t^a_i) (1-t)^max(2-r, 0),
 
         one factor per arm and, below two arms, 1 - t = 1 - t^1 for each
-        missing one.  The quotient is then m Delta_which over those factors.
-        Dividing by 1 - t^a is c[k] += c[k-a], a prefix sum over each residue
-        class mod a, so the series costs additions only and is integral by
-        construction.  Only the first order + 1 terms of m Delta_which are
-        read, and _differenced computes just those.  The factors are read off
-        the invariants, so they are taken only where the Gram's own
-        Delta_zero equals the closed form (1-t)^2 prod [a_i] of those
-        invariants (_arm_factors): the route still reads only the Gram.
-        Where they differ (an edited Gram) the series is the recurrence of
-        series_from_rational over the nonzero terms of the bare Delta_zero,
-        whose constant term det(-tau) is 1."""
+        missing one.  The quotient is then m Delta_which over those factors,
+        each divided out by additions only (_divide_out), so the series is
+        integral by construction.  Only the first order + 1 terms of
+        m Delta_which are read, and _differenced computes just those.  The
+        factors are read off the invariants, so they are taken only where
+        the Gram's own Delta_zero equals the closed form (1-t)^2 prod [a_i]
+        of those invariants (_arm_factors): the route still reads only the
+        Gram.  Where they differ (an edited Gram) the series is the
+        recurrence of series_from_rational over the nonzero terms of the
+        bare Delta_zero, whose constant term det(-tau) is 1."""
         def compute():
             factors = self._once("factors", self._arm_factors)
             if factors is None:
                 return series_from_rational(self.delta(which), self.delta("zero"), order)
             c = _differenced(self.delta(which), self.lats.invariants.r - 2, order + 1)
             for a in factors:
-                for s in range(min(a, order + 1)):
-                    c[s::a] = accumulate(c[s::a])
+                _divide_out(c, a)
             return PowerSeries(tuple(c))
 
         return self._once(("quotient", which, order), compute)
@@ -352,6 +411,21 @@ class Subject:
         return self._once("closed", lambda: _closed_form_deltas(self.lats.invariants.alphas))
 
 
+def _divide_out(c: list, a: int) -> list:
+    """c over 1 - t^a, cut to len(c), in place; returns c.  That is c[k] +=
+    c[k-a] for k >= a in increasing k: a prefix sum over each residue class
+    mod a, or c[s:s+a] += c[s-a:s] for s = a, 2a, ..., the last block cut
+    short.  Each is one slice pass in C, so it takes whichever are fewer:
+    alpha = 78 at order 200 adds 2 blocks in, not 78 class sums."""
+    if len(c) <= a * (a - 1):  # ceil(len(c) / a) < a
+        for s in range(a, len(c), a):
+            c[s:s + a] = map(add, c[s:s + a], c[s - a:s])
+    else:
+        for s in range(min(a, len(c))):
+            c[s::a] = accumulate(c[s::a])
+    return c
+
+
 def _differenced(p, times: int, size: int) -> list:
     """The first size terms of (1-t)^times p, or of p where times <= 0.
     They are times first differences q - t q of p cut to size terms, each
@@ -365,10 +439,12 @@ def _differenced(p, times: int, size: int) -> list:
 
 def _residual(j: int, low: int, top: int, window, a_cols, row) -> tuple:
     """A tau e_j + A^t e_j in rows 0..top, for tau e_j given as its window
-    (rows low..top), A as its columns a_cols and A^t e_j as Gram row j: 1 at
-    j and -g_ji past j.  Rows low..top come as a list, and the rows below
+    (rows low..top), A as its unit diagonal and its columns above it, a_cols,
+    and A^t e_j as Gram row j: 1 at j and -g_ji past j.  Rows low..top come
+    as a list, the diagonal's part a copy of the window, and the rows below
     low that A's columns reach as a dict, apart."""
     inside, below = [0] * (top + 1 - low), {}
+    inside[:len(window)] = window
     for k, x in compress(enumerate(window, low), window):
         for i, a in a_cols[k]:
             if i < low:
@@ -386,10 +462,10 @@ def _descent_witness(j: int, zero_col, minus_col, e_col, g: int, center: int):
     """(b) at column j: pi tau_zero e_j == tau_minus e_j + g tau_minus e_E,
     for g = <e_j, E>, with the columns as Subject.columns gives them.  Where
     g = 0 and tau_zero e_j stops below E-u, no step of E-u touches j, so by
-    the prefix lemma both sides are one memo entry and compare as windows.
+    the prefix lemma both sides are one table entry and compare as windows.
     Any other column builds each side over rows lo..f, from the lowest row
-    its windows reach, pi folding row f = E-u into E, and pads them only to
-    name a witness."""
+    its windows reach, adding each window in as one slice, pi folding row
+    f = E-u into E, and pads them only to name a witness."""
     f = center + 1
     if not g and zero_col[2] < f and zero_col[1:] == minus_col[1:]:
         return None
@@ -398,8 +474,8 @@ def _descent_witness(j: int, zero_col, minus_col, e_col, g: int, center: int):
     for span, (_, low, _, window), c in ((got, zero_col, 1), (expected, minus_col, 1),
                                          (expected, e_col, g)):
         if c:
-            for k, x in compress(enumerate(window, low - lo), window):
-                span[k] += c * x
+            k = low - lo
+            span[k:k + len(window)] = map(add, span[k:k + len(window)], map(mul, window, repeat(c)))
     got[center - lo] += got.pop()
     expected.pop()
     if got == expected:
@@ -523,7 +599,11 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
     (d) the orbit sums reproduce 1 + deg D^(k) for both divisor patterns.
 
     (a) and (b) compare columns, so a witness indexes V_minus coordinates.
-    (b) compares column by column, as windows where it can (_descent_witness).
+    (b) compares column by column, as windows where it can (_descent_witness),
+    and only the columns j whose two sides are not one table entry, V_zero's
+    border (Subject._table), or whose g_j = <e_j, E> is not 0: every other
+    column is vacuous by the prefix lemma, so the first discrepancy is still
+    the first in column order.  On the star these are E and the arm ends.
     (a) compares only the columns of the coordinates that s_E s_{E-u}
     reads or writes, E and the Gram neighbours of E and E-u below E-u: by
     the first-step lemma every other column is e_j, on any Gram, so the
@@ -547,9 +627,10 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
             y[lats.center] += y[f]  # pi folds E-u into E
             yield _first_witness("s_E s_{E-u} == id", y[:f], e_j, j)
 
-        tau_minus, e_row = subject.columns("minus"), lats.minus.rows[lats.center]
-        for j, (zero_col, minus_col) in enumerate(zip(subject.columns("zero"), tau_minus)):
-            yield _descent_witness(j, zero_col, minus_col, tau_minus[lats.center],
+        tau_zero, tau_minus = subject.columns("zero"), subject.columns("minus")
+        e_row = lats.minus.rows[lats.center]
+        for j in sorted(e_row.keys() | {j for j in subject.own("zero") if j < f}):
+            yield _descent_witness(j, tau_zero[j], tau_minus[j], tau_minus[lats.center],
                                    e_row.get(j, 0), lats.center)
 
         e = [0] * lats.center + [1] + [0] * (f - lats.center + 1)
@@ -584,57 +665,69 @@ def check_identities(subject: Subject) -> VerificationReport:
     columns of A at the window's nonzeros (_residual).  The rows below low
     are compared as well, kept apart: a column of A at a nonzero k reaches
     the rows below k that k pairs with, and a column run that stopped too
-    early leaves A tau e_j nonzero there.  By the prefix lemma the verdict
-    is fixed by the column's (j, start) and shared.
+    early leaves A tau e_j nonzero there.  The residual reads A and row j
+    of V_plus in rows 0..top only, so it is the same for every lattice a
+    column of the shared table serves, and each table entry is checked once
+    (Subject.own): the entry is wrong for a leading block of rank R exactly
+    where the residual fails or V_plus's row j has a nonzero in top+1..R-1,
+    and fault gives the least such R.
     det tau == (-1)^rank multiplies the word's factors, det s_i = 1 +
-    <e_i, e_i>, so it checks only that the word has one root reflection per
-    basis vector; its value is pinned before it by A tau = -A^t and
+    <e_i, e_i>, those of the steps in front of the word before it onto that
+    word's product, so it checks only that the word has one root reflection
+    per basis vector; its value is pinned before it by A tau = -A^t and
     Delta(0) = det(-tau) = 1.
 
-    The radical of V_zero is Zu: G_zero u = 0, u is primitive (entries +-1),
-    and its corank-1 leading block V_minus has Delta_minus(1) = det(A + A^t)
-    = (-1)^rank det G_minus != 0, so the saturated radical has rank 1.
+    The radical of V_zero is Zu: G_zero u = 0, summed over the rows of u's
+    support, which are its columns as G_zero is symmetric; u is primitive
+    (entries +-1), and its corank-1 leading block V_minus has Delta_minus(1)
+    = det(A + A^t) = (-1)^rank det G_minus != 0, so the saturated radical
+    has rank 1.
     """
     def witnesses():
         lats = subject.lats
         rows = lats.plus.rows
-        a_cols = [[(k, 1)] + [(i, -x) for i, x in row.items() if i < k]
-                  for k, row in enumerate(rows)]
-        verdicts = {}
+        a_cols = [[(i, -x) for i, x in row.items() if i < k] for k, row in enumerate(rows)]
+        n, nonzero_cols = lats.plus.rank, lats.plus.nonzero_cols
 
-        def holds(j, start, low, top, window):
-            """A tau e_j == -A^t e_j in rows 0..top (_residual)."""
-            if (j, start) not in verdicts:
-                inside, below = _residual(j, low, top, window, a_cols, rows[j])
-                verdicts[j, start] = not (any(inside) or any(below.values()))
-            return verdicts[j, start]
+        def fault(j, start, low, top, window):
+            """The least rank of a leading block of V_plus in whose tau this
+            column j is wrong: 0 where the residual is not zero, else the
+            first column of V_plus's row j past top, or rank(V_plus)."""
+            inside, below = _residual(j, low, top, window, a_cols, rows[j])
+            if any(inside) or any(below.values()):
+                return 0
+            cols = nonzero_cols[j]
+            return cols[bisect_right(cols, top)] if cols[-1] > top else n
 
+        faults, det = [], 1
         for which in ("minus", "zero", "plus"):
-            lat = getattr(lats, which)
-            if not all(lat.nonzero_cols[j][-1] <= top and holds(j, start, low, top, window)
-                       for j, (start, low, top, window) in enumerate(subject.columns(which))):
+            lat, columns = getattr(lats, which), subject.columns(which)
+            # the steps in front of the word of the lattice before
+            det *= prod(1 + lat.rows[i][i] for i, _ in subject.word(which)[:lat.rank - len(faults)])
+            faults += [0] * (lat.rank - len(faults))
+            for j in subject.own(which):
+                faults[j] = fault(j, *columns[j])
+            if min(faults) < lat.rank:
                 yield _matrix_witness(f"coxeter({which}) == -A^-1 A^t", subject.coxeter(which),
                                       coxeter_columns_via_form(asym_form_matrix(lat)))
             delta = subject.delta(which)
             yield _witness(f"char poly of {which} has constant term 1", 0, delta[0], 1)
             # char_poly is monic, so palindromic up to sign means delta[i] == delta[n - i]
             yield _first_witness(f"char poly of {which} palindromic up to sign", delta, delta[::-1])
-            det = prod(1 + lat.rows[i][i] for i, _ in subject.word(which))
             yield _witness(f"det tau == (-1)^rank on {which}", lat.rank, det, (-1) ** lat.rank)
         radical = "radical of V_zero is rank 1 spanned by u"
-        u = [(j, x) for j, x in enumerate(lats.u_zero) if x]
-        yield _first_witness(radical, [sum(row.get(j, 0) * x for j, x in u)
-                                       for row in lats.zero.rows], [0] * lats.zero.rank)
+        zero_u = [0] * lats.zero.rank
+        for j, x in compress(enumerate(lats.u_zero), lats.u_zero):
+            for i, g in lats.zero.rows[j].items():
+                zero_u[i] += g * x
+        yield _first_witness(radical, zero_u, [0] * lats.zero.rank)
         if not sum(subject.delta("minus")):
             yield {"identity": radical, "index": "Delta_minus(1)", "expected": "nonzero", "got": 0}
 
         # The closed forms are those of the star of the invariants.  A V_minus
         # that is not that star (an edited Gram) fails the theorem check instead.
-        try:
-            star_arms = sorted(decode_star(lats.minus)[0])
-        except NotAStarLattice:
-            star_arms = None
-        if star_arms == list(lats.invariants.alphas):
+        star = subject.star()
+        if star is not None and sorted(star[0]) == list(lats.invariants.alphas):
             for which, closed in subject.closed_forms().items():
                 yield _first_witness(f"char poly of {which} == closed form",
                                      subject.delta(which), closed)

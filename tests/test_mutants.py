@@ -16,6 +16,7 @@ later adds its row here.
 import contextlib
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import add
 
 import pytest
 
@@ -89,14 +90,14 @@ def delay_line_one_step_long(real):
 
 def e_minus_u_row_unchecked(real):
     """The star shape read with row root + 1 taken as E-u's, whatever it holds."""
-    def mutant(lat, root):
+    def mutant(lat, root, *arms):
         if lat.rank != root + 2:
-            return real(lat, root)
+            return real(lat, root, *arms)
         g = lat.gram_rows()
         for j in range(root):
             g[root + 1][j] = g[j][root + 1] = g[root][j]
         g[root][root + 1] = g[root + 1][root] = g[root + 1][root + 1] = -2
-        return real(Lattice(lat.labels, g), root)
+        return real(Lattice(lat.labels, g), root, *arms)
     return mutant
 
 
@@ -208,12 +209,55 @@ def arm_run_one_step_long(real):
 
 def column_one_step_late(real):
     """Each tau column from the step after the first that touches its coordinate."""
-    return lambda word, rank: [min(pos + 1, len(word)) for pos in real(word, rank)]
+    return lambda word, j, pos, *rest: real(word, j, min(pos + 1, len(word)), *rest)
 
 
 def first_touched_column_dropped(real):
     """(a) without the first column that s_E s_{E-u} reads or writes."""
     return lambda word, rank: real(word, rank)[1:]
+
+
+def border_misses_its_lowest_coordinate(real):
+    """Each step's touched coordinates without the lowest, so that a leading
+    block's border misses it: the column of V_zero's first arm end (E on A1)
+    is taken from V_minus's table and that of E-u in V_plus from V_zero's.
+    (a) skips the first arm end, which s_E s_{E-u} fixes on every star."""
+    return lambda step, rank: real(step, rank)[1:]
+
+
+def arm_one_longer(arms):
+    """Decoded arm spans with the last arm one vertex longer."""
+    return arms and (*arms[:-1], (arms[-1][0], arms[-1][1] + 1))
+
+
+def walk_handed_an_arm_one_longer(real):
+    """The subject's decode handed to the walk with its last arm one vertex
+    longer."""
+    return lambda lat, root, order, arms=None: real(lat, root, order, arm_one_longer(arms))
+
+
+def decode_with_an_arm_one_longer(real):
+    """The subject's decode with its last arm one vertex longer, read by the
+    walk and the closed-form guard alike."""
+    def mutant(subject):
+        star = real(subject)
+        if not star or not star[1]:
+            return star
+        alphas, arms = star
+        return [*alphas[:-1], alphas[-1] + 1], arm_one_longer(arms)
+    return mutant
+
+
+def block_division_one_block_late(real):
+    """Division by 1 - t^a by blocks from the second block on: the first
+    block past a keeps its coefficients undivided."""
+    def mutant(c, a):
+        if len(c) > a * (a - 1):
+            return real(c, a)
+        for s in range(2 * a, len(c), a):
+            c[s:s + a] = map(add, c[s:s + a], c[s - a:s])
+        return c
+    return mutant
 
 
 def column_floor_never_lowered(real):
@@ -342,7 +386,7 @@ ROSTER = [
         {"identities": 29}),
     # A1 has no arms
     Row("arm run one step long", Subject, "run", arm_run_one_step_long, {"orbit-formulas": 28}),
-    Row("tau column one step late", verify, "_first_steps", column_one_step_late,
+    Row("tau column one step late", verify, "_column", column_one_step_late,
         {"identities": 29}),
     # a column stopped too early is zero below its floor where tau e_j is
     # not: identities sees A tau e_j nonzero below the floor, and (b) a
@@ -378,6 +422,23 @@ ROSTER = [
         difference_floor_one_higher, {"orbit-formulas": 23}),
     # A1 has no arms
     Row("arm period off by one", verify, "_arm_period", arm_period_one_more, {"orbit-formulas": 28}),
+    # identities sees the column wrong for its lattice, and (b) compares V_zero's
+    # arm end, or E, with V_minus's as one table entry where g != 0
+    Row("leading block's border misses its lowest coordinate", verify, "_touches",
+        border_misses_its_lowest_coordinate, {"orbit-formulas": 29, "identities": 29}),
+    # the walk is a route, not a guard: P of the longer star fails Q and P + t
+    # and the orbit sums; A1 has no arms
+    Row("walk handed an arm one vertex longer", verify, "hilbert_P",
+        walk_handed_an_arm_one_longer, {"orbit-series": 28, "orbit-formulas": 28}),
+    # the closed-form guard reads the wrong alphas and only stops comparing
+    Row("decode with an arm one vertex longer", Subject, "star", decode_with_an_arm_one_longer,
+        {"orbit-series": 28, "orbit-formulas": 28}),
+    # at order 60 the 11 inputs with an arm of alpha >= 9 (61 <= 9 * 8) divide by
+    # blocks; at order 200 no roster arm does, and the unit tests do
+    Row("block division one block late", verify, "_divide_out", block_division_one_block_late,
+        {"theorem": 11, "orbit-series": 11},
+        caught_by=("test_quotient_by_blocks_on_the_d_ladder",
+                   "test_quotient_by_blocks_with_a_partial_last_block")),
     # s_E s_{E-u} is the identity on every roster star; an edited V_zero moves e_j
     Row("first touched column of (a) dropped", verify, "_touched", first_touched_column_dropped,
         {}, caught_by=("test_zero_gram_off_an_arm_end_fails_pair_run_at_its_column",)),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coxlat import series, verify
+from coxlat import series, star, verify
 from coxlat.cli import main
 from coxlat.errors import NeitherKind
 from coxlat.exact import series_from_rational
@@ -204,6 +204,45 @@ def test_quotient_of_440_equal_arms_is_the_direct_series():
     subject = Subject(build(inv))
     for order in (2000, 100):
         assert subject.quotient("plus", order) == poincare_direct(inv, SingularityKind.FUCHSIAN, order)
+
+
+def assert_quotients_are_the_recurrence(lats, order):
+    """Subject.quotient against series_from_rational on the bare Deltas."""
+    subject = Subject(lats)
+    for which in ("minus", "plus"):
+        assert subject.quotient(which, order) == series_from_rational(
+            subject.delta(which), subject.delta("zero"), order)
+
+
+def test_quotient_by_blocks_on_the_d_ladder():
+    """D16 to D80 at order 200: the long arm, alpha = 14 to 78, divides out
+    1 - t^alpha by residue classes at alpha = 14 and by blocks from alpha =
+    22 on (201 <= 22 * 21), the last block partial (201 % alpha != 0)."""
+    for n in (16, 24, 32, 48, 64, 80):
+        assert_quotients_are_the_recurrence(build(catalog(f"D{n}")), 200)
+
+
+@st.composite
+def stars_dividing_by_blocks(draw):
+    """A star with a long arm of alpha = a in 15..40 and up to three short
+    ones, and an order at which 1 - t^a divides out by blocks, more than one
+    and the last partial: a < order + 1 <= a (a - 1), (order + 1) % a != 0."""
+    a = draw(st.integers(15, 40))
+    alphas = sorted(draw(st.lists(st.integers(2, 12), max_size=3)) + [a])
+    try:
+        kind = classify_alphas(alphas)
+    except NeitherKind:
+        assume(False)
+    order = draw(st.integers(a, a * (a - 1) - 1))
+    assume((order + 1) % a)
+    return (kleinian_invariants if kind is SingularityKind.KLEINIAN else fuchsian_invariants)(alphas), order
+
+
+@settings(max_examples=40, deadline=None)
+@given(stars_dividing_by_blocks())
+def test_quotient_by_blocks_with_a_partial_last_block(case):
+    inv, order = case
+    assert_quotients_are_the_recurrence(build(inv), order)
 
 
 def count_rational_calls(monkeypatch) -> list:
@@ -819,6 +858,24 @@ def test_stars_build_one_word_and_walk_none(monkeypatch):
     words.clear()
     assert not verify_lattices(lats, 30)[0].passed
     assert sorted(words) == [("coxlat.series", lats.zero.rank), ("coxlat.verify", lats.plus.rank)]
+
+
+def test_one_decode_per_subject(monkeypatch, capsys):
+    """verify_lattices on D80 decodes V_minus's star shape once, in
+    Subject.star, for the walk and the identities' closed-form guard alike;
+    hilbert, which has no Subject, decodes V_zero's leading block itself."""
+    decoded = []
+    for module in (star, verify, series):
+        real = module.decode_star
+        monkeypatch.setattr(module, "decode_star",
+                            lambda lat, real=real: decoded.append(lat.rank) or real(lat))
+    lats = build(catalog("D80"))
+    assert all(report.passed for report in verify_lattices(lats, 200))
+    assert decoded == [lats.minus.rank]
+    decoded.clear()
+    assert main(["hilbert", "--name", "D80", "--order", "20"]) == 0
+    assert decoded == [lats.minus.rank]
+    capsys.readouterr()
 
 
 @st.composite
