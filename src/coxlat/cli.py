@@ -44,17 +44,18 @@ from .series import hilbert_Q  # noqa: F401
 
 # Largest accepted rank of V_plus, series order and count of random inputs.
 # Wall times of one command on a shared 2-vCPU Intel Xeon host.  At rank
-# 900 and order 200, `verify` takes 0.10 to 0.13 s on D898 and on the
-# Fuchsian star (2, 3, 895), and 0.76 to 0.94 s on the Fuchsian star of 299
-# arms with alpha = 3 and one with alpha = 300.  A star's Gram rows, its
-# tau columns (each a window of a suffix of V_plus's reflection word that
-# stops at its last active step), their residuals, the chain elimination
-# and the arm periods (O(alpha) word steps per arm) grow linearly in the
-# rank, except the r + 2 border columns of a many-arm star, each of which
-# runs the whole word: O(r * rank).  The orbit walk grows as the order
-# times the number of distinct arm lengths.  At order 10000, `poincare`
-# takes 0.08 to 0.09 s on D898, 0.23 to 0.4 s on the 300-arm star and 0.21
-# to 0.39 s on the star of 440 arms with alpha = 2 (rank 443), whose
+# 900 and order 200, `verify` takes 0.09 to 0.13 s on D898 and on the
+# Fuchsian star (2, 3, 895), and 0.16 s on the Fuchsian star of 299 arms
+# with alpha = 3 and one with alpha = 300, as on the star of 440 arms with
+# alpha = 2 (rank 443).  A star's Gram rows, its tau columns (each a window
+# of a suffix of V_plus's reflection word that stops at its last active
+# step), their residuals, the chain elimination and the arm periods
+# (O(alpha) word steps per arm) grow linearly in the rank; the 2r + 5
+# border columns of a many-arm star, each a window over every arm, take
+# O(1 + alpha_j) word steps and O(1) slices each (the zero-arm path).  The
+# orbit walk grows as the order times the number of distinct arm lengths.
+# At order 10000, `poincare` takes 0.08 to 0.09 s on D898, 0.23 to 0.4 s
+# on the 300-arm star and 0.21 to 0.39 s on the 440-arm star, whose
 # quotient divides out the 440 factors 1 - t^2 in turn; `hilbert` takes
 # 0.08 to 0.16 s on D898 and 0.15 to 0.28 s on the 300-arm star, whose
 # walks run each arm as a delay line, and 0.42 to

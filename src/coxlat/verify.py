@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import accumulate, compress, count, repeat, zip_longest
 from math import prod
 from operator import add, mul, ne, sub
+from typing import NamedTuple
 
 from .errors import NotAStarLattice
 from .exact import PowerSeries, poly_add, poly_mul, series_equal, series_from_rational
@@ -172,14 +173,111 @@ def _take_window(buffer, low: int, top: int) -> list:
     return window
 
 
-def _column(word, j: int, pos: int, reach, buffer) -> tuple:
+def _column(word, j: int, pos: int, reach, buffer, block) -> tuple:
     """(start, low, top, window) of tau e_j for the word, a suffix of V_plus's,
     from its step at pos, the first that touches j (Subject.coxeter): start
-    is pos in V_plus's word, whose rank the zeroed buffer has."""
+    is pos in V_plus's word, whose rank the zeroed buffer has.  A run from a
+    step of index center or above takes the zero-arm path where block, the
+    subject's Subject.arm_block with the word's _heads, is not None
+    (_block_run); any other run steps to its floor."""
     top = max(j, word[pos][0]) if pos < len(word) else j
     buffer[j] = 1
-    low = _run_to_floor(word, pos, reach, buffer, reach[j])
-    return len(buffer) - len(word) + pos, low, top, _take_window(buffer, low, top)
+    if block is None or pos >= len(word) - block[0]:
+        low = _run_to_floor(word, pos, reach, buffer, reach[j])
+        window = _take_window(buffer, low, top)
+    else:
+        low, window = _block_run(word, j, pos, reach, buffer, block)
+    return len(buffer) - len(word) + pos, low, top, window
+
+
+def _block_run(word, j: int, pos: int, reach, buffer, block) -> tuple:
+    """(low, window) of the run of word from pos on applied to e_j in buffer,
+    as _run_to_floor and _take_window give them, where pos lies before the
+    arm block, so that the window is rows low..head for the index head of
+    the step at pos; buffer is left zeroed.  block is (center, arms, starts,
+    shared, heads): the arm spans, their starts, the pairings with E and
+    past it that every arm top has (_unit_arms), and the word's steps
+    before the arm block (_heads).
+
+    Zero-arm lemma: the steps before the arm block have indices center and
+    above, so they leave every arm coordinate zero but j's own.  So each of
+    them reads, of the arm block, e_j alone: its pairing with j is looked
+    up, and only its pairings from center on are summed.  In the arm block
+    each top step then computes -0 + 0 + c, with c = sum g x_k over shared,
+    the same on every top, and each lower step of a unit-link arm -0 +
+    x'_(i+1) + 0: every arm but j's ends as the constant c.  So only j's arm
+    runs, in buffer, and one fill writes c over the rest of the block as the
+    window's rows from low (_fill).  No step of j's arm but its top reads
+    outside the arm, so the last-step lemma holds for the arm's run on its
+    own, from the floor reach[j]: it stops where the arm's own nonzeros
+    end, below a top that computes 0.  The floor of the whole run is the least reach of j and of
+    each nonzero written: by the steps before the block (indices
+    center..head), by j's arm, and by the fill, whose least is that of its
+    least coordinate, an arm start, where c is not 0."""
+    center, arms, starts, shared, heads = block
+    n, head, low = len(word), word[pos][0], reach[j]
+    start = stop = center
+    if j < center:
+        start, stop = arms[bisect_right(starts, j) - 1]
+    for i, arm_pairs, far in heads[pos:]:
+        total = arm_pairs.get(j, 0) - buffer[i]
+        for k, g in far:
+            total += g * buffer[k]
+        buffer[i] = total
+        if total and reach[i] < low:
+            low = reach[i]
+    low = min(low, _run_to_floor(word[n - stop:n - start], 0, reach, buffer, reach[j]))
+    c = 0
+    for k, g in shared:
+        c += g * buffer[k]
+    if c and (start or stop < center):
+        low = min(low, reach[stop if start == 0 else 0])
+    window = _fill(buffer, c, start, stop, center, low)
+    window += buffer[max(low, center):head + 1]
+    buffer[start:stop] = [0] * (stop - start)
+    buffer[center:head + 1] = [0] * (head + 1 - center)
+    return low, window
+
+
+def _heads(word, center: int) -> list:
+    """(i, its pairings below center as a dict, those with one index summed,
+    and its pairings from center on) for each step of word before its arm
+    block, the steps of indices center and above, read once per word."""
+    heads = []
+    for i, pairs in word[:len(word) - center]:
+        arm_pairs, far = {}, []
+        for k, g in pairs:
+            if k < center:
+                arm_pairs[k] = arm_pairs.get(k, 0) + g
+            else:
+                far.append((k, g))
+        heads.append((i, arm_pairs, far))
+    return heads
+
+
+def _fill(buffer, c: int, start: int, stop: int, center: int, low: int) -> list:
+    """Rows low..center-1 of a zero-arm column: c on every arm coordinate
+    but start..stop-1, the span of j's own arm, whose rows buffer holds."""
+    return [*repeat(c, start - low), *buffer[max(low, start):stop],
+            *repeat(c, center - max(low, stop))]
+
+
+def _unit_arms(word, center: int, arms):
+    """The pairings with E and the coordinates past it that every arm top
+    has, read off the arm block of V_plus's word (the steps of indices below
+    center), where they are the same on every top and no other arm
+    coordinate has any; else None.  With the decode of V_minus, which gives
+    the arm spans, unit links and no other pairing below E, this is the
+    guard of the zero-arm path (_block_run)."""
+    tops, shared = {stop - 1 for _, stop in arms}, set()
+    for i, pairs in word[len(word) - center:]:
+        if i in tops:
+            shared.add(tuple(sorted(p for p in pairs if p[0] >= center)))
+        elif pairs and max(pairs)[0] >= center:
+            return None
+    if len(shared) > 1:
+        return None
+    return shared.pop() if shared else ()
 
 
 def _arm_period(arm, start: int, e, alpha: int, cols, reach):
@@ -292,6 +390,20 @@ class Subject:
 
         return self._once("star", compute)
 
+    def arm_block(self):
+        """(center, arms, starts, shared) for the zero-arm path of tau's
+        border columns (_block_run): the decode's arm spans, their starts and
+        the pairings every arm top shares (_unit_arms).  None where V_minus
+        is not a star or V_plus's word fails _unit_arms, as on an edited
+        Gram: then every column steps to its floor."""
+        def compute():
+            star, center = self.star(), self.lats.center
+            shared = None if star is None else _unit_arms(self.run(0, self.lats.plus.rank),
+                                                          center, star[1])
+            return None if shared is None else (center, star[1], [s for s, _ in star[1]], shared)
+
+        return self._once("block", compute)
+
     def columns(self, which: str) -> list:
         """(start, low, top, window) for each e_j of ``which``, by the lemmas
         of coxeter: start is the position in V_plus's word of the first step
@@ -314,18 +426,31 @@ class Subject:
         its columns, and each longer word re-runs from its front step only
         its border, the coordinates that step touches (_touches).  Every run
         steps one zeroed buffer of V_plus's rank, which _take_window zeroes
-        again."""
-        reach, buffer = self.reach(), [0] * self.lats.plus.rank
+        again.
+        On a star the border columns, 2r + 5 in all (E and the arm tops of
+        V_minus, V_zero's border, E-u and u-w of V_plus), are the runs from a
+        step of index center or above, and each spans every arm.  Zero-arm
+        lemma (_block_run): such a run reaches the arm block with every arm
+        coordinate zero but j's own, so where every arm is a unit chain whose
+        top pairs with E and past it as every other top does (arm_block),
+        each arm but j's ends as one constant, written by one fill; only the
+        steps before the block and those of j's arm run, O(1 + alpha_j)
+        steps where the per-step run takes O(rank)."""
+        reach, buffer, block = self.reach(), [0] * self.lats.plus.rank, self.arm_block()
+
+        def word_block(word):
+            return block and block + (_heads(word, block[0]),)
+
         word = self.word("minus")
-        cols = [_column(word, j, pos, reach, buffer)
+        heads = word_block(word)
+        cols = [_column(word, j, pos, reach, buffer, heads)
                 for j, pos in enumerate(_first_steps(word, self.lats.minus.rank))]
         table = {"minus": (cols, range(len(cols)))}
         for which in ("zero", "plus"):
             word = self.word(which)
-            cols = cols + [None]
-            border = _touches(word[0], len(cols))
+            cols, border, heads = cols + [None], _touches(word[0], len(cols) + 1), word_block(word)
             for j in border:
-                cols[j] = _column(word, j, 0, reach, buffer)
+                cols[j] = _column(word, j, 0, reach, buffer, heads)
             table[which] = cols, border
         return table
 
@@ -437,45 +562,126 @@ def _differenced(p, times: int, size: int) -> list:
     return p + [0] * (size - len(p))
 
 
-def _residual(j: int, low: int, top: int, window, a_cols, row) -> tuple:
-    """A tau e_j + A^t e_j in rows 0..top, for tau e_j given as its window
-    (rows low..top), A as its unit diagonal and its columns above it, a_cols,
-    and A^t e_j as Gram row j: 1 at j and -g_ji past j.  Rows low..top come
-    as a list, the diagonal's part a copy of the window, and the rows below
-    low that A's columns reach as a dict, apart."""
-    inside, below = [0] * (top + 1 - low), {}
-    inside[:len(window)] = window
-    for k, x in compress(enumerate(window, low), window):
-        for i, a in a_cols[k]:
-            if i < low:
-                below[i] = below.get(i, 0) + a * x
-            else:
-                inside[i - low] += a * x
-    inside[j - low] += 1
-    for i, g in row.items():
+class _RowClasses(NamedTuple):
+    """V_plus's Gram rows as the residual reads them, read once per subject.
+
+    Row i of A x is x_i - sum g_ik x_k over the upper part of row i, its
+    pairings with k > i.  A chain row has the upper part {i+1: 1}, so its
+    row of A x is x_i - x_(i+1).  A class row has the upper part shared, the
+    most common one of the other rows, so its row of A x is x_i less one
+    core value, the same for every class row: on a star the class rows are
+    the arm tops.  runs holds the class rows as arithmetic runs (first,
+    step, last), with firsts their first rows, so that equal arms give one
+    run.  rest lists every other row (on a star E, E-u and u-w), and upper
+    holds their upper parts; special lists the rows that are not chain
+    rows.  floor[k] is the least row that column k of A reaches, the least
+    of k and the indices it pairs with (the diagonal of a root is not 0),
+    and far lists the rows whose floor is below k - 1.  special, rest and
+    far are in order and end with the rank."""
+
+    rows: tuple
+    special: list
+    shared: tuple
+    runs: list
+    firsts: list
+    rest: list
+    upper: dict
+    floor: list
+    far: list
+
+
+def _runs(rows) -> list:
+    """The rows, in order, as maximal arithmetic runs (first, step, last),
+    each run taking the next row where its step allows."""
+    runs = []
+    for i in rows:
+        if runs and (runs[-1][1] in (0, i - runs[-1][2])):
+            runs[-1] = runs[-1][0], i - runs[-1][2], i
+        else:
+            runs.append((i, 0, i))
+    return [(first, step or 1, last) for first, step, last in runs]
+
+
+def _row_classes(lat) -> _RowClasses:
+    rows, cols, n = lat.rows, lat.nonzero_cols, lat.rank
+    upper = {i: tuple((k, rows[i][k]) for k in c[bisect_right(c, i):])
+             for i, c in enumerate(cols) if c[-1] != i + 1 or rows[i][i + 1] != 1}
+    others = Counter(upper.values()).most_common(1)
+    shared = others[0][0] if others else ()
+    runs = _runs([i for i, up in upper.items() if up == shared])
+    rest = [i for i, up in upper.items() if up != shared]
+    floor = [c[0] for c in cols]
+    return _RowClasses(rows, list(upper) + [n], shared, runs, [r[0] for r in runs], rest + [n],
+                       {i: upper[i] for i in rest}, floor,
+                       [k for k, f in enumerate(floor) if f < k - 1] + [n])
+
+
+def _residual_holds(j: int, low: int, top: int, window, form: _RowClasses) -> bool:
+    """Whether A tau e_j + A^t e_j is zero in rows 0..top, for tau e_j given
+    as its window (rows low..top), A read off form, and A^t e_j as Gram row
+    j: 1 at j and -g_ji past j.
+
+    Rows below lo are zero: column k of A reaches no row below floor[k],
+    which is k - 1 or more but on the far rows, so lo is the least floor of
+    low and of the far rows in low..top.  Rows lo..low-1 are compared as
+    well, where a column run that stopped too early leaves A tau e_j
+    nonzero.  With x = tau e_j in rows lo..top+1, row i of the residual is
+    x_i - y_i, with y_i the upper part of row i of A x less A^t e_j: x_(i+1)
+    on the chain rows, which y is first as x shifted up one row; the core
+    value on the class rows, one strided slice per run of them; on the rest
+    a sum in Python; and then row j's own terms of A^t e_j, in Python.  One
+    comparison of x with y then decides every row at once, row top+1 being
+    0 in both."""
+    rows, special, shared, runs, firsts, rest, upper, floor, far = form
+    lo = floor[low]
+    if far[0] <= top:
+        for k in far[bisect_left(far, low):bisect_right(far, top)]:
+            lo = min(lo, floor[k])
+    x = [0] * (low - lo) + window
+    x += [0] * (top + 2 - lo - len(x))
+    y = x[1:]
+    if special[bisect_left(special, lo)] <= top:
+        core = 0
+        for k, g in shared:
+            if k <= top:
+                core += g * x[k - lo]
+        for first, step, last in runs[max(bisect_right(firsts, lo) - 1, 0):bisect_right(firsts, top)]:
+            first = max(first, lo + (first - lo) % step)
+            last = min(last, top)
+            if first <= last:
+                y[first - lo:last + 1 - lo:step] = [core] * ((last - first) // step + 1)
+        for i in rest[bisect_left(rest, lo):bisect_right(rest, top)]:
+            total = 0
+            for k, g in upper[i]:
+                if k <= top:
+                    total += g * x[k - lo]
+            y[i - lo] = total
+    y[j - lo] -= 1
+    for i, g in rows[j].items():
         if j < i <= top:
-            inside[i - low] -= g
-    return inside, below
+            y[i - lo] += g
+    y.append(x[-1])
+    return x == y
 
 
 def _descent_witness(j: int, zero_col, minus_col, e_col, g: int, center: int):
     """(b) at column j: pi tau_zero e_j == tau_minus e_j + g tau_minus e_E,
-    for g = <e_j, E>, with the columns as Subject.columns gives them.  Where
-    g = 0 and tau_zero e_j stops below E-u, no step of E-u touches j, so by
-    the prefix lemma both sides are one table entry and compare as windows.
-    Any other column builds each side over rows lo..f, from the lowest row
-    its windows reach, adding each window in as one slice, pi folding row
-    f = E-u into E, and pads them only to name a witness."""
+    for g = <e_j, E>, with the columns as Subject.columns gives them.  Each
+    side is built over rows lo..f, from the lowest row its windows reach:
+    the windows of tau_zero e_j and tau_minus e_j are copied in as one slice
+    each, g tau_minus e_E is added in as one more (g = 1 on a star), pi
+    folds row f = E-u into E, and the sides are padded only to name a
+    witness."""
     f = center + 1
-    if not g and zero_col[2] < f and zero_col[1:] == minus_col[1:]:
-        return None
     lo = min(zero_col[1], minus_col[1], e_col[1] if g else f)
     got, expected = [0] * (f + 1 - lo), [0] * (f + 1 - lo)
-    for span, (_, low, _, window), c in ((got, zero_col, 1), (expected, minus_col, 1),
-                                         (expected, e_col, g)):
-        if c:
-            k = low - lo
-            span[k:k + len(window)] = map(add, span[k:k + len(window)], map(mul, window, repeat(c)))
+    for span, (_, low, _, window) in ((got, zero_col), (expected, minus_col)):
+        span[low - lo:low - lo + len(window)] = window
+    if g:
+        _, low, _, window = e_col
+        k = low - lo
+        expected[k:k + len(window)] = map(add, expected[k:k + len(window)],
+                                          window if g == 1 else map(mul, window, repeat(g)))
     got[center - lo] += got.pop()
     expected.pop()
     if got == expected:
@@ -599,15 +805,19 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
     (d) the orbit sums reproduce 1 + deg D^(k) for both divisor patterns.
 
     (a) and (b) compare columns, so a witness indexes V_minus coordinates.
-    (b) compares column by column, as windows where it can (_descent_witness),
-    and only the columns j whose two sides are not one table entry, V_zero's
-    border (Subject._table), or whose g_j = <e_j, E> is not 0: every other
-    column is vacuous by the prefix lemma, so the first discrepancy is still
-    the first in column order.  On the star these are E and the arm ends.
+    (b) compares column by column, each over the rows its windows reach
+    (_descent_witness), and only the columns j whose two sides are not one
+    table entry, V_zero's border (Subject._table), or whose g_j = <e_j, E>
+    is not 0: every other column is vacuous by the prefix lemma, so the
+    first discrepancy is still the first in column order.  On the star
+    these are E and the arm ends.
     (a) compares only the columns of the coordinates that s_E s_{E-u}
     reads or writes, E and the Gram neighbours of E and E-u below E-u: by
     the first-step lemma every other column is e_j, on any Gram, so the
-    first discrepancy is still the first in column order.
+    first discrepancy is still the first in column order.  Each e_j is
+    moved as a sparse vector: the two steps write only E-u and E, so only
+    j, E and E-u are ever nonzero, and each step reads its pairings with
+    those three by lookup, where a dense application reads all of them.
     (c) follows the orbit of E by its differences (_arm_period): O(alpha_i)
     word steps per arm, for the least k that alpha_i applications find.
     (d) reads the orbit sums P_k and Q_k = -P_{k+1} off the subject's walk
@@ -621,11 +831,15 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
         f = lats.f_index
 
         pair = subject.run(lats.center, f + 1)
+        steps = [(i, dict(pairs)) for i, pairs in pair]  # a row's pairings, one per index
         for j in _touched(pair, f):
-            e_j = [0] * j + [1] + [0] * (f - j - 1)
-            y = apply_word(pair, e_j + [0, 0])
-            y[lats.center] += y[f]  # pi folds E-u into E
-            yield _first_witness("s_E s_{E-u} == id", y[:f], e_j, j)
+            y = {j: 1}
+            for i, pairs in steps:
+                y[i] = sum(pairs.get(k, 0) * x for k, x in y.items() if k != i) - y.get(i, 0)
+            y[lats.center] += y.pop(f)  # pi folds E-u into E
+            wrong = [k for k in sorted(y) if y[k] != (k == j)]
+            if wrong:
+                yield _witness("s_E s_{E-u} == id", [wrong[0], j], y[wrong[0]], int(wrong[0] == j))
 
         tau_zero, tau_minus = subject.columns("zero"), subject.columns("minus")
         e_row = lats.minus.rows[lats.center]
@@ -661,10 +875,16 @@ def check_identities(subject: Subject) -> VerificationReport:
     zero past top, so its rows of A tau e_j == -A^t e_j past top hold exactly
     when the last nonzero of row j in the lattice's Gram is at most top.  By
     the last-step lemma it is zero below low too, so it is read as its
-    window, rows low..top.  Rows 0..top of A tau e_j combine the sparse
-    columns of A at the window's nonzeros (_residual).  The rows below low
-    are compared as well, kept apart: a column of A at a nonzero k reaches
-    the rows below k that k pairs with, and a column run that stopped too
+    window, rows low..top.  The residual is read row by row, by the classes
+    of A's rows (_row_classes, _residual_holds): a chain row, whose upper
+    part is {i+1: 1}, is x_i - x_(i+1), so all of them are x against x
+    shifted up one row, one slice comparison; the class rows (on a star the
+    arm tops, whose upper parts are all alike) are x_i less one core value,
+    written over them by one strided slice per run; only the other rows (on
+    a star E, E-u and u-w) and row j's own terms of A^t e_j are summed in
+    Python.  So a border column of a many-arm star costs O(1) interpreter
+    steps.  The rows below low are compared as well, down to the least row
+    a column of A at the window reaches: a column run that stopped too
     early leaves A tau e_j nonzero there.  The residual reads A and row j
     of V_plus in rows 0..top only, so it is the same for every lattice a
     column of the shared table serves, and each table entry is checked once
@@ -685,16 +905,14 @@ def check_identities(subject: Subject) -> VerificationReport:
     """
     def witnesses():
         lats = subject.lats
-        rows = lats.plus.rows
-        a_cols = [[(i, -x) for i, x in row.items() if i < k] for k, row in enumerate(rows)]
+        form = _row_classes(lats.plus)
         n, nonzero_cols = lats.plus.rank, lats.plus.nonzero_cols
 
         def fault(j, start, low, top, window):
             """The least rank of a leading block of V_plus in whose tau this
             column j is wrong: 0 where the residual is not zero, else the
             first column of V_plus's row j past top, or rank(V_plus)."""
-            inside, below = _residual(j, low, top, window, a_cols, rows[j])
-            if any(inside) or any(below.values()):
+            if not _residual_holds(j, low, top, window, form):
                 return 0
             cols = nonzero_cols[j]
             return cols[bisect_right(cols, top)] if cols[-1] > top else n

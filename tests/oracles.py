@@ -386,3 +386,26 @@ def arm_period_by_applications(arm, e, alpha):
         if v == e:
             return k
     return None
+
+
+def column_by_steps(gram, rank, j):
+    """(start, low, top, window) of tau e_j for the leading block of rank
+    ``rank`` of the Gram of V_plus, as the per-step run gives them, with no
+    lemma but the first-step one: the steps s_i for i = rank-1 down to 0,
+    each v[i] = -v[i] + sum_(k != i) g_ik v[k], applied one by one from the
+    first that reads or writes j, to e_j padded to the rank n of V_plus.
+    start is that step's position in V_plus's word, of indices n-1 down to
+    0, or n where no step touches j; top is the larger of j and its index;
+    low is the least reach, min(k, the indices k pairs with), of j and of
+    every coordinate the run leaves nonzero; the window is rows low..top."""
+    n = len(gram)
+    reach = [min([k] + [i for i in range(n) if gram[k][i]]) for k in range(n)]
+    steps = [i for i in reversed(range(rank)) if i == j or gram[i][j]]
+    v = [int(k == j) for k in range(n)]
+    if not steps:
+        return n, reach[j], j, v[reach[j]:j + 1]
+    for i in range(steps[0], -1, -1):
+        v[i] = -v[i] + sum(gram[i][k] * v[k] for k in range(n) if k != i)
+    low = min([reach[j]] + [reach[k] for k in range(n) if v[k]])
+    top = max(j, steps[0])
+    return n - 1 - steps[0], low, top, v[low:top + 1]

@@ -176,16 +176,53 @@ def window_short_at_bottom(real):
     return lambda buffer, low, top: real(buffer, low + 1, top)
 
 
-def descent_shared_where_g_nonzero(real):
-    """(b) takes the shared-window comparison at every column whose tau_zero
-    column stops below E-u, as if g were 0 there."""
-    return lambda j, zero_col, minus_col, e_col, g, center: real(
-        j, zero_col, minus_col, e_col, 0 if zero_col[2] <= center else g, center)
-
-
 def residual_without_rows_below_floor(real):
-    """The residual of each column without its rows below the floor."""
-    return lambda *args: (real(*args)[0], {})
+    """The residual of each column without its rows below the floor: every
+    column of A read as reaching no row below its own index."""
+    return lambda j, low, top, window, form: real(
+        j, low, top, window, form._replace(floor=range(len(form.floor)), far=form.far[-1:]))
+
+
+def class_rows_one_row_late(real):
+    """The residual's class rows each read one row lower, so that the row
+    above each arm top is read as a class row and the top as a chain row."""
+    def mutant(lat):
+        form = real(lat)
+        runs = [(first + 1, step, last + 1) for first, step, last in form.runs]
+        return form._replace(runs=runs, firsts=[first for first, _, _ in runs])
+    return mutant
+
+
+def rest_row_dropped(real):
+    """The residual's rows in no class without the first, read as a chain
+    row."""
+    def mutant(lat):
+        form = real(lat)
+        return form._replace(rest=form.rest[1:])
+    return mutant
+
+
+def class_constant_off_by_one(real):
+    """The zero-arm fill writing c + 1 for the class constant c."""
+    return lambda buffer, c, *rest: real(buffer, c + 1, *rest)
+
+
+def fill_one_coordinate_short(real):
+    """The zero-arm fill leaving its least coordinate unwritten."""
+    def mutant(buffer, c, start, stop, center, low):
+        rows = real(buffer, c, start, stop, center, low)
+        least = stop if start == 0 else 0
+        if low <= least < center:
+            rows[least - low] = 0
+        return rows
+    return mutant
+
+
+def guard_blind_past_e_minus_u(real):
+    """The zero-arm guard reading each arm step without its pairings past
+    E-u, so that it accepts a top that also pairs with u-w."""
+    return lambda word, center, arms: real(
+        tuple((i, tuple(p for p in pairs if p[0] <= center + 1)) for i, pairs in word), center, arms)
 
 
 def window_product_one_wider(real):
@@ -390,27 +427,47 @@ ROSTER = [
         {"identities": 29}),
     # a column stopped too early is zero below its floor where tau e_j is
     # not: identities sees A tau e_j nonzero below the floor, and (b) a
-    # tau_0 that differs from tau_1 ... tau_r; A1 has no arms
+    # tau_0 that differs from tau_1 ... tau_r.  On the zero-arm path the fill
+    # lowers the floor itself, so only V_zero's arm tops go wrong, whose arm
+    # is -1 down from the top: on an arm of alpha >= 4 the floor never
+    # lowered stops it two vertices down, and on one of alpha >= 3 reach read
+    # as the index itself stops it one vertex down.  A1, A3 and D4 have no
+    # such arm for either, and A5, D5 and E6 none of alpha >= 4
     Row("column floor never lowered", verify, "_run_to_floor", column_floor_never_lowered,
-        {"orbit-formulas": 28, "identities": 29}),
+        {"orbit-formulas": 23, "identities": 23}),
     Row("reach ignores lower neighbours", verify, "_reach", reach_ignores_lower_neighbours,
-        {"orbit-formulas": 28, "identities": 29}),
-    # a row left in the buffer spoils the next columns, and (b) compares them
+        {"orbit-formulas": 26, "identities": 26}),
+    # a row left in the buffer spoils the next columns; the zero-arm path
+    # builds its windows itself, so only the runs stepped to their floor,
+    # which (b) does not compare, go wrong: none on A1, A3 and D4, whose
+    # columns are all border columns
     Row("column window one row short at its top", verify, "_take_window", window_short_at_top,
-        {"orbit-formulas": 29, "identities": 29}),
+        {"identities": 26}),
     Row("column window one row short at its bottom", verify, "_take_window",
-        window_short_at_bottom, {"orbit-formulas": 29, "identities": 29}),
-    # where g != 0 and tau_zero e_j stops below E-u, E-u does not pair with j
-    # while E does, so (a) fails at that column first; with (a) skipped, (b)
-    # alone must name it
-    Row("(b) shares the column where g != 0", verify, "_descent_witness",
-        descent_shared_where_g_nonzero, {},
-        caught_by=("test_descent_names_the_first_discrepancy_over_every_column",)),
-    # a right column has no rows below its floor to sum; a column stopped
+        window_short_at_bottom, {"identities": 26}),
+    # a right column has no rows below its floor to compare; a column stopped
     # above its floor is right in its window, and only those rows see it
-    Row("residual drops the rows below the floor", verify, "_residual",
+    Row("residual drops the rows below the floor", verify, "_residual_holds",
         residual_without_rows_below_floor, {},
         caught_by=("test_columns_stopped_above_their_floor_fail_identities",)),
+    # a right column passes the dense comparison that a residual failing in
+    # error asks for, so only the single-entry test, which also pins that
+    # a right table asks for none, sees these
+    Row("residual's class rows one row late", verify, "_row_classes", class_rows_one_row_late,
+        {}, caught_by=("test_identities_name_every_single_entry_error",)),
+    Row("residual's first row in no class read as a chain row", verify, "_row_classes",
+        rest_row_dropped, {}, caught_by=("test_identities_name_every_single_entry_error",)),
+    # the border columns of tau_minus are wrong, and (b) compares them too;
+    # A1 has no arms
+    Row("zero-arm class constant off by one", verify, "_fill", class_constant_off_by_one,
+        {"orbit-formulas": 28, "identities": 28}),
+    Row("zero-arm fill one coordinate short", verify, "_fill", fill_one_coordinate_short,
+        {"orbit-formulas": 28, "identities": 28}),
+    # no roster top pairs with u-w
+    Row("zero-arm guard accepts a top with an extra pairing", verify, "_unit_arms",
+        guard_blind_past_e_minus_u, {},
+        caught_by=("test_zero_arm_guard_refuses_tops_that_pair_apart",
+                   "test_zero_arm_table_is_the_per_step_run")),
     # A1 has no arms, and every arm of A3 and D4 has alpha = 2, whose period
     # takes d_1 and d_2 only
     Row("arm difference run one step late", verify, "_arm_period", difference_run_one_step_late,

@@ -54,8 +54,8 @@ from coxlat.verify import (
     verify_lattices,
 )
 
-from oracles import (arm_period_by_applications, conv, dense_coxeter_witness, descent_witness,
-                     mat_mul_naive, matrix_order, pair_run_witness, pairing,
+from oracles import (arm_period_by_applications, column_by_steps, conv, dense_coxeter_witness,
+                     descent_witness, mat_mul_naive, matrix_order, pair_run_witness, pairing,
                      reflection_product_naive, series_by_dense_recurrence, star_deltas)
 from strategies import root_lattices, valid_stars
 
@@ -656,9 +656,8 @@ def test_pair_run_names_the_first_discrepancy_over_every_column(data):
 
 def test_descent_names_the_first_discrepancy_over_every_column():
     """E-u's pairing with each V_minus vertex in turn set to -1, 0 or 1, on
-    E8, E12 and D6, with (a) skipped: (b) compares column by column, as one
-    shared window where g = 0 and tau_zero e_j stops below E-u, and its
-    witness is the first of the dense products over every column."""
+    E8, E12 and D6, with (a) skipped: (b) compares column by column, and
+    its witness is the first of the dense products over every column."""
     for lats in map(build, (E8, E12, catalog("D6"))):
         for j, x in itertools.product(range(lats.f_index), (-1, 0, 1)):
             edited = with_e_minus_u_entry(lats, j, x)
@@ -752,24 +751,133 @@ def test_stopped_columns_are_the_whole_run(data):
             assert [0] * low + window + [0] * (rank - 1 - top) == whole[j]
 
 
+class PerStepSubject(Subject):
+    """A subject whose every tau column steps to its floor: no zero-arm path."""
+
+    def arm_block(self):
+        return None
+
+
 def test_columns_stopped_above_their_floor_fail_identities():
     """A column run stopped at the reach of its own coordinate, with no
     nonzero lowering its floor, is right in its window and zero below it,
     where tau e_j is not: only the rows of A tau e_j below low, which the
-    residual sums apart from the window, see it.  Identities names the first
-    wrong entry of tau_minus."""
+    residual compares as well, see it.  Identities names the first wrong
+    entry of the first tau that is wrong: tau_minus on the per-step path.
+    On the zero-arm path the fill lowers the floor itself, so the columns
+    that go wrong are arm runs whose nonzeros reach below j, such as
+    V_zero's top of a long arm, which is -1 down the arm."""
     real = verify._run_to_floor
-    for name in ("E8", "D10", "E12"):
-        subject = Subject(build(catalog(name)))
+    for name, kind in itertools.product(("E8", "D10", "E12"), (PerStepSubject, Subject)):
+        subject = kind(build(catalog(name)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(verify, "_run_to_floor", lambda word, pos, reach, v, low: real(
                 word, pos, [len(reach)] * len(reach), v, low))
             w = check_identities(subject).witness
-        assert w is not None and w["identity"] == "coxeter(minus) == -A^-1 A^t"
+        lats = subject.lats
+        honest = {which: mat_transpose(reflection_product_naive(lat.gram, range(lat.rank)))
+                  for which, lat in (("minus", lats.minus), ("zero", lats.zero), ("plus", lats.plus))}
+        which = next(which for which in honest if subject.coxeter(which) != honest[which])
+        assert which == "minus" or kind is Subject
+        assert w is not None and w["identity"] == f"coxeter({which}) == -A^-1 A^t"
+        tau = subject.coxeter(which)
         i, j = w["index"]
-        minus = subject.lats.minus
-        honest = mat_transpose(reflection_product_naive(minus.gram, range(minus.rank)))
-        assert (w["got"], w["expected"]) == (subject.coxeter("minus")[j][i], honest[j][i])
+        assert [i, j] == next([i, j] for j, (col, ok) in enumerate(zip(tau, honest[which]))
+                              for i, (x, y) in enumerate(zip(col, ok)) if x != y)
+        assert (w["got"], w["expected"]) == (tau[j][i], honest[which][j][i])
+
+
+def with_top_pairs(lats, tops, j, x):
+    """lats with the pairing of each arm top of ``tops`` (arm indices) with
+    vertex j set to x in V_plus."""
+    for arm in tops:
+        lats = with_plus_entry(lats, lats.arms[arm][1] - 1, j, x)
+    return lats
+
+
+def assert_table_is_per_step(subject):
+    lats = subject.lats
+    gram = lats.plus.gram
+    for which in ("minus", "zero", "plus"):
+        rank = getattr(lats, which).rank
+        assert subject.columns(which) == [column_by_steps(gram, rank, j) for j in range(rank)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_zero_arm_table_is_the_per_step_run(data):
+    """Every table entry (start, low, top, window) of the three tau equals a
+    per-step run's, on valid stars (also of many equal arms and of arms of
+    alpha = 2), with one flipped V_minus entry or a deleted arm edge, and
+    with one edited V_plus entry or the tops' pairing with u-w edited, on
+    the zero-arm path where its guard holds and the per-step one where not."""
+    case = data.draw(st.sampled_from(["star", "equal arms", "flipped", "edge deleted",
+                                      "V_plus edited", "tops edited"]))
+    if case in ("star", "equal arms"):
+        lats = build(data.draw(valid_stars() if case == "star" else equal_arm_stars()))
+    else:
+        inv = data.draw(st.sampled_from(FLIP_INPUTS))
+        lats = build(inv)
+        if case == "flipped":
+            lats = flipped_lattices(inv, *draw_entry(data, inv))
+        elif case == "edge deleted":
+            start, stop = data.draw(st.sampled_from([arm for arm in lats.arms if arm[1] - arm[0] > 1]
+                                                    or [(lats.center - 1, lats.center + 1)]))
+            k = data.draw(st.integers(start, stop - 2))
+            lats = edited_lattices(inv, k, k + 1, 0)
+        elif case == "V_plus edited":
+            j = data.draw(st.integers(1, lats.plus.rank - 1))
+            i = data.draw(st.integers(0, j - 1))
+            lats = with_plus_entry(lats, i, j, data.draw(st.sampled_from((-1, 0, 1, 2))))
+        else:
+            tops = data.draw(st.sets(st.integers(0, len(lats.arms) - 1), min_size=1))
+            j = data.draw(st.sampled_from((lats.f_index, lats.f_index + 1)))
+            lats = with_top_pairs(lats, tops, j, data.draw(st.sampled_from((0, 1, 2))))
+    assert_table_is_per_step(Subject(lats))
+
+
+def test_zero_arm_guard_refuses_tops_that_pair_apart():
+    """On E8 the zero-arm path takes the columns where every top pairs with
+    E, E-u and u-w alike, and refuses them where one top pairs with u-w and
+    the others do not, or pairs with E-u apart: the per-step run stays.
+    Each table is the per-step run's."""
+    lats = build(E8)
+    u_w = lats.f_index + 1
+    for edited, guarded in ((lats, True), (with_top_pairs(lats, (0, 1, 2), u_w, 1), True),
+                            (with_top_pairs(lats, (1,), u_w, 1), False),
+                            (with_top_pairs(lats, (2,), lats.f_index, 2), False)):
+        subject = Subject(edited)
+        assert (subject.arm_block() is not None) == guarded
+        assert_table_is_per_step(subject)
+
+
+def test_identities_name_every_single_entry_error():
+    """The residual alone decides tau == -A^-1 A^t, so that the dense solve
+    runs only to name a failing entry: on E8 and on the Fuchsian star
+    (2, 2, 3, 4) the honest table passes without it, and each table entry
+    with one row of its window off by one, or with a 1 one row below its
+    floor, fails the first lattice that reads it, named at that row and
+    column.  Every row of A tau e_j, in an arm or not and below the floor or
+    not, is compared."""
+    solves, real = [], verify.coxeter_columns_via_form
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "coxeter_columns_via_form", lambda a: solves.append(None) or real(a))
+        for inv in (E8, fuchsian_invariants((2, 2, 3, 4))):
+            honest, solves[:] = Subject(build(inv)), []
+            assert check_identities(honest).passed and solves == []
+            for which in ("minus", "zero", "plus"):
+                tau = honest.coxeter(which)
+                for j in honest.own(which):
+                    start, low, top, window = honest.columns(which)[j]
+                    for i in range(max(low - 1, 0), top + 1):
+                        subject = Subject(build(inv))
+                        table = subject._once("columns", subject._table)
+                        edited = [0] * (low - i) + window
+                        edited[max(i - low, 0)] += 1
+                        table[which][0][j] = start, min(i, low), top, edited
+                        w = check_identities(subject).witness
+                        assert w == {"identity": f"coxeter({which}) == -A^-1 A^t", "index": [i, j],
+                                     "expected": tau[j][i], "got": tau[j][i] + 1}
 
 
 def test_star_paths_build_no_dense_gram(monkeypatch, capsys):
@@ -785,31 +893,58 @@ def test_star_paths_build_no_dense_gram(monkeypatch, capsys):
     assert built == []
 
 
-@pytest.mark.parametrize("name, applied, whole", [("D80", 1116, 4043), ("D898", 12568, 412634)])
-def test_tau_columns_stop_at_their_floor(monkeypatch, name, applied, whole):
-    """The word steps the distinct columns of the three tau apply: 1,116 on
-    D80 and 12,568 on D898, where runs to index 0 would take 4,043 and
-    412,634."""
-    steps, suffixes, counted = [], [], {}
+def column_runs(monkeypatch, subject) -> list:
+    """Build the three tau's columns of subject and return, for each column
+    run, (len(word) - pos, the index of its first step, the word steps it
+    applies): every step a run reads the pairs of, by _run_to_floor or by
+    apply_word."""
+    runs, steps, counted = [], [], {}
 
     class CountedPairs(tuple):
         def __iter__(self):
             steps.append(None)
             return super().__iter__()
 
-    real = verify._run_to_floor
+    real = verify._column
 
-    def run_to_floor(word, pos, *args):
-        suffixes.append(len(word) - pos)
+    def column(word, j, pos, *args):
         if id(word) not in counted:
             counted[id(word)] = word, tuple((i, CountedPairs(pairs)) for i, pairs in word)
-        return real(counted[id(word)][1], pos, *args)
+        before = len(steps)
+        result = real(counted[id(word)][1], j, pos, *args)
+        runs.append((len(word) - pos, word[pos][0] if pos < len(word) else j, len(steps) - before))
+        return result
 
-    monkeypatch.setattr(verify, "_run_to_floor", run_to_floor)
-    subject = Subject(build(catalog(name)))
+    monkeypatch.setattr(verify, "_column", column)
     for which in ("minus", "zero", "plus"):
         subject.columns(which)
-    assert (len(steps), sum(suffixes)) == (applied, whole)
+    return runs
+
+
+@pytest.mark.parametrize("name, applied, whole", [("D80", 310, 4043), ("D898", 3582, 412634)])
+def test_tau_columns_stop_at_their_floor(monkeypatch, name, applied, whole):
+    """The word steps the distinct columns of the three tau apply: 310 on
+    D80 and 3,582 on D898, where runs to index 0 would take 4,043 and
+    412,634."""
+    runs = column_runs(monkeypatch, Subject(build(catalog(name))))
+    assert (sum(steps for _, _, steps in runs), sum(suffix for suffix, _, _ in runs)) == (applied, whole)
+
+
+def test_border_columns_of_300_arms_take_linear_steps(monkeypatch):
+    """Zero-arm lemma: on the star of 299 arms with alpha = 3 and one with
+    alpha = 300 (rank 900) the 2r + 5 = 605 border columns, the runs from a
+    step of index center or above, apply in full only the steps of j's own
+    arm, 2r + center = 1,497 word steps, where the per-step runs apply
+    543,296: each top's 2 in V_minus (the top, which computes 0, and the
+    vertex below it, where the arm's own floor stops the run), and each
+    top's whole arm in V_zero, as it is -1 down the arm, center steps in
+    all.  The at most three steps before the arm block are read once per
+    word (_heads), and each column reads of them only its pairings from
+    center on and the one with j."""
+    subject = Subject(build(fuchsian_invariants([3] * 299 + [300])))
+    r, center = 300, subject.lats.center
+    border = [steps for _, first, steps in column_runs(monkeypatch, subject) if first >= center]
+    assert (len(border), sum(border)) == (2 * r + 5, 2 * r + center) == (605, 1497)
 
 
 @settings(max_examples=50, deadline=None)
