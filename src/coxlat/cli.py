@@ -47,12 +47,12 @@ from .series import hilbert_Q  # noqa: F401
 # 900 and order 200, `verify` takes 0.09 to 0.13 s on D898 and on the
 # Fuchsian star (2, 3, 895), and 0.16 s on the Fuchsian star of 299 arms
 # with alpha = 3 and one with alpha = 300, as on the star of 440 arms with
-# alpha = 2 (rank 443).  A star's Gram rows, its tau columns (each a window
-# of a suffix of V_plus's reflection word that stops at its last active
-# step), their residuals, the chain elimination and the arm periods
-# (O(alpha) word steps per arm) grow linearly in the rank; the 2r + 5
-# border columns of a many-arm star, each a window over every arm, take
-# O(1 + alpha_j) word steps and O(1) slices each (the zero-arm path).  The
+# alpha = 2 (rank 443).  A star's Gram rows, its tau columns (e_(j+1) below
+# an arm top, by the shift lemma), their residuals, the chain elimination
+# and the arm guards (a unit chain's period read off its links, with no
+# word step) grow linearly in the rank; only the 2r + 5 border columns run
+# a suffix of V_plus's word, to its last active step, each over every arm
+# in O(1 + alpha_j) word steps and O(1) slices (the zero-arm path).  The
 # orbit walk grows as the order times the number of distinct arm lengths.
 # At order 10000, `poincare` takes 0.08 to 0.09 s on D898, 0.23 to 0.4 s
 # on the 300-arm star and 0.21 to 0.39 s on the 440-arm star, whose

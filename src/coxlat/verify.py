@@ -14,6 +14,7 @@ tuples in a deterministic order.
 from __future__ import annotations
 
 import random
+import re
 import time
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count, repeat, zip_longest
 from math import prod
-from operator import add, mul, ne, sub
+from operator import add, eq, itemgetter, mul, ne, sub
 from typing import NamedTuple
 
 from .errors import NotAStarLattice
@@ -65,8 +66,8 @@ class VerificationReport:
     check is the first to ask its Subject for, which later checks read from
     the memo: in the order of verify_lattices, orbit-series pays for the
     star decode of V_minus and the walk, and orbit-formulas for the one
-    table of tau columns of all three lattices (rank(V_plus) + r + 2 column
-    runs), which identities reads."""
+    table of tau columns of all three lattices (rank(V_plus) + r + 2
+    columns, 2r + 5 column runs on a star), which identities reads."""
 
     check: str
     subject: str
@@ -171,6 +172,31 @@ def _take_window(buffer, low: int, top: int) -> list:
     window = buffer[low:top + 1]
     buffer[low:top + 1] = [0] * len(window)
     return window
+
+
+def _shift_runs(word, first, reach) -> list:
+    """The runs [a, b) of columns j of word, a lattice's with one step per
+    index, where the shift lemma holds (Subject._table), read off its
+    _first_steps, V_plus's reach and, as reflection_word lists pairings in
+    column order, the first pairing (j, 1) of step j + 1 and the last (j +
+    1, 1) of step j: one pass in C over all j per condition."""
+    n, pairs = len(word), [*map(itemgetter(1), reversed(word))]  # by index
+    links = [*zip(range(n), repeat(1))]
+    flags = bytes(map(all, zip(map(eq, first[:n - 1], range(n - 2, -1, -1)),
+                               map(eq, reach[1:n], range(n - 1)),
+                               map(eq, map(itemgetter(slice(1)), pairs[1:]), zip(links)),
+                               map(eq, map(itemgetter(slice(-1, None)), pairs[:-1]),
+                                   zip(links[1:])))))
+    return [match.span() for match in re.finditer(b"\x01+", flags)]
+
+
+def _shifted(a: int, b: int, n: int, reach) -> list:
+    """The table entries e_(j+1) of a run [a, b) of _shift_runs, step j + 1 at
+    n - 2 - j in V_plus's word (rank n): past a, rows j-1..j+1 of one window."""
+    low = reach[a]
+    return [(n - 2 - a, low, a + 1, [0] * (a + 1 - low) + [1]),
+            *zip(range(n - 3 - a, n - 2 - b, -1), range(a, b - 1), range(a + 2, b + 1),
+                 repeat([0, 0, 1]))]
 
 
 def _column(word, j: int, pos: int, reach, buffer, block) -> tuple:
@@ -280,6 +306,18 @@ def _unit_arms(word, center: int, arms):
     return shared.pop() if shared else ()
 
 
+def _unit_chain(arm, start: int, cols, reach) -> bool:
+    """Whether the arm run, its steps from the top down, is a unit chain:
+    start pairs with nothing below, each vertex above with nothing below its
+    neighbour (reach), each below the top with nothing past i + 1 (its last
+    column in cols, V_plus's), read by its step as its last pairing, by 1."""
+    top = start + len(arm) - 1
+    return (reach[start:top + 1] == [start, *range(start, top)]
+            and [*map(itemgetter(-1), cols[start:top])] == [*range(start + 1, top + 1)]
+            and [*map(itemgetter(1), map(itemgetter(-1), map(itemgetter(1), arm[1:])))]
+            == [1] * (top - start))
+
+
 def _arm_period(arm, start: int, e, alpha: int, cols, reach):
     """The least k <= alpha with c^k e = e for the arm word c, or None.
 
@@ -290,16 +328,20 @@ def _arm_period(arm, start: int, e, alpha: int, cols, reach):
     place, to its floor as in _run_to_floor, from the step of top, the
     largest index below stop that a nonzero of d_(k-1) pairs with (read off
     cols, V_plus's nonzero columns; no step above it touches d_(k-1)), or
-    from the first step for d_2.  The run rewrites every coordinate from top
-    down to its floor, where the nonzeros of d_(k-1) lie, so those it writes
-    are d_k's: each is added into c^k e and sets the next top and floor.  On
-    the chain of A_(alpha-1) d_k = -e_(start+k-2) from k = 2 on, so the runs
-    of d_3 on take at most three steps each: O(alpha) steps for the arm,
-    where alpha applications take alpha (alpha - 1).  The arm writes only
-    its own coordinates, so off, the count of those where c^k e differs from
-    e, kept as each is written, reads c^k e = e at once, where comparing the
-    lists would cost k places on a chain, alpha^2 / 2 in all."""
+    from the first step for d_2: those it writes are d_k's, each added into
+    c^k e.  off, the count of arm coordinates where c^k e differs from e,
+    kept as each is written, reads c^k e = e at once.
+
+    Chain lemma: where the arm is a unit chain of m vertices (_unit_chain)
+    and e is zero on it, the top reads x, its pairing with e, and each step
+    below adds its upper neighbour, so d_1 = x(1, ..., 1); c(1, ..., 1) =
+    -e_start and, by the shift lemma, c e_i = e_(i+1) below the top, so d_k
+    = -x e_(start+k-2) up to k = m + 1.  c^k e = e first at k = 1 where x =
+    0, else at m + 1 (alpha on a star), with no walk run."""
     stop = start + len(arm)
+    if _unit_chain(arm, start, cols, reach) and not any(e[start:stop]):
+        x = sum(g * e[k] for k, g in arm[0][1] if not start <= k < stop)
+        return 1 if not x else len(arm) + 1 if len(arm) < alpha else None
     v = apply_word(arm, list(e))
     off = sum(map(ne, v[start:stop], e[start:stop]))
     if not off:
@@ -351,8 +393,8 @@ class Subject:
     The first check to ask for a shared value pays for it in its report's
     elapsed time.  In the order of verify_lattices, theorem pays for the
     Deltas and their closed forms, orbit-series for the decode and the walk,
-    and orbit-formulas for the one table of tau columns (all rank(V_plus) +
-    r + 2 column runs); identities reads all three."""
+    and orbit-formulas for the one table of tau columns (rank(V_plus) + r +
+    2 columns); identities reads all three."""
 
     def __init__(self, lats: StarLattices, label: str | None = None):
         self.lats = lats
@@ -422,29 +464,34 @@ class Subject:
     def _table(self) -> dict:
         """The columns of the three tau as one table, by the lemmas of
         coxeter.  V_zero's word is V_minus's with the step of E-u in front,
-        and V_plus's is V_zero's with that of u-w, so V_minus runs each of
-        its columns, and each longer word re-runs from its front step only
-        its border, the coordinates that step touches (_touches).  Every run
-        steps one zeroed buffer of V_plus's rank, which _take_window zeroes
-        again.
-        On a star the border columns, 2r + 5 in all (E and the arm tops of
-        V_minus, V_zero's border, E-u and u-w of V_plus), are the runs from a
-        step of index center or above, and each spans every arm.  Zero-arm
-        lemma (_block_run): such a run reaches the arm block with every arm
-        coordinate zero but j's own, so where every arm is a unit chain whose
+        and V_plus's is V_zero's with that of u-w, so V_minus runs its
+        columns, and each longer word re-runs from its front step only its
+        border, the coordinates that step touches (_touches), each run on
+        one zeroed buffer of V_plus's rank that _take_window zeroes again.
+        Shift lemma: where the first step that touches j is that of j + 1,
+        which reads j by 1, step j reads j + 1 by 1, and no step below j
+        pairs with j + 1 (reach[j+1] = j), the run writes 1 at j + 1, then
+        -1 + 1 = 0 at j, and below j reads only zeros: tau e_j = e_(j+1).
+        _shift_runs reads those conditions off V_minus's word and _shifted
+        writes the entries, with no run: on a star every arm vertex below its
+        top, so that only the 2r + 5 border columns run (E and the arm tops
+        of V_minus, V_zero's border, E-u and u-w of V_plus).
+        Zero-arm lemma (_block_run): a border column runs from a step of
+        index center or above, so it reaches the arm block with every arm
+        coordinate zero but j's own.  Where every arm is a unit chain whose
         top pairs with E and past it as every other top does (arm_block),
-        each arm but j's ends as one constant, written by one fill; only the
-        steps before the block and those of j's arm run, O(1 + alpha_j)
-        steps where the per-step run takes O(rank)."""
+        every arm but j's ends as one constant, one fill, and only j's arm
+        and the steps before the block run, O(1 + alpha_j) steps."""
         reach, buffer, block = self.reach(), [0] * self.lats.plus.rank, self.arm_block()
 
         def word_block(word):
             return block and block + (_heads(word, block[0]),)
 
         word = self.word("minus")
-        heads = word_block(word)
-        cols = [_column(word, j, pos, reach, buffer, heads)
-                for j, pos in enumerate(_first_steps(word, self.lats.minus.rank))]
+        heads, first, cols = word_block(word), _first_steps(word, self.lats.minus.rank), []
+        for a, b in [*_shift_runs(word, first, reach), (len(first),) * 2]:
+            cols += [_column(word, j, first[j], reach, buffer, heads) for j in range(len(cols), a)]
+            cols += _shifted(a, b, len(buffer), reach) if a < b else []
         table = {"minus": (cols, range(len(cols)))}
         for which in ("zero", "plus"):
             word = self.word(which)
@@ -467,7 +514,7 @@ class Subject:
         each is computed once for all three lattices (_table).  On the star
         they differ only in r + 2 border columns: E and the arm ends of
         V_minus, which pair with E-u in V_zero, and E-u of V_zero, which
-        pairs with u-w in V_plus; rank(V_plus) + r + 2 column runs in all.
+        pairs with u-w in V_plus; rank(V_plus) + r + 2 columns in all.
         Last-step lemma (_run_to_floor): the suffix writes no coordinate
         below low, the least reach of j and of every coordinate it has made
         nonzero, where reach[k] is the least of k and the indices k pairs
@@ -818,8 +865,10 @@ def check_orbit_formulas(subject: Subject, k_max: int) -> VerificationReport:
     moved as a sparse vector: the two steps write only E-u and E, so only
     j, E and E-u are ever nonzero, and each step reads its pairings with
     those three by lookup, where a dense application reads all of them.
-    (c) follows the orbit of E by its differences (_arm_period): O(alpha_i)
-    word steps per arm, for the least k that alpha_i applications find.
+    (c) finds the least k that alpha_i applications find (_arm_period): by
+    the chain lemma m + 1 on a unit chain of m vertices whose top pairs with
+    E, as the differences c^k E - c^(k-1) E move down it by the shift lemma,
+    with no word step run; any other arm walks the differences.
     (d) reads the orbit sums P_k and Q_k = -P_{k+1} off the subject's walk
     of (V_zero, E), with no walk of its own.  They equal the sums of E on
     V_minus: pi keeps every pairing and tau descends, so
@@ -875,15 +924,17 @@ def check_identities(subject: Subject) -> VerificationReport:
     zero past top, so its rows of A tau e_j == -A^t e_j past top hold exactly
     when the last nonzero of row j in the lattice's Gram is at most top.  By
     the last-step lemma it is zero below low too, so it is read as its
-    window, rows low..top.  The residual is read row by row, by the classes
-    of A's rows (_row_classes, _residual_holds): a chain row, whose upper
-    part is {i+1: 1}, is x_i - x_(i+1), so all of them are x against x
-    shifted up one row, one slice comparison; the class rows (on a star the
-    arm tops, whose upper parts are all alike) are x_i less one core value,
-    written over them by one strided slice per run; only the other rows (on
-    a star E, E-u and u-w) and row j's own terms of A^t e_j are summed in
-    Python.  So a border column of a many-arm star costs O(1) interpreter
-    steps.  The rows below low are compared as well, down to the least row
+    window, rows low..top.  The residual is read by the classes of A's rows,
+    a slice for all chain rows, one per run of class rows (on a star the arm
+    tops) and a sum in Python only for the rest (on a star E, E-u and u-w),
+    so a border column of a many-arm star costs O(1) interpreter steps
+    (_row_classes, _residual_holds).  A shift column tau e_j = e_(j+1)
+    (Subject._table) has A tau e_j + A^t e_j = 0, and row j ends at top,
+    exactly where row j is a chain row and row j + 1's floor is j; so
+    V_minus compares each run of such rows past its first with e_(j+1) in
+    rows j-1..j+1 as one slice, and the rest, or a run that differs, take
+    fault, so a witness keeps its entry and row.
+    The rows below low are compared as well, down to the least row
     a column of A at the window reaches: a column run that stopped too
     early leaves A tau e_j nonzero there.  The residual reads A and row j
     of V_plus in rows 0..top only, so it is the same for every lattice a
@@ -923,7 +974,16 @@ def check_identities(subject: Subject) -> VerificationReport:
             # the steps in front of the word of the lattice before
             det *= prod(1 + lat.rows[i][i] for i, _ in subject.word(which)[:lat.rank - len(faults)])
             faults += [0] * (lat.rank - len(faults))
-            for j in subject.own(which):
+            own = [*subject.own(which)]
+            if which == "minus":  # runs of chain rows j with j + 1 not far, past their first
+                cut = sorted({*form.special, *(k - 1 for k in form.far)})
+                cut = cut[:bisect_left(cut, lat.rank - 1)]
+                for p, q in reversed([*zip([-1, *cut], [*cut, lat.rank - 1])]):
+                    if list(map(itemgetter(1, 2, 3), columns[p + 2:q])) == [
+                            *zip(range(p + 1, q - 1), range(p + 3, q + 1), repeat([0, 0, 1]))]:
+                        del own[p + 2:q]
+                        faults[p + 2:q] = repeat(n, q - p - 2)
+            for j in own:
                 faults[j] = fault(j, *columns[j])
             if min(faults) < lat.rank:
                 yield _matrix_witness(f"coxeter({which}) == -A^-1 A^t", subject.coxeter(which),

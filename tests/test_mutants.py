@@ -333,6 +333,41 @@ def difference_floor_one_higher(real):
                                                           [r + 1 for r in reach])
 
 
+def shift_entry_one_row_low(real):
+    """Each shift entry with its 1 one row low: tau e_j = e_j for e_(j+1)."""
+    return lambda a, b, n, reach: [(start, low, top - 1, window[1:])
+                                   for start, low, top, window in real(a, b, n, reach)]
+
+
+def shift_guard_blind_below(real):
+    """The shift guard reading each step without its pairings below its
+    lower neighbour, and with reach[j+1] = j for every j, so that it accepts
+    a column j whose j + 1 pairs with a vertex below j."""
+    return lambda word, first, reach: real(
+        tuple((i, tuple(p for p in pairs if p[0] >= i - 1)) for i, pairs in word), first,
+        [max(k - 1, 0) for k in range(len(reach))])
+
+
+def chain_run_past_the_top(real):
+    """Each run of shift columns read one row past its end, the arm top."""
+    return lambda word, first, reach: [(a, b + 1) for a, b in real(word, first, reach)]
+
+
+def chain_period_for_its_vertices(real):
+    """The period of a unit-chain arm of m vertices m for m + 1."""
+    def mutant(arm, start, e, alpha, cols, reach):
+        k = real(arm, start, e, alpha, cols, reach)
+        return k - 1 if k and verify._unit_chain(arm, start, cols, reach) else k
+    return mutant
+
+
+def chain_guard_accepts_a_link_of_two(real):
+    """The unit-chain guard reading each pairing of 2 in the arm as 1."""
+    return lambda arm, start, cols, reach: real(
+        tuple((i, tuple((k, 1 if g == 2 else g) for k, g in pairs)) for i, pairs in arm), start,
+        cols, reach)
+
+
 def arm_period_one_more(real):
     """Each arm period one more than the least k with c^k E = E."""
     def mutant(*args):
@@ -437,14 +472,25 @@ ROSTER = [
         {"orbit-formulas": 23, "identities": 23}),
     Row("reach ignores lower neighbours", verify, "_reach", reach_ignores_lower_neighbours,
         {"orbit-formulas": 26, "identities": 26}),
-    # a row left in the buffer spoils the next columns; the zero-arm path
-    # builds its windows itself, so only the runs stepped to their floor,
-    # which (b) does not compare, go wrong: none on A1, A3 and D4, whose
-    # columns are all border columns
+    # on a star every column but the border ones takes the shift lemma, and
+    # the zero-arm path builds its windows itself, so no roster column cuts
+    # a window; an edited arm, which the guards refuse, runs to its floor
     Row("column window one row short at its top", verify, "_take_window", window_short_at_top,
-        {"identities": 26}),
+        {}, caught_by=("test_shift_columns_refused_where_the_lemma_breaks",)),
     Row("column window one row short at its bottom", verify, "_take_window",
-        window_short_at_bottom, {"identities": 26}),
+        window_short_at_bottom, {}, caught_by=("test_shift_columns_refused_where_the_lemma_breaks",)),
+    # every arm vertex below its top is a shift column, so inputs with an arm
+    # of alpha >= 3; (b) reads no shift column, only the arm tops
+    Row("shift entry one row low", verify, "_shifted", shift_entry_one_row_low,
+        {"identities": 26}),
+    # the guard's first pairing of step j + 1 also sees the pairing below j,
+    # so the blind guard needs both; no roster vertex has such a pairing
+    Row("shift guard ignores a pairing of j + 1 below j", verify, "_shift_runs",
+        shift_guard_blind_below, {},
+        caught_by=("test_shift_columns_refused_where_the_lemma_breaks",)),
+    # the arm top's tau_minus column, which (b) compares, read as e_(top+1)
+    Row("chain run read one row past the arm top", verify, "_shift_runs", chain_run_past_the_top,
+        {"orbit-formulas": 26, "identities": 26}),
     # a right column has no rows below its floor to compare; a column stopped
     # above its floor is right in its window, and only those rows see it
     Row("residual drops the rows below the floor", verify, "_residual_holds",
@@ -468,17 +514,25 @@ ROSTER = [
         guard_blind_past_e_minus_u, {},
         caught_by=("test_zero_arm_guard_refuses_tops_that_pair_apart",
                    "test_zero_arm_table_is_the_per_step_run")),
-    # A1 has no arms, and every arm of A3 and D4 has alpha = 2, whose period
-    # takes d_1 and d_2 only
+    # the unit-chain guard reads the same columns and reaches, so it refuses
+    # every arm and the difference walk runs.  A1 has no arms, and every arm
+    # of A3 and D4 has alpha = 2, whose period takes d_1 and d_2 only
     Row("arm difference run one step late", verify, "_arm_period", difference_run_one_step_late,
-        {"orbit-formulas": 26}),
+        {"orbit-formulas": 26}, caught_by=("test_arm_periods_where_the_chain_lemma_breaks",)),
     # so do A1, A3 and D4, and every arm of A5, D5 and E6 has alpha <= 3: the
     # run of d_3 is the last, and c^3 E gains only the nonzeros it writes,
     # which the high floor leaves right
     Row("arm difference floor one index too high", verify, "_arm_period",
-        difference_floor_one_higher, {"orbit-formulas": 23}),
+        difference_floor_one_higher, {"orbit-formulas": 23},
+        caught_by=("test_arm_periods_where_the_chain_lemma_breaks",)),
     # A1 has no arms
     Row("arm period off by one", verify, "_arm_period", arm_period_one_more, {"orbit-formulas": 28}),
+    Row("unit-chain period m for m + 1", verify, "_arm_period", chain_period_for_its_vertices,
+        {"orbit-formulas": 28}),
+    # every roster link is 1; an arm link of 2 makes no period alpha_i
+    Row("unit-chain guard accepts a link of 2", verify, "_unit_chain",
+        chain_guard_accepts_a_link_of_two, {},
+        caught_by=("test_arm_periods_where_the_chain_lemma_breaks",)),
     # identities sees the column wrong for its lattice, and (b) compares V_zero's
     # arm end, or E, with V_minus's as one table entry where g != 0
     Row("leading block's border misses its lowest coordinate", verify, "_touches",

@@ -444,32 +444,58 @@ def test_arm_periods_on_edited_e8(i, j, x, periods):
     assert assert_arm_periods_are_applications(edited_lattices(E8, i, j, x)) == periods
 
 
+LINKS = {"deleted": 0, "two": 2, "minus one": -1}
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_arm_periods_are_alpha_applications(data):
     """On valid stars, and on their Grams with an arm edge deleted or set to
-    2 or any V_minus entry flipped between 0 and 1, each arm period by
-    differences is that of alpha applications, periods below alpha, 1 and
+    2 or -1, an arm top's pairing with E set to -1 or 2 or with a vertex of
+    its arm below its neighbour set to 1, or any V_minus entry flipped
+    between 0 and 1, each arm period, by the unit-chain lemma or by
+    differences, is that of alpha applications, periods below alpha, 1 and
     none included."""
     inv = data.draw(valid_stars())
     lats = build(inv)
-    edit = data.draw(st.sampled_from(["none", "deleted", "two", "flipped"] if inv.alphas else ["none"]))
+    edit = data.draw(st.sampled_from([*LINKS, "top", "flipped", "none"] if inv.alphas else ["none"]))
     if edit == "flipped":
         lats = flipped_lattices(inv, *draw_entry(data, inv))
+    elif edit == "top":
+        start, stop = data.draw(st.sampled_from(lats.arms))
+        below = data.draw(st.sampled_from([*range(start, stop - 2), lats.center]))
+        lats = edited_lattices(inv, below, stop - 1,
+                               1 if below < stop else data.draw(st.sampled_from((-1, 2))))
     elif edit != "none":
         start, stop = data.draw(st.sampled_from(lats.arms))
         i = data.draw(st.integers(start, stop - 1))  # the edge to i + 1, or the end's to E
-        lats = edited_lattices(inv, i, i + 1 if i + 1 < stop else lats.center,
-                               0 if edit == "deleted" else 2)
+        lats = edited_lattices(inv, i, i + 1 if i + 1 < stop else lats.center, LINKS[edit])
     assert_arm_periods_are_applications(lats)
 
 
+def test_arm_periods_where_the_chain_lemma_breaks():
+    """Each link of the long arm of E8, E12 and D10 in turn set to 2, -1 or
+    0, and its top paired with E by -1 or 2 or with each vertex below its
+    neighbour by 1: the period by the unit-chain lemma where it still holds
+    (the top paired with E by x != 0 gives alpha_i) and by differences where
+    not is that of alpha applications."""
+    for inv in (E8, E12, catalog("D10")):
+        lats = build(inv)
+        start, stop = lats.arms[-1]
+        edits = [(i, i + 1, x) for i in range(start, stop - 1) for x in LINKS.values()]
+        edits += [(stop - 1, lats.center, x) for x in (-1, 2)]
+        edits += [(i, stop - 1, 1) for i in range(start, stop - 2)]
+        for i, j, x in edits:
+            assert_arm_periods_are_applications(edited_lattices(inv, i, j, x))
+
+
 def test_arm_periods_take_linear_steps_on_d898(monkeypatch):
-    """(c) on D898, arms of alpha 2, 2 and 896, applies 4,475 word steps,
-    where alpha applications of each arm take sum alpha_i (alpha_i - 1) =
-    801,924: two for each short arm, and on the long arm, vertices 2 to
-    896, 895 for d_1, 895 for d_2 = -e_2, 2 for d_3 = -e_3 and 3 for each of
-    the 893 later d_k = -e_k."""
+    """(c) on D898, arms of alpha 2, 2 and 896, reads the pairings of 3 word
+    steps, where alpha applications of each arm take sum alpha_i (alpha_i -
+    1) = 801,924 and the difference walk 4,475.  Every arm is a unit chain
+    (_unit_chain, which reads each step's last pairing by index, not by
+    iterating its pairs), so each arm reads only its top's pairings, once,
+    for x, the top's pairing with E, which makes the period alpha_i."""
     steps = []
 
     class CountedPairs(tuple):
@@ -481,7 +507,7 @@ def test_arm_periods_take_linear_steps_on_d898(monkeypatch):
     monkeypatch.setattr(verify, "_arm_period", lambda arm, *args: real(
         tuple((i, CountedPairs(pairs)) for i, pairs in arm), *args))
     assert check_orbit_formulas(Subject(build(catalog("D898"))), 1).passed
-    assert len(steps) == 2 * 2 + 895 + 895 + 2 + 3 * 893 == 4475
+    assert len(steps) == 3
 
 
 class CorruptedMinusWord(Subject):
@@ -706,10 +732,13 @@ def test_identities_give_the_dense_route_witness(data):
 
 
 def test_one_application_per_shared_tau_column(monkeypatch):
-    """verify_lattices runs a suffix of V_plus's word once per distinct
-    column of the three tau: rank(V_plus) + r + 2 times, where V_minus adds
-    the columns of E and its r arm ends and V_zero the column of E-u.  No
-    column fails, so the dense form is never built."""
+    """verify_lattices runs a suffix of V_plus's word at most once per
+    distinct column of the three tau, rank(V_plus) + r + 2 columns, where
+    V_minus adds the columns of E and its r arm ends and V_zero the column
+    of E-u.  The sum (alpha_i - 2) arm vertices below their tops take the
+    shift lemma and run nothing, so 2r + 5 columns run, the border columns:
+    rank(V_plus) = sum (alpha_i - 1) + 3.  No column fails, so the dense
+    form is never built."""
     applied, dense = [], []
     real_run = verify._run_to_floor
     monkeypatch.setattr(verify, "_run_to_floor", lambda *args: applied.append(None) or real_run(*args))
@@ -719,7 +748,9 @@ def test_one_application_per_shared_tau_column(monkeypatch):
         lats = build(catalog(name))
         applied.clear()
         assert all(report.passed for report in verify_lattices(lats, 30))
-        assert len(applied) == lats.plus.rank + lats.invariants.r + 2
+        inv = lats.invariants
+        shifted = sum(alpha - 2 for alpha in inv.alphas)
+        assert len(applied) == lats.plus.rank + inv.r + 2 - shifted == 2 * inv.r + 5
     assert dense == []
 
 
@@ -803,16 +834,27 @@ def assert_table_is_per_step(subject):
         assert subject.columns(which) == [column_by_steps(gram, rank, j) for j in range(rank)]
 
 
-@settings(max_examples=80, deadline=None)
+def arm_vertices(lats) -> list:
+    """The arm vertices below their tops, whose columns take the shift
+    lemma on a star; a vertex of the last arm where every arm is its top."""
+    return [j for start, stop in lats.arms for j in range(start, stop - 1)] or [lats.center - 1]
+
+
+@settings(max_examples=95, deadline=None)
 @given(st.data())
 def test_zero_arm_table_is_the_per_step_run(data):
     """Every table entry (start, low, top, window) of the three tau equals a
     per-step run's, on valid stars (also of many equal arms and of arms of
-    alpha = 2), with one flipped V_minus entry or a deleted arm edge, and
-    with one edited V_plus entry or the tops' pairing with u-w edited, on
-    the zero-arm path where its guard holds and the per-step one where not."""
+    alpha = 2), with one flipped V_minus entry or a deleted arm edge, with
+    one edited V_plus entry or the tops' pairing with u-w edited, on the
+    zero-arm path where its guard holds and the per-step one where not, and
+    where an edit breaks the shift lemma at one arm vertex j below its top:
+    its link to j + 1 set to 2 or -1 in V_plus, j + 1 paired with a vertex
+    below j, or the V_minus word's first step given a read of j.  The
+    corrupted word's column j is its whole word applied to e_j, and V_minus's
+    other columns are the per-step runs."""
     case = data.draw(st.sampled_from(["star", "equal arms", "flipped", "edge deleted",
-                                      "V_plus edited", "tops edited"]))
+                                      "V_plus edited", "tops edited", "corrupted word"]))
     if case in ("star", "equal arms"):
         lats = build(data.draw(valid_stars() if case == "star" else equal_arm_stars()))
     else:
@@ -825,14 +867,28 @@ def test_zero_arm_table_is_the_per_step_run(data):
                                                     or [(lats.center - 1, lats.center + 1)]))
             k = data.draw(st.integers(start, stop - 2))
             lats = edited_lattices(inv, k, k + 1, 0)
-        elif case == "V_plus edited":
+        elif case == "V_plus edited" and data.draw(st.booleans()):
             j = data.draw(st.integers(1, lats.plus.rank - 1))
             i = data.draw(st.integers(0, j - 1))
             lats = with_plus_entry(lats, i, j, data.draw(st.sampled_from((-1, 0, 1, 2))))
-        else:
+        elif case == "V_plus edited":  # one shift column broken
+            j = data.draw(st.sampled_from(arm_vertices(lats)))
+            i, x = data.draw(st.sampled_from([(j, 2), (j, -1), *((i, 1) for i in range(j))]))
+            lats = with_plus_entry(lats, i, j + 1, x)
+        elif case == "tops edited":
             tops = data.draw(st.sets(st.integers(0, len(lats.arms) - 1), min_size=1))
             j = data.draw(st.sampled_from((lats.f_index, lats.f_index + 1)))
             lats = with_top_pairs(lats, tops, j, data.draw(st.sampled_from((0, 1, 2))))
+        else:
+            subject = CorruptedMinusWord(lats)
+            subject.k = k = data.draw(st.sampled_from(arm_vertices(lats)))
+            n, rank = lats.plus.rank, lats.minus.rank
+            whole = padded_columns(subject.word("minus"), rank, n)
+            columns = list(subject.columns("minus"))
+            _, low, top, window = columns.pop(k)
+            assert [0] * low + window + [0] * (rank - 1 - top) == whole[k]
+            assert columns == [column_by_steps(lats.plus.gram, rank, j) for j in range(rank) if j != k]
+            return
     assert_table_is_per_step(Subject(lats))
 
 
@@ -849,6 +905,23 @@ def test_zero_arm_guard_refuses_tops_that_pair_apart():
         subject = Subject(edited)
         assert (subject.arm_block() is not None) == guarded
         assert_table_is_per_step(subject)
+
+
+def test_shift_columns_refused_where_the_lemma_breaks():
+    """Each edit breaks the shift lemma at one vertex j below the top of the
+    long arm of E8 and of D10, in V_plus and so in V_minus: the link of j
+    and j + 1 set to 2 or -1, or j + 1 paired by 1 with j - 1 or with
+    vertex 0, the first arm's top.  Column j of tau_minus is then not
+    e_(j+1), the guard refuses it, and every table entry is the per-step
+    run's."""
+    for inv in (E8, catalog("D10")):
+        lats = build(inv)
+        start, stop = lats.arms[-1]
+        for j in range(start, stop - 1):
+            for i, x in ((j, 2), (j, -1), (j - 1, 1), (0, 1)):
+                subject = Subject(with_plus_entry(lats, i, j + 1, x))
+                assert subject.coxeter("minus")[j] != [int(k == j + 1) for k in range(lats.minus.rank)]
+                assert_table_is_per_step(subject)
 
 
 def test_identities_name_every_single_entry_error():
@@ -921,12 +994,21 @@ def column_runs(monkeypatch, subject) -> list:
     return runs
 
 
-@pytest.mark.parametrize("name, applied, whole", [("D80", 310, 4043), ("D898", 3582, 412634)])
+@pytest.mark.parametrize("name, applied, whole", [("D80", 83, 889), ("D898", 901, 9887)])
 def test_tau_columns_stop_at_their_floor(monkeypatch, name, applied, whole):
-    """The word steps the distinct columns of the three tau apply: 310 on
-    D80 and 3,582 on D898, where runs to index 0 would take 4,043 and
-    412,634."""
+    """The word steps the column runs of the three tau apply on D_n, arms of
+    alpha 2, 2 and n - 2 (center n - 1): 83 on D80 and 901 on D898, where
+    the same runs to index 0 would take 889 and 9,887.  Only the 2r + 5 = 11
+    border columns run (the arm vertices below their tops take the shift
+    lemma), each on the zero-arm path, which applies in full only the steps
+    of j's own arm: V_minus's tops 1, 1 and 2 (the top and the vertex below,
+    where the arm's floor stops it), V_zero's tops 1, 1 and n - 3, as each
+    is -1 down its arm, and none for E, E-u and u-w.  Runs to index 0 take
+    the rank of their lattice each: r + 1 in V_minus, of rank n, r + 2 in
+    V_zero and 2 in V_plus."""
     runs = column_runs(monkeypatch, Subject(build(catalog(name))))
+    n = int(name[1:])
+    assert applied == (1 + 1 + 2) + (1 + 1 + n - 3) and whole == 4 * n + 5 * (n + 1) + 2 * (n + 2)
     assert (sum(steps for _, _, steps in runs), sum(suffix for suffix, _, _ in runs)) == (applied, whole)
 
 
